@@ -180,7 +180,7 @@ def cmd_regularize(args) -> int:
     rho = _load_state(args.state)
     sys_ = _load_system(args.channel)
     rows = tk.regularize_sweep(rho, sys_, args.eps, args.nmax)
-    diag = tk.sweep_diagnostics(rows)
+    diag = tk.sweep_diagnostics(rows, args.eps)
     log.info("regularize diagnostics: %s", diag)
     _emit(tk.sweep_csv(rows), args.output)
     return 0

@@ -7,8 +7,9 @@ optimizer satisfies the implicit equation
     sigma_* proportional to Delta((sigma_*^{r/2} X sigma_*^{r/2})^z)
 
 which is solved by a damped fixed-point iteration, with closed forms at
-z = 1 (and hence for the whole Petz family) and a grid fallback.  F is
-concave for r in [0, 1] (maximized) and convex for r in [-1, 0] (minimized).
+z = 1 (and hence for the whole Petz family) and a grid fallback for
+families within the grid budget.  F is concave for r in [0, 1] (maximized)
+and convex for r in [-1, 0] (minimized).
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ def optimize_trace_functional(
     """Optimize F over the free states of the channel.
 
     ``method`` is "auto" (closed form when z = 1, otherwise the damped
-    fixed-point iteration), "fixed_point", or "closed_form".
+    fixed-point iteration), "fixed_point", or "closed_form".  When the fixed
+    point misses ``residual_tol`` the grid oracle answers instead, or, for a
+    family beyond GRID_PARAMETER_BUDGET, SolverError is raised.
     """
     if method not in ("auto", "fixed_point", "closed_form"):
         raise ValidationError(f"unknown method {method!r}")
@@ -170,7 +173,13 @@ def optimize_trace_functional(
     residual = fixed_point_residual(sigma, spec)
     if residual <= residual_tol:
         return OptimizerResult(sigma, f_cur, residual, iterations, "fixed_point")
-    # Non-convergence: fall back to the exhaustive grid when it is small.
+    # Non-convergence: fall back to the exhaustive grid when it is small;
+    # beyond the grid budget this is a solver failure, not a budget refusal.
+    if free_parameter_count(spec.channel) > GRID_PARAMETER_BUDGET:
+        raise SolverError(
+            f"fixed point did not converge: residual {residual:.3e} > {residual_tol:.0e} "
+            f"after {iterations} iterations"
+        )
     sigma_g, value_g = grid_oracle(spec, resolution=grid_resolution)
     return OptimizerResult(
         sigma_g,

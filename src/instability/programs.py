@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import DestructionChannel, hermitian_basis
 from .errors import SolverError, ValidationError
-from .linalg import check_density, herm
+from .linalg import check_density, herm, rank_tol
 from .sdp import HermitianProgram, SdpSolution
 
 DEFAULT_SOLVER_KW = dict(feas_tol=1e-8, gap_tol=1e-7, max_iter=200)
@@ -84,6 +84,8 @@ def restricted_ht(
             float("inf"), 0.0, np.zeros((d, d), dtype=complex), _degenerate_solution()
         )
     kw = {**DEFAULT_SOLVER_KW, **solver_kw}
+    if eps <= 0.0:
+        return _restricted_ht_perfect(rho, channel, kw)
     prog = HermitianProgram()
     g = prog.add_hermitian(d)
     s = prog.add_hermitian(d)
@@ -95,14 +97,53 @@ def restricted_ht(
         prog.add_constraint(
             {g: channel.apply(e), c: -float(np.real(np.trace(e)))}, 0.0
         )
-    # At eps = 0 the pass constraint can only be met with equality; writing
-    # it that way (no slack pinned at the cone boundary) keeps the
-    # interior-point iterates strictly complementary.
-    sense = "==" if eps <= 0.0 else ">="
-    prog.add_constraint({g: rho}, 1.0 - eps, sense=sense)
+    prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
     sol, vals = prog.solve(**kw)
     _require_solved(sol, "restricted hypothesis test")
-    gamma, c_star = _polish_to_scaled_identity(_clip_effect(vals[g.index]), channel)
+    return _ht_result(vals[g.index], channel, sol)
+
+
+def _restricted_ht_perfect(
+    rho, channel: DestructionChannel, kw: dict
+) -> HypothesisTestingResult:
+    """restricted_ht at eps = 0, solved on the face of perfect tests.
+
+    A test with 0 <= Gamma <= I and tr[rho Gamma] = 1 is Gamma = P + Q G Q^dagger
+    with 0 <= G <= I, P the support projector of rho and Q an isometry onto
+    its kernel.  The program in G alone has no variable pinned at the cone
+    boundary, so the interior-point iterates stay strictly complementary.
+    """
+    d = channel.dim
+    w, v = np.linalg.eigh(rho)
+    live = w > rank_tol(d, w[-1])
+    p = v[:, live] @ v[:, live].conj().T
+    q = v[:, ~live]
+    k = q.shape[1]
+    if k == 0:  # full rank: Gamma = I, and Delta^*(I) = I
+        return _ht_result(np.eye(d, dtype=complex), channel, _degenerate_solution())
+    prog = HermitianProgram()
+    g = prog.add_hermitian(k)
+    s = prog.add_hermitian(k)
+    c = prog.add_scalar()
+    prog.add_objective(c, 1.0)
+    for h in hermitian_basis(k):
+        prog.add_constraint({g: h, s: h}, float(np.real(np.trace(h))))
+    for e in channel.algebra_basis():
+        de = channel.apply(e)
+        prog.add_constraint(
+            {g: q.conj().T @ de @ q, c: -float(np.real(np.trace(e)))},
+            -float(np.real(np.trace(de @ p))),
+        )
+    sol, vals = prog.solve(**kw)
+    _require_solved(sol, "restricted hypothesis test")
+    return _ht_result(p + q @ vals[g.index] @ q.conj().T, channel, sol)
+
+
+def _ht_result(
+    gamma, channel: DestructionChannel, sol: SdpSolution
+) -> HypothesisTestingResult:
+    """The clipped and polished effect, with -log2 c of its scalar dual image."""
+    gamma, c_star = _polish_to_scaled_identity(_clip_effect(gamma), channel)
     if c_star <= 0:
         return HypothesisTestingResult(float("inf"), 0.0, gamma, sol)
     return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol)

@@ -426,16 +426,18 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_diagnostics(rows: list[dict], tol: float = 1e-6) -> dict:
-    """Monotone-trend checks on a regularization sweep.
+def sweep_diagnostics(rows: list[dict], eps: float, tol: float = 1e-6) -> dict:
+    """Monotone-trend checks on a regularization sweep at error eps.
 
     The exact-cost rate is additive, so its distance to the Umegaki target
-    must be nonincreasing; yield rates stay below the target (one-sided);
-    the smoothed lower-bound rate cannot exceed the exact-cost rate.
+    must be nonincreasing; the smoothed lower-bound rate cannot exceed the
+    exact-cost rate.  An eps-yield may exceed the Umegaki rate D, but never
+    the converse bound D_H^eps <= (n D + h2(eps)) / (1 - eps) of Wang and
+    Renner (PRL 108, 200501, 2012): yield_below_target checks each yield rate
+    against (n D + h2(eps)) / (n (1 - eps)).
     """
     target = rows[0]["umegaki"] if rows else 0.0
     cost_gaps = [abs(r["cost_hi_rate"] - target) for r in rows if r["cost_hi_rate"] is not None]
-    yields = [r["yield_rate"] for r in rows if r["yield_rate"] is not None]
     lo_ok = all(
         r["cost_lo_rate"] <= r["cost_hi_rate"] + tol
         for r in rows
@@ -445,7 +447,19 @@ def sweep_diagnostics(rows: list[dict], tol: float = 1e-6) -> dict:
         "cost_gap_nonincreasing": all(
             cost_gaps[i + 1] <= cost_gaps[i] + tol for i in range(len(cost_gaps) - 1)
         ),
-        "yield_below_target": all(v <= target + tol for v in yields),
+        "yield_below_target": all(
+            r["yield_rate"] <= _yield_rate_bound(target, r["n"], eps) + tol
+            for r in rows
+            if r["yield_rate"] is not None
+        ),
         "lower_bound_consistent": lo_ok,
         "target": target,
     }
+
+
+def _yield_rate_bound(rate: float, n: int, eps: float) -> float:
+    """(n D + h2(eps)) / (n (1 - eps)), the converse bound on an eps-yield rate."""
+    if eps >= 1.0:
+        return float("inf")
+    h2 = 0.0 if eps <= 0.0 else float(-eps * np.log2(eps) - (1 - eps) * np.log2(1 - eps))
+    return (n * rate + h2) / (n * (1.0 - eps))

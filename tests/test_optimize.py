@@ -4,7 +4,7 @@ import pytest
 from instability import channels as ch
 from instability import divergences as dv
 from instability import optimize as op
-from instability.errors import BudgetError, ValidationError
+from instability.errors import BudgetError, SolverError, ValidationError
 from instability.linalg import herm, mat_pow, schatten_norm, trace_norm
 from instability.sampling import random_density, random_full_rank_density
 from tests.conftest import random_channel
@@ -260,3 +260,14 @@ class TestGridOracle:
         spec = op.TraceFunctionalSpec(random_density(16, rng), 0.5, 1.0, big)
         with pytest.raises(BudgetError):
             op.grid_oracle(spec)
+
+    def test_non_convergence_beyond_budget_is_solver_error(self):
+        rho = random_density(4, np.random.default_rng(0), rank=2)
+        big = ch.tpce([(1, 2), (1, 2)])
+        assert ch.free_parameter_count(big) > op.GRID_PARAMETER_BUDGET
+        with pytest.raises(SolverError, match="after 3 iterations"):
+            op.m_lambda(rho, 0.3, 0.8, 0.0, big, max_iter=3)
+        # Within the budget the grid still answers.
+        small = random_density(2, np.random.default_rng(0))
+        res = op.m_lambda(small, 0.5, 0.8, 0.0, DEPH2, max_iter=1)
+        assert res.method == "grid_fallback"

@@ -33,6 +33,23 @@ class TestRestrictedHt:
         assert res.value == pytest.approx(1.0, abs=1e-8)
         assert np.abs(res.gamma - PLUS).max() <= 1e-6
 
+    def test_eps_zero_face(self, rng):
+        # At eps = 0 the program runs on the face of perfect tests, where
+        # the iterates stay strictly complementary.
+        channels = [
+            ch.dephaser(3),
+            ch.replacer(random_full_rank_density(3, rng, 0.3)),
+            ch.tpce([(1, 2), (1, 1)]),
+        ]
+        for c in channels:
+            for rank in (1, 2):
+                sol = pr.restricted_ht(random_density(3, rng, rank=rank), c, 0.0).solution
+                assert sol.primal_residual <= 1e-10
+                assert sol.dual_residual <= 1e-10
+        for d in (2, 4, 9):
+            res = pr.restricted_ht(ch.plus_state(d), ch.dephaser(d), 0.0)
+            assert res.value == pytest.approx(np.log2(d), abs=1e-9)
+
     def test_full_rank_forces_identity(self, rng):
         rho = random_full_rank_density(2, rng)
         res = pr.restricted_ht(rho, DEPH2, 0.0)

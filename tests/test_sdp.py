@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from instability import sdp
 from instability.channels import hermitian_basis
@@ -42,7 +43,91 @@ class TestSvec:
         assert np.dot(sdp.svec(a), sdp.svec(b)) == pytest.approx(np.trace(a @ b))
 
 
+def dense_schur(a, dims, ws):
+    """Reference Schur matrix sum_k tr(A_jk W_k A_lk W_k) from dense blocks."""
+    out = np.zeros((a.shape[0], a.shape[0]))
+    off = 0
+    for n, w in zip(dims, ws):
+        mats = np.stack([sdp.smat(row[off : off + sdp.svec_dim(n)], n) for row in a])
+        out += np.einsum("jab,lba->jl", mats, w @ mats @ w)
+        off += sdp.svec_dim(n)
+    return out
+
+
+def random_spd(n, rng):
+    g = rng.normal(size=(n, n))
+    return g @ g.T / n + 0.1 * np.eye(n)
+
+
+class TestSchur:
+    def check(self, a, dims, rng):
+        ws = [random_spd(n, rng) for n in dims]
+        ref = dense_schur(a, dims, ws)
+        got = sdp._Constraints(a, dims).schur(ws)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_planted_dense_rows(self, rng):
+        for _ in range(10):
+            dims = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 5)))]
+            prob, _ = planted_problem(dims, int(rng.integers(1, 12)), rng)
+            self.check(prob.A, dims, rng)
+
+    def test_mixed_sizes_and_untouched_block(self, rng):
+        # Two scalars, two 2x2 blocks (each pair shares an update), a 3x3
+        # block and two blocks as wide as the widest; block 4 is touched by
+        # no row, and every row is sparse.
+        dims = [1, 1, 2, 2, 3, 5, 5]
+        total = sum(sdp.svec_dim(n) for n in dims)
+        a = np.zeros((9, total))
+        for j in range(9):
+            cols = rng.choice(total, size=3, replace=False)
+            a[j, cols] = rng.normal(size=3)
+        a[:, 8:14] = 0.0  # the svec segment of block 4
+        self.check(a, dims, rng)
+
+    def test_hermitian_program_rows(self, rng):
+        prog = sdp.HermitianProgram()
+        x = prog.add_hermitian(3)
+        betas = [prog.add_hermitian(1) for _ in range(3)]
+        for i, h in enumerate(hermitian_basis(3)):
+            prog.add_constraint({x: h, betas[i % 3]: np.eye(1)}, 0.0, sense="<=")
+        problem = prog.build()
+        self.check(problem.A, problem.block_dims, rng)
+
+
+class TestFactorization:
+    def test_one_cholesky_per_iteration(self, rng, monkeypatch):
+        calls = []
+        real = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        prob, _ = planted_problem([3, 2, 1], 5, rng)
+        sol = sdp.solve(prob)
+        assert sol.status == "optimal"
+        # An iteration that stops on its residuals does so before factoring.
+        assert sol.iterations - 1 <= len(calls) <= sol.iterations
+
+    def test_planted_instance_needs_no_perturbation(self, rng):
+        prob, _ = planted_problem([4, 3], 6, rng)
+        sol = sdp.solve(prob)
+        assert sol.status == "optimal"
+        assert sol.max_jitter == 0.0
+        assert not sol.used_lstsq
+
+
 class TestRealify:
+    def test_svec_index_map(self, rng):
+        for n in (1, 2, 3, 16):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            k = g + g.conj().T
+            index, weight = sdp._realify_svec_map(n)
+            got = np.ascontiguousarray(k).reshape(-1).view(float)[index] * weight
+            assert np.array_equal(got, sdp.svec(sdp.realify(k) / 2.0))
+
     def test_psd_equivalence(self, rng):
         x = random_density(3, rng)
         r = sdp.realify(x)

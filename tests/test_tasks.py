@@ -257,10 +257,26 @@ class TestRegularize:
     def test_mixed_trend_diagnostics(self):
         rho = 0.6 * PLUS + 0.4 * np.eye(2) / 2
         rows = tk.regularize_sweep(rho, SYS2, 0.05, 4)
-        diag = tk.sweep_diagnostics(rows)
+        diag = tk.sweep_diagnostics(rows, 0.05)
         assert diag["cost_gap_nonincreasing"]
         assert diag["yield_below_target"]
         assert diag["lower_bound_consistent"]
+
+    def test_diagnostics_allow_eps_yield_above_umegaki(self):
+        # A free state has Umegaki rate 0, yet a valid 0.05-yield of 0.074.
+        rows = tk.regularize_sweep(np.diag([0.3, 0.7]).astype(complex), SYS2, 0.05, 1)
+        assert rows[0]["yield_rate"] > rows[0]["umegaki"] + 0.05
+        assert tk.sweep_diagnostics(rows, 0.05)["yield_below_target"]
+
+    def test_diagnostics_flag_yield_above_converse_bound(self):
+        eps, n, rate = 0.05, 2, 0.5
+        h2 = -eps * np.log2(eps) - (1 - eps) * np.log2(1 - eps)
+        bound = (n * rate + h2) / (n * (1 - eps))
+        row = {"n": n, "yield_rate": bound + 1e-3, "cost_lo_rate": None,
+               "cost_hi_rate": None, "umegaki": rate}
+        assert not tk.sweep_diagnostics([row], eps)["yield_below_target"]
+        row["yield_rate"] = bound - 1e-3
+        assert tk.sweep_diagnostics([row], eps)["yield_below_target"]
 
     def test_budget_skips_rows(self):
         s = ch.system(ch.dephaser(5))
