@@ -26,7 +26,7 @@ from .linalg import (
     as_matrix,
     check_density,
     herm,
-    mat_pow,
+    pow_from_eigh,
     rank_tol,
     spectral_norm,
 )
@@ -64,6 +64,64 @@ def _check_basis(basis, dim: int) -> np.ndarray:
     return u
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked Kronecker products a_i (x) b_i as shape (n, d_a, d_b, d_a, d_b).
+
+    The broadcast product is the ufunc ``numpy.kron`` applies, so each
+    entry is bitwise the one ``numpy.kron(a_i, b_i)`` gives.
+    """
+    return a[..., :, None, :, None] * b[..., None, :, None, :]
+
+
+@dataclass(frozen=True)
+class _BlockGroup:
+    """The blocks of one shape (d_a, d_b), acted on together.
+
+    ``index`` holds each block's block-frame indices, one row per block;
+    ``taus`` the stacked tau_i and ``fixed_eig`` the stacked
+    eigendecomposition of d_a tau_i.
+    """
+
+    d_a: int
+    d_b: int
+    index: np.ndarray
+    taus: np.ndarray
+    fixed_eig: tuple[np.ndarray, np.ndarray]
+
+    def gather(self, xb: np.ndarray) -> np.ndarray:
+        """The diagonal blocks of ``xb``, shape (n, d_a, d_b, d_a, d_b)."""
+        i = self.index
+        return xb[i[:, :, None], i[:, None, :]].reshape(
+            -1, self.d_a, self.d_b, self.d_a, self.d_b
+        )
+
+    def scatter(self, out: np.ndarray, parts: np.ndarray) -> None:
+        """Write stacked (n, d_a, d_b, d_a, d_b) blocks into ``out``."""
+        i = self.index
+        n, s = i.shape
+        out[i[:, :, None], i[:, None, :]] = parts.reshape(n, s, s)
+
+
+def _group_blocks(blocks: tuple[Block, ...]) -> tuple[_BlockGroup, ...]:
+    members: dict[tuple[int, int], list[int]] = {}
+    for k, b in enumerate(blocks):
+        members.setdefault((b.d_a, b.d_b), []).append(k)
+    offsets = np.cumsum([0] + [b.dim for b in blocks])
+    groups = []
+    for (d_a, d_b), ks in members.items():
+        taus = np.stack([blocks[k].tau for k in ks])
+        groups.append(
+            _BlockGroup(
+                d_a,
+                d_b,
+                offsets[ks][:, None] + np.arange(d_a * d_b),
+                taus,
+                np.linalg.eigh(d_a * taus),
+            )
+        )
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class DestructionChannel:
     """Faithful idempotent channel in block form.
@@ -77,6 +135,8 @@ class DestructionChannel:
     basis: np.ndarray
     blocks: tuple[Block, ...]
     _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    _groups: tuple[_BlockGroup, ...] = field(init=False, repr=False, compare=False)
+    _identity_basis: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -94,64 +154,65 @@ class DestructionChannel:
             slices.append(slice(offs, offs + b.dim))
             offs += b.dim
         object.__setattr__(self, "_slices", tuple(slices))
+        object.__setattr__(self, "_groups", _group_blocks(blocks))
+        object.__setattr__(
+            self, "_identity_basis", bool(np.array_equal(self.basis, np.eye(self.dim)))
+        )
 
     # -- frame changes -------------------------------------------------
 
+    # Under the identity basis both frame changes return their argument.
+
     def to_block_frame(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ as_matrix(x, self.dim) @ self.basis
+        x = as_matrix(x, self.dim)
+        if self._identity_basis:
+            return x
+        return self.basis.conj().T @ x @ self.basis
 
     def from_block_frame(self, x: np.ndarray) -> np.ndarray:
+        if self._identity_basis:
+            return x
         return self.basis @ x @ self.basis.conj().T
 
     # -- channel action ------------------------------------------------
+    #
+    # Each action gathers the diagonal blocks of one shape at once, acts on
+    # the stack and scatters the results back; off-block entries are zero.
 
-    def _block_reduce(self, xb: np.ndarray, i: int) -> np.ndarray:
-        """tr_A of block i of an operator already in the block frame."""
-        b = self.blocks[i]
-        m = xb[self._slices[i], self._slices[i]].reshape(b.d_a, b.d_b, b.d_a, b.d_b)
-        return np.einsum("abad->bd", m)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Schroedinger action Delta(X)."""
+    def _blockwise(self, x: np.ndarray, act) -> np.ndarray:
         xb = self.to_block_frame(x)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, b in enumerate(self.blocks):
-            out[self._slices[i], self._slices[i]] = np.kron(
-                b.tau, self._block_reduce(xb, i)
-            )
+        for g in self._groups:
+            g.scatter(out, act(g, g.gather(xb)))
         return self.from_block_frame(out)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Schroedinger action Delta(X) = (+) tau_i (x) tr_A[X_i]."""
+        return self._blockwise(
+            x, lambda g, m: _kron(g.taus, np.einsum("nabad->nbd", m))
+        )
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg dual Delta^*(Y); a unital conditional expectation."""
-        yb = self.to_block_frame(y)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, b in enumerate(self.blocks):
-            m = yb[self._slices[i], self._slices[i]].reshape(
-                b.d_a, b.d_b, b.d_a, b.d_b
-            )
-            w = np.einsum("ae,ebad->bd", b.tau, m)
-            out[self._slices[i], self._slices[i]] = np.kron(np.eye(b.d_a), w)
-        return self.from_block_frame(out)
+        return self._blockwise(
+            y,
+            lambda g, m: _kron(np.eye(g.d_a), np.einsum("nae,nebad->nbd", g.taus, m)),
+        )
 
     def apply_tp_expectation(self, x: np.ndarray) -> np.ndarray:
         """The trace-preserving conditional expectation onto the same algebra."""
-        xb = self.to_block_frame(x)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, b in enumerate(self.blocks):
-            out[self._slices[i], self._slices[i]] = np.kron(
-                np.eye(b.d_a) / b.d_a, self._block_reduce(xb, i)
-            )
-        return self.from_block_frame(out)
+        return self._blockwise(
+            x,
+            lambda g, m: _kron(np.eye(g.d_a) / g.d_a, np.einsum("nabad->nbd", m)),
+        )
 
     # -- fixed data ------------------------------------------------------
 
     def fixed_input_power(self, r: float) -> np.ndarray:
         """Delta(I)^r, computed blockwise: Delta(I) = (+) d_A tau_i (x) I."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, b in enumerate(self.blocks):
-            out[self._slices[i], self._slices[i]] = np.kron(
-                mat_pow(b.d_a * b.tau, r), np.eye(b.d_b)
-            )
+        for g in self._groups:
+            g.scatter(out, _kron(pow_from_eigh(*g.fixed_eig, r), np.eye(g.d_b)))
         return self.from_block_frame(out)
 
     def fixed_input(self) -> np.ndarray:

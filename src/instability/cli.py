@@ -136,17 +136,15 @@ def _verify_report(report: tk.TaskReport) -> None:
 
 
 def _sweep_point(payload):
-    state, channel_json, alpha, z, lam = payload
+    """One sweep row; the payload (state, channel, alpha, z, lambda) pickles."""
+    state, channel, alpha, z, lam = payload
     if not in_dpi_region(alpha, z):
         return (alpha, z, lam, None, None, "outside_dpi", None)
-    channel = channel_from_json(channel_json)
     res = op.m_lambda(np.asarray(state), alpha, z, lam, channel)
     return (alpha, z, lam, res.value, res.residual, res.method, res.iterations)
 
 
 def cmd_sweep(args) -> int:
-    from .serialize import channel_to_json
-
     rho = _load_state(args.state)
     sys_ = _load_system(args.channel)
     alphas = [float(a) for a in args.alphas.split(",")]
@@ -157,8 +155,7 @@ def cmd_sweep(args) -> int:
         raise BudgetError(
             f"sweep has {len(points)} evaluations, budget is {SWEEP_EVAL_BUDGET}"
         )
-    ch_json = channel_to_json(sys_.channel)
-    payloads = [(rho, ch_json, a, z, x) for a, z, x in points]
+    payloads = [(rho, sys_.channel, a, z, x) for a, z, x in points]
     if args.workers > 1 and len(payloads) > 8:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, payloads, chunksize=8))

@@ -28,15 +28,6 @@ def herm(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr[A^dagger B]."""
-    return complex(np.sum(a.conj() * b))
-
-
 def as_matrix(a, dim: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix, optionally checking the dimension."""
     m = np.asarray(a, dtype=complex)
@@ -54,8 +45,15 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def check_hermitian(h, dim: int | None = None, *, what: str = "operator") -> np.ndarray:
-    """Validate `h` is Hermitian within tolerance; return the Hermitian part."""
+    """Validate `h` is Hermitian within tolerance; return the Hermitian part.
+
+    An exactly Hermitian input (every ``herm`` output is one) passes the
+    tolerance test and equals its Hermitian part, so it is returned as a
+    copy without the two spectral norms.
+    """
     m = as_matrix(h, dim)
+    if np.array_equal(m, m.conj().T):
+        return m.copy() if m is h else m
     scale = max(1.0, spectral_norm(m))
     if spectral_norm(m - m.conj().T) > HERMITICITY_RTOL * scale:
         raise ValidationError(f"{what} is not Hermitian within tolerance")
@@ -118,13 +116,26 @@ def mat_pow(p: np.ndarray, r: float) -> np.ndarray:
     negative powers act as pseudo-inverses on the support and ``r = 0``
     yields the support projector.
     """
-    m = check_psd(p, what="mat_pow argument")
+    m = check_hermitian(p, what="mat_pow argument")
     w, v = np.linalg.eigh(m)
-    cut = rank_tol(m.shape[0], abs(w[-1]) if m.shape[0] else 0.0)
+    # The PSD test of check_psd, on the eigenvalues of the one decomposition.
+    if m.shape[0] and w[0] < -DENSITY_TOL * max(abs(w[0]), abs(w[-1]), 1e-300):
+        raise ValidationError(f"mat_pow argument has negative eigenvalue {w[0]:.3e}")
+    return pow_from_eigh(w, v, r)
+
+
+def pow_from_eigh(w: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
+    """``mat_pow`` from a trusted eigendecomposition ``(w, v)`` of a PSD operator.
+
+    Works on stacks (``w`` of shape (..., n), ``v`` of shape (..., n, n)),
+    with the rank cut taken per matrix; no validation.
+    """
+    cut = w.shape[-1] * RANK_RTOL * np.abs(w[..., -1:])  # rank_tol, per matrix
     pw = np.zeros_like(w)
     live = w > cut
     pw[live] = w[live] ** float(r)
-    return herm((v * pw) @ v.conj().T)
+    p = (v * pw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (p + p.conj().swapaxes(-1, -2)) / 2
 
 
 def support_projector(p: np.ndarray) -> np.ndarray:

@@ -84,15 +84,22 @@ class OptimizerResult:
     method: str
 
 
-def _functional_value(sigma: np.ndarray, x: np.ndarray, r: float, z: float) -> float:
-    core = herm(mat_pow(sigma, r / 2.0) @ x @ mat_pow(sigma, r / 2.0))
+def _value_at_half(half: np.ndarray, x: np.ndarray, z: float) -> float:
+    """F(sigma) from half = sigma^{r/2}."""
+    core = herm(half @ x @ half)
     w = np.clip(np.linalg.eigvalsh(core), 0.0, None)
     return float(np.sum(w**z))
 
 
-def _iteration_map(sigma, x, r, z, channel):
-    """normalize(Delta(G(sigma))) with G(s) = (s^{r/2} X s^{r/2})^z."""
-    half = mat_pow(sigma, r / 2.0)
+def _functional_value(sigma: np.ndarray, x: np.ndarray, r: float, z: float) -> float:
+    return _value_at_half(mat_pow(sigma, r / 2.0), x, z)
+
+
+def _map_at_half(half, x, z, channel):
+    """normalize(Delta(G(sigma))) with G(s) = (s^{r/2} X s^{r/2})^z.
+
+    ``half`` is sigma^{r/2}, which the caller has computed once.
+    """
     g = mat_pow(herm(half @ x @ half), z)
     t = herm(channel.apply(g))
     tr = float(np.trace(t).real)
@@ -103,7 +110,8 @@ def _iteration_map(sigma, x, r, z, channel):
 
 def fixed_point_residual(sigma, spec: TraceFunctionalSpec) -> float:
     """Trace-norm defect of sigma against the implicit optimizer equation."""
-    return trace_norm(sigma - _iteration_map(sigma, spec.x, spec.r, spec.z, spec.channel))
+    target = _map_at_half(mat_pow(sigma, spec.r / 2.0), spec.x, spec.z, spec.channel)
+    return trace_norm(sigma - target)
 
 
 def _has_unique_free_state(channel: DestructionChannel) -> bool:
@@ -153,13 +161,19 @@ def optimize_trace_functional(
 
     maximize = spec.r >= 0.0
     sigma = _default_init(spec) if init is None else check_density(init, spec.channel.dim)
-    f_cur = _functional_value(sigma, spec.x, spec.r, spec.z)
+    # Each sigma^{r/2} is computed once: the accepted step's half power
+    # feeds the next map, and a rejected step (eta halved) keeps the target.
+    half = mat_pow(sigma, spec.r / 2.0)
+    f_cur = _value_at_half(half, spec.x, spec.z)
+    target = None
     eta = 1.0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        target = _iteration_map(sigma, spec.x, spec.r, spec.z, spec.channel)
+        if target is None:
+            target = _map_at_half(half, spec.x, spec.z, spec.channel)
         step = herm((1.0 - eta) * sigma + eta * target)
-        f_new = _functional_value(step, spec.x, spec.r, spec.z)
+        step_half = mat_pow(step, spec.r / 2.0)
+        f_new = _value_at_half(step_half, spec.x, spec.z)
         worse = f_new < f_cur - 1e-15 * (1 + abs(f_cur)) if maximize else (
             f_new > f_cur + 1e-15 * (1 + abs(f_cur))
         )
@@ -167,10 +181,11 @@ def optimize_trace_functional(
             eta = max(eta / 2.0, ETA_FLOOR)
             continue
         delta = trace_norm(step - sigma)
-        sigma, f_cur = step, f_new
+        sigma, f_cur, half, target = step, f_new, step_half, None
         if delta < step_tol:
             break
-    residual = fixed_point_residual(sigma, spec)
+    # fixed_point_residual(sigma, spec), from the half power already at hand.
+    residual = trace_norm(sigma - _map_at_half(half, spec.x, spec.z, spec.channel))
     if residual <= residual_tol:
         return OptimizerResult(sigma, f_cur, residual, iterations, "fixed_point")
     # Non-convergence: fall back to the exhaustive grid when it is small;

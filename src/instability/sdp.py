@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import SolverError, ValidationError
 from .linalg import herm
@@ -203,6 +201,8 @@ def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
 
 def _csr(parts, shape):
     """CSR matrix from (row, column, value) triples concatenated over `parts`."""
+    import scipy.sparse  # scipy loads on first SDP use, not with the package
+
     r, c, v = (np.concatenate(x) for x in zip(*parts))
     return scipy.sparse.csr_matrix((v, (r, c)), shape=shape)
 
@@ -334,6 +334,8 @@ def _factor_schur(m: np.ndarray):
     Cholesky after adding the smallest jitter on the ladder (a multiple of
     the mean diagonal) that lets it succeed; least squares if none does.
     """
+    import scipy.linalg
+
     if not m.shape[0]:
         return (lambda rhs: np.zeros(0)), 0.0, False
     scale = max(np.trace(m) / m.shape[0], 1e-300)
@@ -354,6 +356,8 @@ def _factor_schur(m: np.ndarray):
 
 def _presolve_rows(a: np.ndarray, b: np.ndarray):
     """Drop linearly dependent constraint rows, checking consistency."""
+    import scipy.linalg
+
     m = a.shape[0]
     if m == 0:
         return a, b, np.arange(0)

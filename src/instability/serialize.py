@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import Block, DestructionChannel, standard_channel
 from .errors import ParseError
-from .linalg import check_density, check_effect
+from .linalg import check_density
 
 INF_TOKEN = "inf"
 
@@ -53,12 +53,6 @@ def state_from_json(data: dict) -> np.ndarray:
     if "dim" in data and int(data["dim"]) != m.shape[0]:
         raise ParseError("state 'dim' does not match the matrix size")
     return check_density(m)
-
-
-def effect_from_json(data: dict) -> np.ndarray:
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ParseError("effect JSON must be an object with a 'matrix' field")
-    return check_effect(matrix_from_json(data["matrix"]))
 
 
 def channel_to_json(ch: DestructionChannel) -> dict:

@@ -316,3 +316,72 @@ class TestFreeUnitaries:
         u = ch.random_free_unitary(c, 3)
         # any free unitary of a dephaser keeps the basis states fixed
         assert np.abs(c.apply(u @ ch.basis_state(2, 0) @ u.conj().T) - ch.basis_state(2, 0)).max() <= 1e-10
+
+
+def blockwise_reference(c, x, act):
+    """The channel action written out block by block with numpy.kron."""
+    xb = c.basis.conj().T @ x @ c.basis
+    out = np.zeros_like(xb)
+    off = 0
+    for b in c.blocks:
+        s = slice(off, off + b.dim)
+        off += b.dim
+        out[s, s] = act(b, xb[s, s].reshape(b.d_a, b.d_b, b.d_a, b.d_b))
+    return c.basis @ out @ c.basis.conj().T
+
+
+class TestBatchedAction:
+    """Blocks of one shape act together; the result is the per-block one."""
+
+    @pytest.fixture
+    def channels(self, rng):
+        return [
+            ch.dephaser(5),
+            ch.cond_replacer(random_full_rank_density(2, rng, 0.2), 3),
+            ch.tpce([(1, 2), (2, 1), (1, 2), (3, 1)], basis=random_unitary(9, rng)),
+        ]
+
+    @staticmethod
+    def inputs(d, rng):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return [g, random_density(d, rng)]
+
+    def test_cond_replacer_gamma_is_complex(self, channels):
+        assert np.abs(channels[1].blocks[0].tau.imag).max() > 1e-3
+
+    def test_apply_is_bitwise_per_block(self, channels, rng):
+        for c in channels:
+            for x in self.inputs(c.dim, rng):
+                ref = blockwise_reference(
+                    c, x, lambda b, m: np.kron(b.tau, np.einsum("abad->bd", m))
+                )
+                assert np.array_equal(c.apply(x), ref)
+
+    def test_dual_and_tp_expectation_match_per_block(self, channels, rng):
+        for c in channels:
+            for x in self.inputs(c.dim, rng):
+                tol = 1e-14 * np.linalg.norm(x, 2)
+                dual = blockwise_reference(
+                    c,
+                    x,
+                    lambda b, m: np.kron(np.eye(b.d_a), np.einsum("ae,ebad->bd", b.tau, m)),
+                )
+                tp = blockwise_reference(
+                    c,
+                    x,
+                    lambda b, m: np.kron(np.eye(b.d_a) / b.d_a, np.einsum("abad->bd", m)),
+                )
+                assert np.linalg.norm(c.apply_dual(x) - dual, 2) <= tol
+                assert np.linalg.norm(c.apply_tp_expectation(x) - tp, 2) <= tol
+
+    def test_fixed_input_power_matches_per_block(self, channels):
+        from instability.linalg import mat_pow
+
+        for c in channels:
+            eye = np.eye(c.dim)
+            for r in (1.0, 0.5, -0.5, -1.0):
+                ref = blockwise_reference(
+                    c, eye, lambda b, m: np.kron(mat_pow(b.d_a * b.tau, r), np.eye(b.d_b))
+                )
+                scale = max(1.0, np.linalg.norm(ref, 2))
+                assert np.linalg.norm(c.fixed_input_power(r) - ref, 2) <= 1e-14 * scale

@@ -148,6 +148,30 @@ class TestCliCommands:
         bad = [r for r in rows if r[0] == "3"]
         assert all(r[5] == "outside_dpi" and r[3] == "" for r in bad)
 
+    def test_sweep_workers_match_serial(self, workdir, tmp_path, capsys):
+        from instability.sampling import random_full_rank_density, random_unitary
+
+        rng = np.random.default_rng(5)
+        c = ch.tpce([(1, 2), (2, 1)], basis=random_unitary(4, rng))
+        sz.dump_json(sz.channel_to_json(c), str(tmp_path / "rotated.json"))
+        sz.dump_json(
+            sz.state_to_json(random_full_rank_density(4, rng)), str(tmp_path / "rho4.json")
+        )
+        args = [
+            "sweep",
+            "--state", str(tmp_path / "rho4.json"),
+            "--channel", str(tmp_path / "rotated.json"),
+            "--alphas", "0.5,0.8,1.5",
+            "--zs", "0.75,1,1.25",
+            "--lambdas", "0,0.5",
+        ]
+        # 18 points: more than the 8 below which the sweep stays serial.
+        assert main(args + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(serial.strip().split("\n")) == 19
+
     def test_sweep_alpha_continuity(self, workdir, capsys):
         from instability import optimize as op
 

@@ -3,7 +3,12 @@ import pytest
 
 from instability import linalg as la
 from instability.errors import ValidationError
-from instability.sampling import random_density, random_full_rank_density, random_hermitian
+from instability.sampling import (
+    random_density,
+    random_full_rank_density,
+    random_hermitian,
+    random_unitary,
+)
 
 
 class TestEigh:
@@ -65,6 +70,66 @@ class TestMatPow:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             la.mat_pow(np.diag([1.0, -1.0]).astype(complex), 0.5)
+
+
+class TestValidateOnce:
+    """The exact-Hermitian fast path and mat_pow's one decomposition are no looser."""
+
+    @staticmethod
+    def off_hermitian(rng, h, eps):
+        """h plus an anti-Hermitian part of spectral norm eps."""
+        k = random_hermitian(h.shape[0], rng)
+        return h + 1j * eps * k / la.spectral_norm(k)
+
+    def test_off_by_1e9_raises(self, rng):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            la.check_hermitian(self.off_hermitian(rng, random_hermitian(6, rng), 1e-9))
+        p = self.off_hermitian(rng, random_full_rank_density(6, rng, 0.1), 1e-9)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            la.mat_pow(p, 0.5)
+
+    def test_off_by_1e14_is_symmetrized(self, rng):
+        m = self.off_hermitian(rng, random_hermitian(6, rng), 1e-14)
+        assert not np.array_equal(m, m.conj().T)
+        out = la.check_hermitian(m)
+        assert np.array_equal(out, la.herm(m))
+        assert np.array_equal(out, out.conj().T)
+
+    def test_exact_input_is_returned_as_a_copy(self, rng):
+        m = random_hermitian(5, rng)
+        out = la.check_hermitian(m)
+        assert np.array_equal(out, m) and out is not m
+
+    def test_mat_pow_rejects_small_negative_eigenvalue(self, rng):
+        u = random_unitary(4, rng)
+        for p in (
+            np.diag([1.0, 0.5, 0.25, -1e-6]).astype(complex),
+            la.herm(u @ np.diag([1.0, 0.5, 0.25, -1e-6]) @ u.conj().T),
+        ):
+            with pytest.raises(ValidationError, match="negative eigenvalue"):
+                la.mat_pow(p, 0.5)
+
+    def test_mat_pow_exact_input_makes_one_eigh_and_no_svd(self, rng, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            spy(np.linalg, name)
+        spy(la, "spectral_norm")
+        p = la.herm(random_full_rank_density(8, rng, 0.1))
+        la.mat_pow(p, 0.5)
+        assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
+        # An input that is Hermitian only within tolerance takes both norms.
+        la.mat_pow(p + 1j * 1e-15 * random_hermitian(8, rng), 0.5)
+        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "spectral_norm": 2}
 
 
 class TestSchattenNorm:

@@ -95,6 +95,36 @@ class TestFixedPoint:
             assert abs(res.value - grid_val) <= 2e-3
 
 
+    def test_accepted_iteration_makes_two_mat_pow_calls(self, rng, monkeypatch):
+        counts = {"mat_pow": 0, "trace_norm": 0}
+
+        def count(name):
+            fn = getattr(op, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(op, name, counted)
+
+        rho = random_full_rank_density(6, rng, 0.05)
+        spec = op.TraceFunctionalSpec(
+            mat_pow(rho, 0.5 / 0.75), 0.5 / 0.75, 0.75, ch.tpce([(1, 3), (1, 3)])
+        )
+        count("mat_pow")
+        count("trace_norm")
+        res = op.optimize_trace_functional(spec, method="fixed_point")
+        assert res.method == "fixed_point"
+        # One trace norm per accepted step, and one for the final residual.
+        accepted = counts["trace_norm"] - 1
+        rejected = res.iterations - accepted
+        assert accepted >= 5
+        # sigma^{r/2} once at the start; per accepted step one new half power
+        # and one z-th power in the map; one half power per rejected step;
+        # two for the final residual.
+        assert counts["mat_pow"] <= 1 + 2 * accepted + rejected + 2
+
+
 class TestPetzFree:
     def test_plus_half_alpha(self):
         res = op.petz_free(PLUS, 0.5, DEPH2)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -235,3 +239,19 @@ class TestSolver:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             sdp.SdpProblem([2], np.zeros(4), np.zeros((1, 3)), np.zeros(1))
+
+
+def test_import_leaves_scipy_linalg_and_sparse_unloaded():
+    import instability
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(instability.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = (
+        "import sys, instability; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
