@@ -5,13 +5,19 @@ symmetric PSD blocks, in scaled (svec) coordinates.  The algorithm is a
 primal-dual interior-point method on the homogeneous self-dual embedding
 with Nesterov-Todd scaling and a Mehrotra predictor-corrector step.
 
+The iterates are stacks: the blocks of one size n form one (g, n, n)
+stack, and NT scaling, the inverse of L_lam, the scaled products, the
+Jordan corrector and the step length each run once per block size, with
+the 1x1 scalar slacks as the n = 1 stack.  The step length reuses the
+inverse square roots of x and s that the scaling computes.
+
 The constraint rows the task programs emit are sparse (a few nonzeros per
 row of a 32x32 realified block at d = 16), so after presolve A is held as
-one sparse matrix over the concatenated blocks and A x, A^T y are one
-product each.  The Schur complement M = sum_k A_k (W_k (x) W_k) A_k^T is
-built only over the rows that touch each block, in the manner of SDPA's
-sparse Schur formulas (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997);
-it is dense and is Cholesky-factored once per iteration.  On one core of
+one sparse matrix over the raveled stacks and A x, A^T y are one product
+each.  The Schur complement M = sum_k A_k (W_k (x) W_k) A_k^T is built
+only over the rows that touch each block, in the manner of SDPA's sparse
+Schur formulas (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997); it is
+dense and is Cholesky-factored once per iteration.  On one core of
 a 2-core Xeon, restricted_ht at eps = 0.1 on dephaser(32) (1057 rows, two
 64x64 blocks) solves in 5.9 s at 257 MB peak RSS.
 
@@ -138,34 +144,37 @@ class SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Block helpers
+# Stack kernels: each acts on one n x n block or on a (g, n, n) stack of
+# same-size blocks, member by member.
 # ---------------------------------------------------------------------------
 
 
 def _sym(m):
-    return (m + m.T) / 2
+    return (m + m.swapaxes(-1, -2)) / 2
 
 
 def _psd_sqrt_pair(m: np.ndarray, floor: float = 1e-300):
-    w, v = np.linalg.eigh(_sym(m))
-    w = np.clip(w, floor, None)
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+    """(m^{1/2}, m^{-1/2}) of symmetric m, from its lower triangle."""
+    w, v = np.linalg.eigh(m)
+    r = np.sqrt(np.clip(w, floor, None))[..., None, :]
+    vt = v.swapaxes(-1, -2)
+    return (v * r) @ vt, (v / r) @ vt
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling W with W s W = x, plus W^{1/2}, W^{-1/2} and the scaled point."""
-    xh, _ = _psd_sqrt_pair(x)
-    g = _sym(xh @ s @ xh)
-    wg, vg = np.linalg.eigh(g)
-    wg = np.clip(wg, 1e-300, None)
-    g_mhalf = (vg * wg**-0.5) @ vg.T
+    """NT scaling W with W s W = x for symmetric x, s > 0: the tuple
+    (W, W^{1/2}, W^{-1/2}, lam, [x^{-1/2}, s^{-1/2}]).
+
+    lam = W^{-1/2} x W^{-1/2} is the scaled point.  x and s are decomposed
+    in one call, and their inverse square roots, stacked on a new first
+    axis, are for the step length to reuse.
+    """
+    (xh, _), m_mhalf = _psd_sqrt_pair(np.stack([x, s]))
+    g_mhalf = _psd_sqrt_pair(_sym(xh @ s @ xh))[1]
     w_mat = _sym(xh @ g_mhalf @ xh)
-    ww, wv = np.linalg.eigh(w_mat)
-    ww = np.clip(ww, 1e-300, None)
-    w_half = (wv * np.sqrt(ww)) @ wv.T
-    w_mhalf = (wv / np.sqrt(ww)) @ wv.T
+    w_half, w_mhalf = _psd_sqrt_pair(w_mat)
     lam = _sym(w_mhalf @ x @ w_mhalf)
-    return w_mat, w_half, w_mhalf, lam
+    return w_mat, w_half, w_mhalf, lam, m_mhalf
 
 
 def _jordan(a, b):
@@ -173,22 +182,22 @@ def _jordan(a, b):
 
 
 def _lam_inverse_op(lam: np.ndarray):
-    """Return R -> L_lam^{-1}(R) using lam's eigenbasis."""
-    w, v = np.linalg.eigh(_sym(lam))
-    denom = (w[:, None] + w[None, :]) / 2.0
+    """Return R -> L_lam^{-1}(R), the X with (lam X + X lam)/2 = R, using
+    the eigenbasis of symmetric lam."""
+    w, v = np.linalg.eigh(lam)
+    denom = (w[..., :, None] + w[..., None, :]) / 2.0
     denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+    vt = v.swapaxes(-1, -2)
 
     def solve(r):
-        rt = v.T @ r @ v
-        return _sym(v @ (rt / denom) @ v.T)
+        return _sym(v @ ((vt @ r @ v) / denom) @ vt)
 
     return solve
 
 
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """sup {alpha : m + alpha dm >= 0} for m > 0."""
-    _, m_mhalf = _psd_sqrt_pair(m)
-    lam_min = np.linalg.eigvalsh(_sym(m_mhalf @ dm @ m_mhalf))[0]
+def _max_step(m_mhalf: np.ndarray, dm: np.ndarray) -> float:
+    """sup {alpha : m + alpha dm >= 0} over every member, given m^{-1/2} of m > 0."""
+    lam_min = np.linalg.eigvalsh(_sym(m_mhalf @ dm @ m_mhalf))[..., 0].min()
     if lam_min >= -1e-300:
         return np.inf
     return -1.0 / lam_min
@@ -258,70 +267,119 @@ class _SchurGroup:
             self.scatter = (col[:, None] + np.arange(nq) * self.rows.size).ravel()
         self.index = np.s_[:, :] if self.rows.size == m else np.ix_(self.rows, self.rows)
 
-    def add_to(self, schur: np.ndarray, ws: list) -> None:
-        """schur[rows, rows] += tr(A_j W A_l W) summed over the group's blocks."""
-        n, g = self.n, self.g
-        w_stack = ws[0] if g == 1 else np.concatenate(ws)
-        aw = self.a_stack @ w_stack  # rows (c, p): (A_p W)[c, :]
-        if g == 1:
+    def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
+        """schur[rows, rows] += tr(A_j W A_l W) summed over the group's
+        blocks, whose scalings are the (g, n, n) stack `w`."""
+        n = self.n
+        aw = self.a_stack @ w.reshape(-1, n)  # rows (c, p): (A_p W)[c, :]
+        if self.g == 1:
             # One product W [A_p W]_p, laid out (a, p, b), and a gather of
             # its lower triangles as columns: no transpose of the result.
-            waw = (w_stack @ aw.reshape(n, -1)).reshape(n, -1, n)
+            waw = (w[0] @ aw.reshape(n, -1)).reshape(n, -1, n)
             t = waw[self.tri_r, :, self.tri_c]
         else:
             aw = aw.reshape(n, -1, n).transpose(1, 0, 2)
-            waw = np.matmul(w_stack.reshape(g, n, n)[self.pair_block], aw)
-            t = np.zeros(g * svec_dim(n) * self.rows.size)
+            waw = np.matmul(w[self.pair_block], aw)
+            t = np.zeros(self.g * svec_dim(n) * self.rows.size)
             t[self.scatter] = waw[:, self.tri_r, self.tri_c].ravel()
             t = t.reshape(-1, self.rows.size)
         schur[self.index] += self.a_svec @ t
 
 
 class _Constraints:
-    """The presolved rows as one sparse matrix over the concatenated blocks.
+    """The presolved rows as one sparse matrix over the block stacks.
 
-    The coefficient matrices are stored in full-matrix coordinates, so
-    A x is one product with the raveled blocks and A^T y comes back as
-    raveled symmetric blocks.  Same-size blocks share a Schur update, except
-    that each block as wide as the widest keeps its own, which bounds every
+    The blocks of each size n form one (g, n, n) stack, in the problem's
+    order within the stack and with the sizes ascending.  A point of the
+    cone is every stack raveled into one vector (`split` gives the stack
+    views), and the coefficient matrices are stored in full-matrix
+    coordinates of that vector, so A x is one product and A^T y comes back
+    as symmetric stacks.  Same-size blocks share a Schur update, except that
+    each block as wide as the widest keeps its own, which bounds every
     temporary of the build by one block's touched rows times n^2.
     """
 
     def __init__(self, a_svec: np.ndarray, dims: list[int]):
         m = a_svec.shape[0]
-        self.m, self.dims = m, dims
-        self.offsets = np.cumsum([0] + [n * n for n in dims])
-        entries, full, off = [], [], 0
-        for n, o in zip(dims, self.offsets):
+        self.m = m
+        sizes = sorted(set(dims))
+        self.members = [[k for k, nk in enumerate(dims) if nk == n] for n in sizes]
+        # Each block's offset in the raveled stacks, where its svec segment
+        # lands as it is read: the presolved matrix is never reordered.
+        offset, self.stacks, base = np.zeros(len(dims), dtype=int), [], 0
+        for n, ks in zip(sizes, self.members):
+            offset[ks] = base + n * n * np.arange(len(ks))
+            self.stacks.append((n, len(ks), slice(base, base + len(ks) * n * n)))
+            base += len(ks) * n * n
+        entries, full, lower, upper, scales, off = [], [], [], [], [], 0
+        for k, n in enumerate(dims):
             j, q = np.nonzero(a_svec[:, off : off + svec_dim(n)])
             entries.append((j, q, a_svec[j, off + q]))
             fj, r, c, fv = _both_triangles(*entries[-1], n)
-            full.append((fj, o + r * n + c, fv))
+            full.append((fj, offset[k] + r * n + c, fv))
+            rows, cols, scale = _svec_data(n)
+            lower.append(offset[k] + rows * n + cols)
+            upper.append(offset[k] + cols * n + rows)
+            scales.append(scale)
             off += svec_dim(n)
-        self.a = _csr(full, (m, int(self.offsets[-1])))
+        self.a = _csr(full, (m, base))
         self.at = self.a.T.tocsr()
+        # svec coordinates in the problem's order <-> the raveled stacks.
+        self.lower, self.upper, self.scale = (
+            np.concatenate(x) for x in (lower, upper, scales)
+        )
         widest = max(dims, default=0)
         self.groups = []
-        for n in sorted(set(dims)):
-            members = [k for k, nk in enumerate(dims) if nk == n]
-            for ks in [[k] for k in members] if n == widest else [members]:
-                group = _SchurGroup(n, [entries[k] for k in ks], m)
+        for i, (n, ks) in enumerate(zip(sizes, self.members)):
+            parts = (
+                [(slice(p, p + 1), [k]) for p, k in enumerate(ks)]
+                if n == widest
+                else [(slice(None), ks)]
+            )
+            for part, ks_part in parts:
+                group = _SchurGroup(n, [entries[k] for k in ks_part], m)
                 if group.rows.size:
-                    self.groups.append((ks, group))
+                    self.groups.append((i, part, group))
 
-    def apply(self, xs) -> np.ndarray:
-        return self.a @ np.concatenate([x.ravel() for x in xs])
+    def split(self, v: np.ndarray) -> list:
+        """The (g, n, n) stack views of a raveled point."""
+        return [v[part].reshape(g, n, n) for n, g, part in self.stacks]
 
-    def adjoint(self, y) -> list:
-        v = self.at @ y
-        return [
-            v[o : o + n * n].reshape(n, n) for o, n in zip(self.offsets, self.dims)
-        ]
+    @staticmethod
+    def join(stacks) -> np.ndarray:
+        return np.concatenate([s.reshape(-1) for s in stacks])
+
+    def identity(self) -> np.ndarray:
+        return self.join(np.broadcast_to(np.eye(n), (g, n, n)) for n, g, _ in self.stacks)
+
+    def from_svec(self, v: np.ndarray) -> np.ndarray:
+        """Raveled stacks from svec coordinates in the problem's block order."""
+        out = np.empty(self.a.shape[1])
+        out[self.lower] = v / self.scale
+        out[self.upper] = out[self.lower]
+        return out
+
+    def to_svec(self, v: np.ndarray) -> np.ndarray:
+        """svec coordinates in the problem's block order from raveled stacks."""
+        return v[self.lower] * self.scale
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.a @ v
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.at @ y
 
     def schur(self, ws) -> np.ndarray:
+        """Schur matrix for per-block scalings W_k in the problem's block order."""
+        return self.stacked_schur(
+            [np.stack([ws[k] for k in ks]) for ks in self.members]
+        )
+
+    def stacked_schur(self, w_stacks) -> np.ndarray:
+        """Schur matrix for the scalings given as one stack per size."""
         out = np.zeros((self.m, self.m))
-        for ks, group in self.groups:
-            group.add_to(out, [ws[k] for k in ks])
+        for i, part, group in self.groups:
+            group.add_to(out, w_stacks[i][part])
         return out
 
 
@@ -387,26 +445,28 @@ def solve(
 ) -> SdpSolution:
     """Solve the SDP; `feas_tol`/`gap_tol` are the acceptance thresholds and
     the solver keeps polishing toward `target_tol` while it makes progress."""
-    dims = problem.block_dims
-    segs = problem.segments
     a_svec, b, keep_rows = _presolve_rows(problem.A, problem.b)
-    c = problem.c
     m = a_svec.shape[0]
-    nu = sum(dims)
-    cons = _Constraints(a_svec, dims)
-    op_a, op_at = cons.apply, cons.adjoint
-    c_blocks = [smat(c[seg], n) for n, seg in zip(dims, segs)]
+    nu = sum(problem.block_dims)
+    cons = _Constraints(a_svec, problem.block_dims)
+    op_a, op_at, split, join = cons.apply, cons.adjoint, cons.split, cons.join
+    # Every point below is the raveled stacks, so inner products are dots.
+    c = cons.from_svec(problem.c)
 
-    def inner(xs, ys):
-        return float(sum(np.sum(xk * yk) for xk, yk in zip(xs, ys)))
+    def sym(v):
+        return join(_sym(vk) for vk in split(v))
 
-    xs = [np.eye(n) for n in dims]
-    ss = [np.eye(n) for n in dims]
+    def q_apply(factors, v):
+        """Q_F(V) = F V F stack by stack, with one factor stack per size."""
+        return join(_sym(f @ vk @ f) for f, vk in zip(factors, split(v)))
+
+    x = cons.identity()
+    s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
     b_norm = 1.0 + np.linalg.norm(b)
-    c_norm = 1.0 + np.linalg.norm(c)
+    c_norm = 1.0 + np.linalg.norm(problem.c)
 
     best = None
     best_score = np.inf
@@ -414,49 +474,29 @@ def solve(
     status = "max_iter"
     iterations = 0
     factor_log = [0.0, False]  # largest jitter, lstsq used
-    mu0 = (inner(xs, ss) + tau * kappa) / (nu + 1)
+    mu0 = (x @ s + tau * kappa) / (nu + 1)
 
     for iterations in range(1, max_iter + 1):
-        mu = (inner(xs, ss) + tau * kappa) / (nu + 1)
+        mu = (x @ s + tau * kappa) / (nu + 1)
 
         # Residuals of the homogeneous model.
-        rp = op_a(xs) - b * tau
-        at_y = op_at(y)
-        rd = [-at_y[k] + c_blocks[k] * tau - ss[k] for k in range(len(dims))]
-        rg = -inner(c_blocks, xs) + float(b @ y) - kappa
+        a_x, at_y = op_a(x), op_at(y)
+        rp = a_x - b * tau
+        rd = c * tau - at_y - s
+        rg = float(b @ y) - float(c @ x) - kappa
 
         # Normalized optimality metrics for the de-homogenized point.
-        xhat = [xk / tau for xk in xs]
-        shat = [sk / tau for sk in ss]
-        yhat = y / tau
-        pres = np.linalg.norm(op_a(xhat) - b) / b_norm
-        at_yhat = op_at(yhat)
-        dres = (
-            np.sqrt(
-                sum(
-                    np.sum((c_blocks[k] - at_yhat[k] - shat[k]) ** 2)
-                    for k in range(len(dims))
-                )
-            )
-            / c_norm
-        )
-        pobj = inner(c_blocks, xhat)
+        xhat, shat, yhat = x / tau, s / tau, y / tau
+        pres = np.linalg.norm(a_x / tau - b) / b_norm
+        dres = np.linalg.norm(c - at_y / tau - shat) / c_norm
+        pobj = float(c @ xhat)
         dobj = float(b @ yhat)
         relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
             best_iter = iterations
-            best = (
-                [xk.copy() for xk in xhat],
-                yhat.copy(),
-                [sk.copy() for sk in shat],
-                pobj,
-                dobj,
-                relgap,
-                pres,
-                dres,
-            )
+            best = (xhat, yhat, shat, pobj, dobj, relgap, pres, dres)
         if pres <= target_tol and dres <= target_tol and relgap <= target_tol:
             break
         if mu <= 1e-16 * max(mu0, 1.0):
@@ -468,123 +508,95 @@ def solve(
         if tau <= 1e-10 * max(1.0, kappa) and mu <= 1e-10 * mu0:
             if float(b @ y) > 1e-8:
                 status = "infeasible"
-            elif -inner(c_blocks, xs) > 1e-8:
+            elif -float(c @ x) > 1e-8:
                 status = "unbounded"
             else:  # pragma: no cover - degenerate ray
                 status = "infeasible"
             return _finalize(
-                status, best, dims, keep_rows, problem, iterations, factor_log
+                status, best, cons, keep_rows, problem, iterations, factor_log
             )
 
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                scal = [_nt_scaling(xs[k], ss[k]) for k in range(len(dims))]
-                lam_solvers = [_lam_inverse_op(sc[3]) for sc in scal]
-
-                def q_apply(mats, factor_idx):
-                    # factor_idx: 0 full W, 1 W^{1/2}, 2 W^{-1/2}
-                    return [
-                        _sym(scal[k][factor_idx] @ mats[k] @ scal[k][factor_idx])
-                        for k in range(len(dims))
-                    ]
-
-                def q_w(mats):
-                    return q_apply(mats, 0)
-
-                def q_w_half(mats):
-                    return q_apply(mats, 1)
+                scal = [_nt_scaling(xk, sk) for xk, sk in zip(split(x), split(s))]
+                w, w_half, w_mhalf, lam, xs_mhalf = zip(*scal)
+                lam_solvers = [_lam_inverse_op(lk) for lk in lam]
+                lam_sq = [_sym(lk @ lk) for lk in lam]
 
                 # Schur complement M = A Q_W A^T, factored once for u2 and
                 # both direction solves.
-                solve_m, jitter, used_lstsq = _factor_schur(
-                    cons.schur([sc[0] for sc in scal])
-                )
+                solve_m, jitter, used_lstsq = _factor_schur(cons.stacked_schur(w))
                 factor_log[0] = max(factor_log[0], jitter)
                 factor_log[1] = factor_log[1] or used_lstsq
 
-                qw_c = q_w(c_blocks)
+                qw_c = q_apply(w, c)
                 u2 = solve_m(op_a(qw_c) + b)
-                x2_base = q_w(op_at(u2))
-                x2 = [x2_base[k] - qw_c[k] for k in range(len(dims))]
+                at_u2 = op_at(u2)
+                x2 = q_apply(w, at_u2) - qw_c
+                coef = float(b @ u2) - float(c @ x2) + kappa / tau
+                qw_rd = q_apply(w, rd)
+                a_qw_rd = op_a(qw_rd)
 
                 def direction(eta, comp_rhs, rhs_tk):
-                    d_c = [lam_solvers[k](comp_rhs[k]) for k in range(len(dims))]
-                    qw_rd = q_w(rd)
-                    qwh_dc = q_w_half(d_c)
-                    rhs1 = eta * op_a(qw_rd) - op_a(qwh_dc) - eta * rp
-                    u1 = solve_m(rhs1)
+                    d_c = join(f(r) for f, r in zip(lam_solvers, comp_rhs))
+                    qwh_dc = q_apply(w_half, d_c)
+                    u1 = solve_m(eta * a_qw_rd - op_a(qwh_dc) - eta * rp)
                     # dx = Q_W(A^T u1 - eta Rd) + Q_{W^{1/2}} d_c + d_tau * x2
-                    qw_at_u1 = q_w(op_at(u1))
-                    x1 = [
-                        qw_at_u1[k] - eta * qw_rd[k] + qwh_dc[k]
-                        for k in range(len(dims))
-                    ]
-                    coef = -inner(c_blocks, x2) + float(b @ u2) + kappa / tau
+                    at_u1 = op_at(u1)
+                    x1 = q_apply(w, at_u1) - eta * qw_rd + qwh_dc
                     rhs_tau = (
-                        -eta * rg
-                        + inner(c_blocks, x1)
-                        - float(b @ u1)
-                        + rhs_tk / tau
+                        -eta * rg + float(c @ x1) - float(b @ u1) + rhs_tk / tau
                     )
                     d_tau = rhs_tau / coef if abs(coef) > 1e-300 else 0.0
                     dy = u1 + d_tau * u2
-                    dx = [x1[k] + d_tau * x2[k] for k in range(len(dims))]
+                    dx = x1 + d_tau * x2
                     d_kappa = (rhs_tk - kappa * d_tau) / tau
                     # Recover ds from the dual row rather than the complementarity
                     # row: the latter needs Q_{W^{-1}}, whose conditioning degrades
                     # as mu -> 0 and would poison the dual residual.
-                    at_dy = op_at(dy)
-                    ds = [
-                        _sym(-at_dy[k] + c_blocks[k] * d_tau + eta * rd[k])
-                        for k in range(len(dims))
-                    ]
-                    return dx, dy, ds, d_tau, d_kappa, d_c
+                    ds = c * d_tau + eta * rd - (at_u1 + d_tau * at_u2)
+                    return dx, dy, ds, d_tau, d_kappa
 
                 def max_alpha(dx, ds, d_tau, d_kappa):
-                    alpha = np.inf
-                    for k in range(len(dims)):
-                        alpha = min(alpha, _max_step(xs[k], dx[k]))
-                        alpha = min(alpha, _max_step(ss[k], ds[k]))
+                    steps = [
+                        _max_step(h, np.stack([dxk, dsk]))
+                        for h, dxk, dsk in zip(xs_mhalf, split(dx), split(ds))
+                    ]
                     if d_tau < 0:
-                        alpha = min(alpha, -tau / d_tau)
+                        steps.append(-tau / d_tau)
                     if d_kappa < 0:
-                        alpha = min(alpha, -kappa / d_kappa)
-                    return alpha
+                        steps.append(-kappa / d_kappa)
+                    return min(steps)
 
                 # Predictor (affine) direction.
-                comp_aff = [-_sym(sc[3] @ sc[3]) for sc in scal]
-                dx_a, dy_a, ds_a, dtau_a, dkap_a, _ = direction(
-                    1.0, comp_aff, -tau * kappa
+                dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(
+                    1.0, [-l2 for l2 in lam_sq], -tau * kappa
                 )
                 alpha_aff = min(1.0, 0.99 * max_alpha(dx_a, ds_a, dtau_a, dkap_a))
 
-                xs_t = [xs[k] + alpha_aff * dx_a[k] for k in range(len(dims))]
-                ss_t = [ss[k] + alpha_aff * ds_a[k] for k in range(len(dims))]
                 mu_aff = (
-                    inner(xs_t, ss_t)
+                    float((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a))
                     + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)
                 ) / (nu + 1)
                 gamma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
                 # Corrector: second-order term in the scaled space.
-                comp = []
-                for k in range(len(dims)):
-                    xt = _sym(scal[k][2] @ dx_a[k] @ scal[k][2])
-                    st = _sym(scal[k][1] @ ds_a[k] @ scal[k][1])
-                    lam = scal[k][3]
-                    comp.append(
-                        gamma * mu * np.eye(dims[k])
-                        - _sym(lam @ lam)
-                        - _jordan(xt, st)
+                comp = [
+                    gamma * mu * np.eye(l2.shape[-1])
+                    - l2
+                    - _jordan(_sym(wm @ dxk @ wm), _sym(wh @ dsk @ wh))
+                    for l2, wm, wh, dxk, dsk in zip(
+                        lam_sq, w_mhalf, w_half, split(dx_a), split(ds_a)
                     )
+                ]
                 rhs_tk = gamma * mu - tau * kappa - dtau_a * dkap_a
-                dx, dy, ds, d_tau, d_kappa, _ = direction(1.0 - gamma, comp, rhs_tk)
+                dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk)
                 alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa))
                 if not np.isfinite(alpha) or alpha <= 1e-14:
                     break
 
-                xs = [_sym(xs[k] + alpha * dx[k]) for k in range(len(dims))]
-                ss = [_sym(ss[k] + alpha * ds[k]) for k in range(len(dims))]
+                x = sym(x + alpha * dx)
+                s = sym(s + alpha * ds)
                 y = y + alpha * dy
                 tau += alpha * d_tau
                 kappa += alpha * d_kappa
@@ -596,27 +608,25 @@ def solve(
     _, _, _, _, _, relgap, pres, dres = best
     if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
         status = "optimal"
-    return _finalize(status, best, dims, keep_rows, problem, iterations, factor_log)
+    return _finalize(status, best, cons, keep_rows, problem, iterations, factor_log)
 
 
-def _finalize(status, best, dims, keep_rows, problem, iterations, factor_log) -> SdpSolution:
+def _finalize(status, best, cons, keep_rows, problem, iterations, factor_log) -> SdpSolution:
     xhat, yhat, shat, pobj, dobj, relgap, pres, dres = best
-    x = np.concatenate([svec(xk) for xk in xhat])
-    s = np.concatenate([svec(sk) for sk in shat])
     y_full = np.zeros(problem.A.shape[0])
     y_full[keep_rows] = yhat
     return SdpSolution(
         status=status,
-        x=x,
+        x=cons.to_svec(xhat),
         y=y_full,
-        s=s,
+        s=cons.to_svec(shat),
         primal_objective=pobj,
         dual_objective=dobj,
         gap=relgap,
         primal_residual=pres,
         dual_residual=dres,
         iterations=iterations,
-        block_dims=list(dims),
+        block_dims=list(problem.block_dims),
         max_jitter=factor_log[0],
         used_lstsq=factor_log[1],
     )

@@ -24,12 +24,16 @@ from .channels import (
     tensor_compose,
 )
 from .divergences import d_max
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .linalg import check_effect, herm, spectral_norm, trace_distance, trace_norm
 from .optimize import d_min_free, umegaki_free
 from .programs import dmax_smoothed_free, ht_free, restricted_ht
 
 log = logging.getLogger("instability.tasks")
+
+# Bits by which the SDP lower bound on the eps-cost may exceed the best
+# candidate's D_max before the interval counts as a solver failure.
+COST_CROSSING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,13 @@ def one_shot_cost_eps(
         val = d_max(tau, herm(ch.apply(tau)))
         if val < upper:
             upper, best = val, tau
-    upper = max(upper, lower)  # guard against solver noise crossing the bounds
+    # The bounds may cross by solver noise; a wider crossing is a failure.
+    bound_crossing = max(0.0, lower - upper)
+    if bound_crossing > COST_CROSSING_TOL:
+        raise SolverError(
+            f"cost bounds cross: lower {lower:.9g} exceeds upper {upper:.9g} bits"
+        )
+    upper = max(upper, lower)
     return TaskReport(
         "cost_interval",
         (lower, upper),
@@ -253,6 +263,7 @@ def one_shot_cost_eps(
             "sdp_gap": lower_res.solution.gap,
             "ball_distance": trace_distance(best, rho),
             "envelope": float(np.log2(1.0 / delta)),
+            "bound_crossing": bound_crossing,
         },
     )
 

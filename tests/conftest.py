@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from instability import channels as ch
+from instability import tasks as tk
 from instability.sampling import random_full_rank_density
 
 
@@ -27,3 +30,14 @@ def random_channel(d, rng, kinds=("dephaser", "replacer", "tpce")):
 @pytest.fixture
 def channel_factory():
     return random_channel
+
+
+def raised_lower_bound(eps, shift=1e-3):
+    """tasks.dmax_smoothed_free with its value at `eps` raised by `shift`."""
+    real = tk.dmax_smoothed_free
+
+    def patched(rho, channel, e, **kw):
+        res = real(rho, channel, e, **kw)
+        return dataclasses.replace(res, value=res.value + shift) if e == eps else res
+
+    return patched

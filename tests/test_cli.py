@@ -5,8 +5,10 @@ import pytest
 
 from instability import channels as ch
 from instability import serialize as sz
+from instability import tasks as tk
 from instability.cli import main
 from instability.errors import ParseError
+from tests.conftest import raised_lower_bound
 
 
 @pytest.fixture
@@ -99,6 +101,22 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         lo, hi = data["value"]
         assert lo <= hi <= lo + np.log2(20) + 1e-6
+
+    def test_crossed_cost_bounds_exit_3(self, workdir, monkeypatch, capsys):
+        free = np.diag([0.3, 0.7]).astype(complex)
+        sz.dump_json(sz.state_to_json(free), str(workdir / "free.json"))
+        monkeypatch.setattr(tk, "dmax_smoothed_free", raised_lower_bound(0.1))
+        code = main(
+            [
+                "cost",
+                "--state", str(workdir / "free.json"),
+                "--channel", str(workdir / "dephaser2.json"),
+                "--eps", "0.1",
+                "--delta", "0.05",
+            ]
+        )
+        assert code == 3
+        assert "cost bounds cross" in capsys.readouterr().err
 
     def test_battery(self, workdir, capsys):
         code = main(

@@ -99,6 +99,80 @@ class TestSchur:
         self.check(problem.A, problem.block_dims, rng)
 
 
+def eig_fn(m, f):
+    """f(m) of one symmetric matrix through its eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    return (v * f(w)) @ v.T
+
+
+def spd_stack(g, n, rng):
+    return np.stack([random_spd(n, rng) for _ in range(g)])
+
+
+def sym_stack(g, n, rng):
+    m = rng.normal(size=(g, n, n))
+    return (m + m.swapaxes(-1, -2)) / 2
+
+
+class TestStackKernels:
+    """The kernels on a (g, n, n) stack against per-matrix references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nt_scaling(self, n, rng):
+        x, s = spd_stack(4, n, rng), spd_stack(4, n, rng)
+        w_mat, w_half, w_mhalf, lam, xs_mhalf = sdp._nt_scaling(x, s)
+        assert xs_mhalf.shape == (2, 4, n, n)
+        for i in range(4):
+            err = np.linalg.norm(w_mat[i] @ s[i] @ w_mat[i] - x[i])
+            assert err <= 1e-10 * np.linalg.norm(x[i])
+            # W = x^{1/2} (x^{1/2} s x^{1/2})^{-1/2} x^{1/2}, lam = W^{1/2} s W^{1/2}.
+            xh = eig_fn(x[i], np.sqrt)
+            ref_w = xh @ eig_fn(xh @ s[i] @ xh, lambda v: v**-0.5) @ xh
+            ref_w_half = eig_fn(ref_w, np.sqrt)
+            ref = {
+                "W": (w_mat[i], ref_w),
+                "W^1/2": (w_half[i], ref_w_half),
+                "W^-1/2": (w_mhalf[i], eig_fn(ref_w, lambda v: v**-0.5)),
+                "lam": (lam[i], ref_w_half @ s[i] @ ref_w_half),
+                "x^-1/2": (xs_mhalf[0, i], eig_fn(x[i], lambda v: v**-0.5)),
+                "s^-1/2": (xs_mhalf[1, i], eig_fn(s[i], lambda v: v**-0.5)),
+            }
+            for name, (got, want) in ref.items():
+                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
+            alone = sdp._nt_scaling(x[i], s[i])
+            for got, want in zip((w_mat[i], w_half[i], w_mhalf[i], lam[i], xs_mhalf[:, i]), alone):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_lam_inverse_op(self, n, rng):
+        lam, r = spd_stack(4, n, rng), sym_stack(4, n, rng)
+        x = sdp._lam_inverse_op(lam)(r)
+        for i in range(4):
+            resid = (lam[i] @ x[i] + x[i] @ lam[i]) / 2 - r[i]
+            assert np.abs(resid).max() <= 1e-10 * np.abs(r[i]).max()
+            assert np.array_equal(x[i], x[i].T)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_max_step(self, n, rng):
+        m, dm = spd_stack(4, n, rng), sym_stack(4, n, rng)
+        m_mhalf = sdp._psd_sqrt_pair(m)[1]
+
+        def step(mk, dk):
+            # sup {alpha : mk + alpha dk >= 0} from the generalized eigenvalues.
+            low = scipy.linalg.eigh(dk, mk, eigvals_only=True)[0]
+            return np.inf if low >= 0 else -1.0 / low
+
+        got = sdp._max_step(m_mhalf, dm)
+        want = min(step(m[i], dm[i]) for i in range(4))
+        assert got == pytest.approx(want, rel=1e-10)
+        for i in range(4):
+            assert sdp._max_step(m_mhalf[i], dm[i]) == pytest.approx(
+                step(m[i], dm[i]), rel=1e-10
+            )
+        psd = np.stack([random_spd(n, rng) for _ in range(4)])
+        assert sdp._max_step(m_mhalf, psd) == np.inf
+
+
 class TestFactorization:
     def test_one_cholesky_per_iteration(self, rng, monkeypatch):
         calls = []
@@ -239,6 +313,76 @@ class TestSolver:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             sdp.SdpProblem([2], np.zeros(4), np.zeros((1, 3)), np.zeros(1))
+
+
+def permuted_blocks(prob, perm):
+    """The problem with its blocks in the order `perm`, columns of A and
+    entries of c moved to match."""
+    segs = prob.segments
+    cols = np.concatenate([np.arange(segs[k].start, segs[k].stop) for k in perm])
+    dims = [prob.block_dims[k] for k in perm]
+    return sdp.SdpProblem(dims, prob.c[cols], prob.A[:, cols], prob.b)
+
+
+class TestBlockOrder:
+    def test_shuffled_blocks_give_the_same_solution(self, rng):
+        # With 34 generic rows of 38 svec coordinates the planted optimum is
+        # the unique one, so the two solves must meet at the same blocks.
+        # Reversing the blocks also reorders those of one size, and so the
+        # members of each stack.
+        dims = [5, 1, 2, 1, 5, 2]
+        prob, opt = planted_problem(dims, 34, rng)
+        perm = np.arange(len(dims))[::-1]
+        prob_perm = permuted_blocks(prob, perm)
+        sol = sdp.solve(prob)
+        shuffled = sdp.solve(prob_perm)
+        assert sol.status == shuffled.status == "optimal"
+        assert abs(sol.primal_objective - shuffled.primal_objective) <= 1e-9 * (1 + abs(opt))
+        for pos, k in enumerate(perm):
+            assert np.abs(sol.block(k) - shuffled.block(pos)).max() <= 1e-7
+        # x and s are in the problem's own svec order.
+        for got, prob_k in ((sol, prob), (shuffled, prob_perm)):
+            scale = 1 + np.abs(prob_k.b).max()
+            assert np.abs(prob_k.A @ got.x - prob_k.b).max() <= 1e-7 * scale
+            assert np.abs(prob_k.c - prob_k.A.T @ got.y - got.s).max() <= 1e-7 * scale
+            assert prob_k.c @ got.x == pytest.approx(got.primal_objective, abs=1e-9)
+            off = 0
+            for k, n in enumerate(prob_k.block_dims):
+                seg = slice(off, off + sdp.svec_dim(n))
+                assert np.array_equal(got.block(k), sdp.smat(got.x[seg], n))
+                assert np.linalg.eigvalsh(sdp.smat(got.s[seg], n)).min() >= -1e-7
+                off += sdp.svec_dim(n)
+
+
+class TestBatching:
+    def test_eigh_calls_per_iteration_do_not_grow_with_slacks(self, rng, monkeypatch):
+        # Every <= row adds a 1x1 slack block; the slacks are one stack, so
+        # they add no eigh call to an iteration.
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        effects = [random_spd(3, rng) for _ in range(12)]
+        target = random_density(3, rng)
+        per_iteration = []
+        for rows in (2, 12):
+            prog = sdp.HermitianProgram()
+            x = prog.add_hermitian(3)
+            prog.add_objective(x, target)
+            prog.add_constraint({x: np.eye(3)}, 1.0)
+            for e in effects[:rows]:
+                prog.add_constraint({x: e}, float(np.trace(e)), sense="<=")
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigh", counting)
+            sol, _ = prog.solve()
+            monkeypatch.setattr(np.linalg, "eigh", real)
+            assert sol.status == "optimal"
+            # The last iteration stops on its residuals before any scaling.
+            per_iteration.append(len(calls) / (sol.iterations - 1))
+        assert per_iteration[0] == per_iteration[1]
 
 
 def test_import_leaves_scipy_linalg_and_sparse_unloaded():

@@ -4,10 +4,10 @@ import pytest
 from instability import channels as ch
 from instability import optimize as op
 from instability import tasks as tk
-from instability.errors import ValidationError
+from instability.errors import SolverError, ValidationError
 from instability.linalg import herm
 from instability.sampling import random_density, random_effect, random_full_rank_density
-from tests.conftest import random_channel
+from tests.conftest import raised_lower_bound, random_channel
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
@@ -125,6 +125,20 @@ class TestOneShotCost:
     def test_interval_validates_delta(self, rng):
         with pytest.raises(ValidationError):
             tk.one_shot_cost_eps(random_density(2, rng), SYS2, 0.1, 0.2)
+
+    def test_interval_reports_bound_crossing(self, rng):
+        for rho in (np.diag([0.3, 0.7]).astype(complex), random_density(2, rng)):
+            rep = tk.one_shot_cost_eps(rho, SYS2, 0.1, 0.05)
+            lo, hi = rep.value
+            assert 0.0 <= rep.residuals["bound_crossing"] <= tk.COST_CROSSING_TOL
+            assert lo <= hi
+
+    def test_interval_fails_when_bounds_cross(self, monkeypatch):
+        # A free state has cost 0 and both bounds at 0; a lower bound raised
+        # by 1e-3 crosses the upper one by far more than solver noise.
+        monkeypatch.setattr(tk, "dmax_smoothed_free", raised_lower_bound(0.1))
+        with pytest.raises(SolverError, match="cost bounds cross"):
+            tk.one_shot_cost_eps(np.diag([0.3, 0.7]).astype(complex), SYS2, 0.1, 0.05)
 
 
 class TestAssistedYields:
