@@ -261,11 +261,18 @@ class DestructionChannel:
         return self.from_block_frame(out)
 
     def dual_block_reduction(self, y: np.ndarray, i: int) -> np.ndarray:
-        """The B_i component of Delta^*(Y): tr_A[(tau_i (x) I) Y_i]."""
-        yb = self.to_block_frame(y)
-        b = self.blocks[i]
-        m = yb[self._slices[i], self._slices[i]].reshape(b.d_a, b.d_b, b.d_a, b.d_b)
-        return np.einsum("ae,ebad->bd", b.tau, m)
+        """The B_i component of Delta^*(Y): tr_A[(tau_i (x) I) Y_i], of one
+        matrix Y or of each member of a (k, dim, dim) stack."""
+        y = np.asarray(y, dtype=complex)
+        if y.ndim not in (2, 3) or y.shape[-2:] != (self.dim, self.dim):
+            raise ValidationError(f"expected ({self.dim}, {self.dim}) matrices, got shape {y.shape}")
+        if not np.isfinite(y).all():
+            raise ValidationError("matrix has non-finite entries")
+        if not self._identity_basis:
+            y = self.basis.conj().T @ y @ self.basis
+        b, s = self.blocks[i], self._slices[i]
+        m = y[..., s, s].reshape(*y.shape[:-2], b.d_a, b.d_b, b.d_a, b.d_b)
+        return np.einsum("ae,...ebad->...bd", b.tau, m)
 
     # -- exports -----------------------------------------------------------
 
@@ -316,25 +323,27 @@ def system(channel: DestructionChannel) -> InstabilitySystem:
 # ---------------------------------------------------------------------------
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of L(C^dim) (generalized Gell-Mann layout)."""
-    out = []
-    for k in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[k, k] = 1.0
-        out.append(e)
-    inv = 1.0 / np.sqrt(2.0)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = inv
-            e[k, j] = inv
-            out.append(e)
-            f = np.zeros((dim, dim), dtype=complex)
-            f[j, k] = -1j * inv
-            f[k, j] = 1j * inv
-            out.append(f)
-    return out
+_basis_cache: dict[int, np.ndarray] = {}
+
+
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of L(C^dim) (generalized Gell-Mann layout)
+    as a read-only (dim^2, dim, dim) stack, cached per dimension: the
+    diagonal units, then for each j < k the symmetric and the antisymmetric
+    element on (j, k)."""
+    if dim not in _basis_cache:
+        out = np.zeros((dim * dim, dim, dim), dtype=complex)
+        diag = np.arange(dim)
+        out[diag, diag, diag] = 1.0
+        inv = 1.0 / np.sqrt(2.0)
+        j, k = np.triu_indices(dim, 1)
+        sym = dim + 2 * np.arange(j.size)
+        out[sym, j, k] = out[sym, k, j] = inv
+        out[sym + 1, j, k] = -1j * inv
+        out[sym + 1, k, j] = 1j * inv
+        out.flags.writeable = False
+        _basis_cache[dim] = out
+    return _basis_cache[dim]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ RANK_RTOL = 1e-13
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger) / 2."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (A + A^dagger) / 2, of one matrix or of each member of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def as_matrix(a, dim: int | None = None) -> np.ndarray:

@@ -40,6 +40,13 @@ def _check_eps(eps: float) -> float:
     return float(eps)
 
 
+def _add_box_rows(prog: HermitianProgram, g, s, dim: int) -> None:
+    """G + S = I in the Hermitian basis, one family of rows: with G, S >= 0
+    this is 0 <= G <= I."""
+    basis = hermitian_basis(dim)
+    prog.add_constraint({g: basis, s: basis}, np.trace(basis, axis1=1, axis2=2).real)
+
+
 def _require_solved(sol: SdpSolution, what: str) -> None:
     if sol.status != "optimal":
         raise SolverError(f"{what}: solver returned status {sol.status!r}")
@@ -91,8 +98,7 @@ def restricted_ht(
     s = prog.add_hermitian(d)
     c = prog.add_scalar()
     prog.add_objective(c, 1.0)
-    for h in hermitian_basis(d):
-        prog.add_constraint({g: h, s: h}, float(np.real(np.trace(h))))
+    _add_box_rows(prog, g, s, d)
     for e in channel.algebra_basis():
         prog.add_constraint(
             {g: channel.apply(e), c: -float(np.real(np.trace(e)))}, 0.0
@@ -126,8 +132,7 @@ def _restricted_ht_perfect(
     s = prog.add_hermitian(k)
     c = prog.add_scalar()
     prog.add_objective(c, 1.0)
-    for h in hermitian_basis(k):
-        prog.add_constraint({g: h, s: h}, float(np.real(np.trace(h))))
+    _add_box_rows(prog, g, s, k)
     for e in channel.algebra_basis():
         de = channel.apply(e)
         prog.add_constraint(
@@ -182,8 +187,7 @@ def ht_free(
     c = prog.add_scalar()
     z_blocks = [prog.add_hermitian(b.d_b) for b in channel.blocks]
     prog.add_objective(c, 1.0)
-    for h in hermitian_basis(d):
-        prog.add_constraint({g: h, s: h}, float(np.real(np.trace(h))))
+    _add_box_rows(prog, g, s, d)
     # c I - Delta^*(Gamma) = Z in algebra coordinates, Z >= 0 blockwise.
     for i, b in enumerate(channel.blocks):
         for h in hermitian_basis(b.d_b):
@@ -239,31 +243,28 @@ def dmax_smoothed_free(
     betas = [prog.add_hermitian(b.d_b) for b in channel.blocks]
     for i, b in enumerate(channel.blocks):
         prog.add_objective(betas[i], np.eye(b.d_b))  # tr[omega] = sum tr[beta_i]
+    basis = hermitian_basis(d)
+    overlaps = (basis.reshape(d * d, -1).conj() @ rho.reshape(-1)).real  # Re tr[h^dagger rho]
+    # The beta_i coefficient of <h, omega> for omega = (+) tau_i (x) beta_i
+    # is the dual block reduction of h.
+    reductions = {
+        beta: channel.dual_block_reduction(basis, i) for i, beta in enumerate(betas)
+    }
     if eps <= 0.0:
         # The ball collapses to {rho}; dropping the ball blocks avoids
         # variables pinned at the cone boundary (degenerate for the solver).
         t = None
-        for h in hermitian_basis(d):
-            terms = {rr: -h}
-            for i, b in enumerate(channel.blocks):
-                terms[betas[i]] = channel.dual_block_reduction(h, i)
-            prog.add_constraint(terms, float(np.real(np.trace(h.conj().T @ rho))))
+        prog.add_constraint({rr: -basis, **reductions}, overlaps)
     else:
         t = prog.add_hermitian(d)      # tau
         p = prog.add_hermitian(d)      # ball witness
         q = prog.add_hermitian(d)      # q = p - tau + rho >= 0
-        prog.add_constraint({t: np.eye(d)}, 1.0)
+        # Rows in this order give each block one contiguous range of rows.
         prog.add_constraint({p: np.eye(d)}, eps, sense="<=")
-        for h in hermitian_basis(d):
-            rhs = float(np.real(np.trace(h.conj().T @ rho)))
-            prog.add_constraint({q: h, p: -h, t: h}, rhs)
-            # omega(beta) - tau - rr = 0, with omega = (+) tau_i (x) beta_i:
-            # the beta_i coefficient of <h, omega> is the dual block
-            # reduction.
-            terms = {t: -h, rr: -h}
-            for i, b in enumerate(channel.blocks):
-                terms[betas[i]] = channel.dual_block_reduction(h, i)
-            prog.add_constraint(terms, 0.0)
+        prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
+        # omega(beta) - tau - rr = 0
+        prog.add_constraint({t: -basis, rr: -basis, **reductions}, np.zeros(d * d))
+        prog.add_constraint({t: np.eye(d)}, 1.0)
     sol, vals = prog.solve(**kw)
     _require_solved(sol, "smoothed max-relative entropy")
     tau = rho if t is None else herm(vals[t.index])

@@ -17,9 +17,15 @@ one sparse matrix over the raveled stacks and A x, A^T y are one product
 each.  The Schur complement M = sum_k A_k (W_k (x) W_k) A_k^T is built
 only over the rows that touch each block, in the manner of SDPA's sparse
 Schur formulas (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997); it is
-dense and is Cholesky-factored once per iteration.  On one core of
-a 2-core Xeon, restricted_ht at eps = 0.1 on dephaser(32) (1057 rows, two
-64x64 blocks) solves in 5.9 s at 257 MB peak RSS.
+dense and is Cholesky-factored once per iteration; a block whose rows
+form one contiguous range adds its term through a slice.
+
+Presolve drops dependent rows by a pivoted QR of the border rows only: a
+row with a private column (no other row is nonzero there) cannot be
+dependent.  The task programs' Hermitian-basis rows all have one, so at
+most their algebra and trace rows reach the QR.  On one core of a 2-core
+Xeon, restricted_ht at eps = 0.1 on dephaser(16) solves in 0.5 s, and on
+dephaser(32) (1057 rows, two 64x64 blocks) in 2.5 s at 263 MB peak RSS.
 
 Complex Hermitian blocks enter through :class:`HermitianProgram`, which
 realifies each block as ``[[Re X, -Im X], [Im X, Re X]]`` (PSD iff the
@@ -242,7 +248,7 @@ class _SchurGroup:
     columns, gives tr(A_j W A_l W) over the touched rows.
     """
 
-    def __init__(self, n: int, entries: list, m: int):
+    def __init__(self, n: int, entries: list):
         g, nq = len(entries), svec_dim(n)
         key = np.sort(np.concatenate(
             [np.unique(j) * g + k for k, (j, _, _) in enumerate(entries)]
@@ -265,7 +271,13 @@ class _SchurGroup:
         if g > 1:
             col = np.searchsorted(self.rows, pair_row) + self.pair_block * nq * self.rows.size
             self.scatter = (col[:, None] + np.arange(nq) * self.rows.size).ravel()
-        self.index = np.s_[:, :] if self.rows.size == m else np.ix_(self.rows, self.rows)
+        # Contiguous rows (the task programs emit each block's rows as one
+        # range) add through a basic slice, a view; others through np.ix_.
+        rows = self.rows
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            self.index = (slice(rows[0], rows[-1] + 1),) * 2
+        else:
+            self.index = np.ix_(rows, rows)
 
     def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
         """schur[rows, rows] += tr(A_j W A_l W) summed over the group's
@@ -337,7 +349,7 @@ class _Constraints:
                 else [(slice(None), ks)]
             )
             for part, ks_part in parts:
-                group = _SchurGroup(n, [entries[k] for k in ks_part], m)
+                group = _SchurGroup(n, [entries[k] for k in ks_part])
                 if group.rows.size:
                     self.groups.append((i, part, group))
 
@@ -391,16 +403,19 @@ def _factor_schur(m: np.ndarray):
 
     Cholesky after adding the smallest jitter on the ladder (a multiple of
     the mean diagonal) that lets it succeed; least squares if none does.
+    A non-finite matrix raises LinAlgError, a breakdown like any other.
     """
     import scipy.linalg
 
     if not m.shape[0]:
         return (lambda rhs: np.zeros(0)), 0.0, False
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Schur matrix is not finite")
     scale = max(np.trace(m) / m.shape[0], 1e-300)
     for jitter in _JITTER_LADDER:
         shifted = m + jitter * scale * np.eye(m.shape[0]) if jitter else m
         try:
-            cf = scipy.linalg.cho_factor(shifted, lower=True)
+            cf = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
         return (lambda rhs: scipy.linalg.cho_solve(cf, rhs)), jitter, False
@@ -413,26 +428,41 @@ def _factor_schur(m: np.ndarray):
 
 
 def _presolve_rows(a: np.ndarray, b: np.ndarray):
-    """Drop linearly dependent constraint rows, checking consistency."""
+    """Drop linearly dependent constraint rows, checking consistency.
+
+    A row with a private column, one in which no other row is nonzero, is
+    independent of every other row (the column singleton rule of LP
+    presolve; Andersen & Andersen, Math. Prog. 71, 1995).  Any dependency
+    therefore lies among the remaining border rows, and only those go
+    through the pivoted QR, at the rank tolerance a QR of all rows would
+    use.  Each Hermitian-basis row of the task programs owns a coordinate
+    of a variable no other row touches, so only their few algebra and
+    trace rows reach the QR.
+    """
     import scipy.linalg
 
     m = a.shape[0]
-    if m == 0:
-        return a, b, np.arange(0)
-    q, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    nonzero = a != 0
+    private = nonzero[:, nonzero.sum(axis=0) == 1].any(axis=1)
+    border = np.flatnonzero(~private)
+    if border.size == 0:
+        return a, b, np.arange(m)
+    a_border = a[border]
+    r, piv = scipy.linalg.qr(a_border.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
-    tol = max(a.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    # The leading pivot of a QR of all rows is the largest row norm.
+    tol = max(a.shape) * np.finfo(float).eps * np.linalg.norm(a, axis=1).max()
     rank = int(np.sum(diag > max(tol, 1e-300)))
-    keep = np.sort(piv[:rank])
-    if rank == m:
-        return a, b, keep
-    a_keep, b_keep = a[keep], b[keep]
-    drop = np.setdiff1d(np.arange(m), keep)
-    coeff = np.linalg.lstsq(a_keep.T, a[drop].T, rcond=None)[0]
-    mismatch = np.abs(b[drop] - coeff.T @ b_keep)
+    if rank == border.size:
+        return a, b, np.arange(m)
+    kept = np.sort(piv[:rank])
+    drop = np.setdiff1d(np.arange(border.size), kept)
+    coeff = np.linalg.lstsq(a_border[kept].T, a_border[drop].T, rcond=None)[0]
+    mismatch = np.abs(b[border[drop]] - coeff.T @ b[border[kept]])
     if np.any(mismatch > 1e-8 * (1 + np.abs(b).max(initial=0.0))):
         raise SolverError("constraint rows are inconsistent (infeasible equalities)")
-    return a_keep, b_keep, keep
+    keep = np.sort(np.concatenate([np.flatnonzero(private), border[kept]]))
+    return a[keep], b[keep], keep
 
 
 def solve(
@@ -680,13 +710,15 @@ class HermitianProgram:
 
     Scalar variables are nonnegative; constraints are real-linear in the
     variables with Hermitian coefficient matrices: each term contributes
-    Re tr[K^dagger X].
+    Re tr[K^dagger X].  Rows are added in families (one row is a family of
+    one), each held as its stacked coefficients until `build`.
     """
 
     def __init__(self):
         self._vars: list[_Var] = []
         self._obj: dict[int, np.ndarray | float] = {}
-        self._rows: list[tuple[dict[int, np.ndarray | float], float]] = []
+        # (coefficients per variable index, rhs, (first slack index, sign) or None)
+        self._rows: list[tuple[dict[int, np.ndarray], np.ndarray, tuple | None]] = []
 
     def add_hermitian(self, dim: int) -> _Var:
         v = _Var(len(self._vars), dim, False)
@@ -706,23 +738,31 @@ class HermitianProgram:
             k = herm(np.asarray(coeff, dtype=complex))
             self._obj[var.index] = k if cur is None else cur + k
 
-    def add_constraint(self, terms: dict, rhs: float, sense: str = "==") -> None:
-        """sum of Re<K_v, X_v> (or k*x for scalars) `sense` rhs."""
-        clean: dict[int, np.ndarray | float] = {}
+    def add_constraint(self, terms: dict, rhs, sense: str = "==") -> None:
+        """sum of Re<K_v, X_v> (or k*x for scalars) `sense` rhs.
+
+        A scalar `rhs` adds one row.  A length-k `rhs` adds a family of k
+        rows: each Hermitian coefficient is then a (k, d, d) stack and each
+        scalar coefficient a length-k vector, row j taking member j of
+        each, and a `<=`/`>=` family gets k slacks.
+        """
+        if sense not in ("==", "<=", ">="):
+            raise ValidationError(f"unknown constraint sense {sense!r}")
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        k = rhs.shape[0]
+        clean: dict[int, np.ndarray] = {}
         for var, coeff in terms.items():
             if var.scalar:
-                clean[var.index] = float(coeff)
+                clean[var.index] = np.asarray(coeff, dtype=float).reshape(k)
             else:
-                clean[var.index] = herm(np.asarray(coeff, dtype=complex))
-        if sense == "==":
-            self._rows.append((clean, float(rhs)))
-        elif sense in ("<=", ">="):
-            slack = self.add_scalar()
-            sign = 1.0 if sense == "<=" else -1.0
-            clean[slack.index] = sign
-            self._rows.append((clean, float(rhs)))
-        else:
-            raise ValidationError(f"unknown constraint sense {sense!r}")
+                coeff = np.asarray(coeff, dtype=complex).reshape(k, var.dim, var.dim)
+                clean[var.index] = herm(coeff)
+        slack = None
+        if sense != "==":
+            slack = (len(self._vars), 1.0 if sense == "<=" else -1.0)
+            for _ in range(k):
+                self.add_scalar()
+        self._rows.append((clean, rhs, slack))
 
     def _layout(self):
         dims, offsets, off = [], [], 0
@@ -734,28 +774,37 @@ class HermitianProgram:
         return dims, offsets, off
 
     def _coeff_svec(self, v: _Var, coeff) -> np.ndarray:
+        """svec rows, shape (k, svec_dim), of one coefficient of `v` or a stack."""
         if v.scalar:
-            return np.array([float(coeff)])
+            return np.asarray(coeff, dtype=float).reshape(-1, 1)
         # Re tr[K X] = (1/2) tr[realify(K) realify(X)]
         index, weight = _realify_svec_map(v.dim)
-        entries = np.ascontiguousarray(coeff, dtype=complex).reshape(-1).view(float)
-        return entries[index] * weight
+        entries = np.ascontiguousarray(coeff, dtype=complex).reshape(-1, v.dim**2).view(float)
+        return entries[:, index] * weight
 
     def build(self) -> SdpProblem:
         dims, offsets, total = self._layout()
         c = np.zeros(total)
         for idx, coeff in self._obj.items():
-            v = self._vars[idx]
             seg = slice(offsets[idx], offsets[idx] + svec_dim(dims[idx]))
-            c[seg] += self._coeff_svec(v, coeff)
-        a = np.zeros((len(self._rows), total))
-        b = np.zeros(len(self._rows))
-        for j, (terms, rhs) in enumerate(self._rows):
-            b[j] = rhs
+            c[seg] += self._coeff_svec(self._vars[idx], coeff)[0]
+        m = sum(rhs.size for _, rhs, _ in self._rows)
+        a = np.zeros((m, total))
+        b = np.zeros(m)
+        start = 0
+        for terms, rhs, slack in self._rows:
+            k = rhs.size
+            rows = slice(start, start + k)
+            b[rows] = rhs
             for idx, coeff in terms.items():
-                v = self._vars[idx]
                 seg = slice(offsets[idx], offsets[idx] + svec_dim(dims[idx]))
-                a[j, seg] += self._coeff_svec(v, coeff)
+                a[rows, seg] += self._coeff_svec(self._vars[idx], coeff)
+            if slack is not None:
+                # Row j's slack is the scalar variable first + j.
+                first, sign = slack
+                j = np.arange(k)
+                a[start + j, offsets[first] + j] = sign
+            start += k
         return SdpProblem(dims, c, a, b)
 
     def solve(self, **kw):

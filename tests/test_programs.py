@@ -4,8 +4,9 @@ import pytest
 from instability import channels as ch
 from instability import divergences as dv
 from instability import programs as pr
-from instability.linalg import herm, spectral_norm
-from instability.sampling import random_density, random_full_rank_density
+from instability import sdp
+from instability.linalg import check_density, herm, rank_tol, spectral_norm
+from instability.sampling import random_density, random_full_rank_density, random_unitary
 from tests.conftest import random_channel
 
 PLUS = ch.plus_state(2)
@@ -215,3 +216,172 @@ class TestSmoothedDmax:
             assert np.log2(max(np.trace(res.omega).real, 1e-300)) == pytest.approx(
                 res.value, abs=1e-6
             )
+
+
+# ---------------------------------------------------------------------------
+# Row assembly: each program emits its Hermitian-basis rows as one family;
+# the built problem must equal one assembled a row at a time.
+# ---------------------------------------------------------------------------
+
+
+class _Built(Exception):
+    pass
+
+
+def built_problem(monkeypatch, run):
+    """The SdpProblem a program builds, taken at HermitianProgram.solve."""
+    seen = []
+
+    def capture(self, **kw):
+        seen.append(self.build())
+        raise _Built
+
+    monkeypatch.setattr(sdp.HermitianProgram, "solve", capture)
+    with pytest.raises(_Built):
+        run()
+    return seen[0]
+
+
+def one_row(prog, terms, rhs, sense="=="):
+    prog.add_constraint(terms, float(rhs), sense=sense)
+
+
+def reference_restricted_ht(rho, channel, eps):
+    d = channel.dim
+    prog = sdp.HermitianProgram()
+    g, s, c = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_scalar()
+    prog.add_objective(c, 1.0)
+    for h in ch.hermitian_basis(d):
+        one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
+    for e in channel.algebra_basis():
+        one_row(prog, {g: channel.apply(e), c: -np.real(np.trace(e))}, 0.0)
+    one_row(prog, {g: rho}, 1.0 - eps, ">=")
+    return prog.build()
+
+
+def reference_restricted_face(rho, channel):
+    d = channel.dim
+    w, v = np.linalg.eigh(rho)
+    live = w > rank_tol(d, w[-1])
+    p, q = v[:, live] @ v[:, live].conj().T, v[:, ~live]
+    k = q.shape[1]
+    prog = sdp.HermitianProgram()
+    g, s, c = prog.add_hermitian(k), prog.add_hermitian(k), prog.add_scalar()
+    prog.add_objective(c, 1.0)
+    for h in ch.hermitian_basis(k):
+        one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
+    for e in channel.algebra_basis():
+        de = channel.apply(e)
+        one_row(prog, {g: q.conj().T @ de @ q, c: -np.real(np.trace(e))},
+                -np.real(np.trace(de @ p)))
+    return prog.build()
+
+
+def reference_ht_free(rho, channel, eps):
+    d = channel.dim
+    prog = sdp.HermitianProgram()
+    g, s, c = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_scalar()
+    z = [prog.add_hermitian(b.d_b) for b in channel.blocks]
+    prog.add_objective(c, 1.0)
+    for h in ch.hermitian_basis(d):
+        one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
+    for i, b in enumerate(channel.blocks):
+        for h in ch.hermitian_basis(b.d_b):
+            e = channel.embed_algebra_element(
+                [h if j == i else np.zeros((bb.d_b, bb.d_b)) for j, bb in enumerate(channel.blocks)]
+            )
+            one_row(prog, {g: channel.apply(e), c: -b.d_a * np.real(np.trace(h)), z[i]: b.d_a * h}, 0.0)
+    one_row(prog, {g: rho}, 1.0 - eps, ">=")
+    return prog.build()
+
+
+def reference_dmax(rho, channel, eps):
+    d = channel.dim
+    prog = sdp.HermitianProgram()
+    rr = prog.add_hermitian(d)
+    betas = [prog.add_hermitian(b.d_b) for b in channel.blocks]
+    for beta, b in zip(betas, channel.blocks):
+        prog.add_objective(beta, np.eye(b.d_b))
+
+    def omega_terms(h):
+        return {beta: channel.dual_block_reduction(h, i) for i, beta in enumerate(betas)}
+
+    basis = ch.hermitian_basis(d)
+    if eps == 0.0:
+        for h in basis:
+            one_row(prog, {rr: -h, **omega_terms(h)}, np.real(np.trace(h.conj().T @ rho)))
+        return prog.build()
+    t, p, q = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_hermitian(d)
+    one_row(prog, {p: np.eye(d)}, eps, "<=")
+    for h in basis:
+        one_row(prog, {q: h, p: -h, t: h}, np.real(np.trace(h.conj().T @ rho)))
+    for h in basis:
+        one_row(prog, {t: -h, rr: -h, **omega_terms(h)}, 0.0)
+    one_row(prog, {t: np.eye(d)}, 1.0)
+    return prog.build()
+
+
+def assembly_channels():
+    rng = np.random.default_rng(7)
+    return {
+        "dephaser": ch.dephaser(3),
+        "rotated-dephaser": ch.dephaser(3, basis=random_unitary(3, rng)),
+        "tpce": ch.tpce([(1, 2), (1, 1)]),
+        "replacer": ch.replacer(random_full_rank_density(3, rng, 0.3)),
+    }
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("name", list(assembly_channels()))
+    def test_programs_match_one_row_assembly(self, name, monkeypatch):
+        channel = assembly_channels()[name]
+        rng = np.random.default_rng(11)
+        rho = check_density(random_density(3, rng))
+        face = check_density(random_density(3, rng, rank=2))
+        cases = [
+            (lambda: pr.restricted_ht(rho, channel, 0.1), reference_restricted_ht(rho, channel, 0.1)),
+            (lambda: pr.restricted_ht(face, channel, 0.0), reference_restricted_face(face, channel)),
+            (lambda: pr.ht_free(rho, channel, 0.1), reference_ht_free(rho, channel, 0.1)),
+            (lambda: pr.dmax_smoothed_free(rho, channel, 0.0), reference_dmax(rho, channel, 0.0)),
+            (lambda: pr.dmax_smoothed_free(rho, channel, 0.05), reference_dmax(rho, channel, 0.05)),
+        ]
+        for run, ref in cases:
+            got = built_problem(monkeypatch, run)
+            assert got.block_dims == ref.block_dims
+            for field in ("A", "b", "c"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+    def test_basis_reduced_once_per_block(self, monkeypatch):
+        channel = ch.dephaser(16)
+        calls = []
+        real = ch.DestructionChannel.dual_block_reduction
+
+        def counting(self, y, i):
+            calls.append(np.shape(y))
+            return real(self, y, i)
+
+        monkeypatch.setattr(ch.DestructionChannel, "dual_block_reduction", counting)
+        rho = random_density(16, np.random.default_rng(3))
+        for eps in (0.0, 0.05):
+            calls.clear()
+            built_problem(monkeypatch, lambda: pr.dmax_smoothed_free(rho, channel, eps))
+            assert len(calls) <= len(channel.blocks)
+            assert all(shape == (256, 16, 16) for shape in calls)
+
+    def test_family_matches_single_rows(self, rng):
+        # A <= family of two rows with a scalar term gets two slacks, each in
+        # its own row, as two one-row calls do.
+        mats = np.stack([random_density(2, rng) for _ in range(2)])
+        family, rows = sdp.HermitianProgram(), sdp.HermitianProgram()
+        for prog in (family, rows):
+            x, y = prog.add_hermitian(2), prog.add_scalar()
+            prog.add_objective(x, np.eye(2))
+            if prog is family:
+                prog.add_constraint({x: mats, y: [1.0, -2.0]}, [0.5, 0.25], sense="<=")
+            else:
+                for k, (coef, rhs) in enumerate(zip([1.0, -2.0], [0.5, 0.25])):
+                    prog.add_constraint({x: mats[k], y: coef}, rhs, sense="<=")
+        got, want = family.build(), rows.build()
+        assert got.block_dims == want.block_dims == [4, 1, 1, 1]
+        for field in ("A", "b", "c"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

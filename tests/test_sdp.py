@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from instability import sdp
-from instability.channels import hermitian_basis
+from instability import programs, sdp
+from instability.channels import dephaser, hermitian_basis
 from instability.divergences import neyman_pearson
-from instability.errors import ValidationError
+from instability.errors import SolverError, ValidationError
 from instability.sampling import random_density
 
 
@@ -97,6 +97,19 @@ class TestSchur:
             prog.add_constraint({x: h, betas[i % 3]: np.eye(1)}, 0.0, sense="<=")
         problem = prog.build()
         self.check(problem.A, problem.block_dims, rng)
+
+    def test_contiguous_and_scattered_row_subsets(self, rng):
+        # Block 0 is touched by rows 2-5 only, a contiguous strict subset
+        # that adds through a slice; block 1 by rows 0, 3 and 6, which add
+        # through np.ix_.
+        dims = [3, 2]
+        a = np.zeros((7, 9))
+        a[2:6, :6] = rng.normal(size=(4, 6))
+        a[[0, 3, 6], 6:] = rng.normal(size=(3, 3))
+        groups = {g.n: g for _, _, g in sdp._Constraints(a, dims).groups}
+        assert groups[3].index == (slice(2, 6), slice(2, 6))
+        assert groups[2].index[0].ravel().tolist() == [0, 3, 6]
+        self.check(a, dims, rng)
 
 
 def eig_fn(m, f):
@@ -188,6 +201,27 @@ class TestFactorization:
         assert sol.status == "optimal"
         # An iteration that stops on its residuals does so before factoring.
         assert sol.iterations - 1 <= len(calls) <= sol.iterations
+
+    def test_non_finite_schur_matrix_stops_on_best_iterate(self, rng, monkeypatch):
+        # A NaN in the Schur matrix at iteration 3 is a numerical breakdown:
+        # the solver returns its best iterate instead of raising.
+        real = sdp._Constraints.stacked_schur
+        calls = []
+
+        def poisoned(self, w_stacks):
+            out = real(self, w_stacks)
+            calls.append(1)
+            if len(calls) == 3:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(sdp._Constraints, "stacked_schur", poisoned)
+        prob, _ = planted_problem([3, 2, 1], 5, rng)
+        sol = sdp.solve(prob)
+        assert len(calls) == 3
+        assert sol.iterations == 3
+        assert sol.status == "max_iter"
+        assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
 
     def test_planted_instance_needs_no_perturbation(self, rng):
         prob, _ = planted_problem([4, 3], 6, rng)
@@ -313,6 +347,79 @@ class TestSolver:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             sdp.SdpProblem([2], np.zeros(4), np.zeros((1, 3)), np.zeros(1))
+
+
+def qr_presolve_reference(a, b):
+    """Rows kept by a pivoted QR of all rows at the solver's rank tolerance."""
+    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    keep = np.sort(piv[: int(np.sum(diag > max(a.shape) * np.finfo(float).eps * diag[0]))])
+    return a[keep], b[keep], keep
+
+
+def qr_row_counts(monkeypatch):
+    """Rows of every matrix the presolve sends to scipy.linalg.qr (it
+    factors the transpose)."""
+    counts = []
+    real = scipy.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        counts.append(a.shape[1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", spy)
+    return counts
+
+
+class TestPresolve:
+    @staticmethod
+    def structured_rows(rng):
+        # Rows 0-4 each own a private column (0-4) and share columns 5-6
+        # among themselves.  Rows 5-7 are border rows on columns 7-11 and
+        # row 8 is the sum of rows 5 and 6; row 9 duplicates row 0, so
+        # neither copy keeps column 0 to itself.
+        a = np.zeros((10, 12))
+        a[np.arange(5), np.arange(5)] = rng.uniform(1.0, 2.0, size=5)
+        a[:5, 5:7] = rng.normal(size=(5, 2))
+        a[5:8, 7:] = rng.normal(size=(3, 5))
+        a[8] = a[5] + a[6]
+        a[9] = a[0]
+        return a, a @ rng.normal(size=12)
+
+    def test_border_rows_only_match_full_qr(self, rng, monkeypatch):
+        a, b = self.structured_rows(rng)
+        ref_a, ref_b, ref_keep = qr_presolve_reference(a, b)
+        counts = qr_row_counts(monkeypatch)
+        got_a, got_b, keep = sdp._presolve_rows(a, b)
+        assert counts == [6]  # rows 0 and 5-9
+        assert keep.size == 8
+        assert np.array_equal(keep, ref_keep)
+        assert np.array_equal(got_a, ref_a) and np.array_equal(got_b, ref_b)
+
+    def test_independent_rows_skip_the_qr(self, rng, monkeypatch):
+        a, b = self.structured_rows(rng)
+        counts = qr_row_counts(monkeypatch)
+        got_a, got_b, keep = sdp._presolve_rows(a[:5], b[:5])
+        assert counts == []
+        assert np.array_equal(keep, np.arange(5))
+        assert np.array_equal(got_a, a[:5]) and np.array_equal(got_b, b[:5])
+
+    def test_inconsistent_dependent_rows_raise(self, rng):
+        a, b = self.structured_rows(rng)
+        for row in (8, 9):
+            bad = b.copy()
+            bad[row] += 1e-3
+            with pytest.raises(SolverError, match="inconsistent"):
+                sdp._presolve_rows(a, bad)
+
+    def test_programs_send_at_most_their_algebra_rows(self, monkeypatch):
+        rho = random_density(16, np.random.default_rng(5))
+        counts = qr_row_counts(monkeypatch)
+        programs.restricted_ht(rho, dephaser(16), 0.1)
+        assert counts and max(counts) <= 16
+        counts.clear()
+        programs.ht_free(rho, dephaser(16), 0.1)
+        assert counts == []
 
 
 def permuted_blocks(prob, perm):
