@@ -1,81 +1,145 @@
 """Small semidefinite-program solver.
 
-Canonical form: minimize <c, x> subject to A x = b over a product of real
-symmetric PSD blocks, in scaled (svec) coordinates.  The algorithm is a
+Canonical form: minimize <c, x> subject to A x = b over a product of PSD
+blocks, each real symmetric or complex Hermitian, in scaled coordinates:
+svec for a real n x n block (the lower triangle, off-diagonal entries times
+sqrt 2) and hvec for a Hermitian one (its n^2 coordinates are the diagonal,
+then sqrt 2 Re and sqrt 2 Im of the strict lower triangle), so that the dot
+product of two coordinate vectors is Re tr(XY).  The algorithm is a
 primal-dual interior-point method on the homogeneous self-dual embedding
 with Nesterov-Todd scaling and a Mehrotra predictor-corrector step.
 
-The iterates are stacks: the blocks of one size n form one (g, n, n)
-stack, and NT scaling, the inverse of L_lam, the scaled products, the
-Jordan corrector and the step length each run once per block size, with
-the 1x1 scalar slacks as the n = 1 stack.  The step length reuses the
-inverse square roots of x and s that the scaling computes.
+The iterates are stacks: the blocks of one kind and size n form one
+(g, n, n) stack, complex for Hermitian blocks, and NT scaling, the inverse
+of L_lam, the scaled products, the Jordan corrector and the step length
+each run once per stack, with the 1x1 blocks (scalar slacks and 1x1
+Hermitian variables) as the n = 1 stack.  The step length reuses the
+inverse square roots of x and s that the scaling computes.  A Hermitian
+block has barrier weight 2, the weight of the real 2n x 2n block
+[[Re X, -Im X], [Im X, Re X]] it is equivalent to: it counts 2n in the
+barrier parameter, its centering target is 2 gamma mu I and it starts at
+x = I, s = 2I, on the central path.
 
 The constraint rows the task programs emit are sparse (a few nonzeros per
-row of a 32x32 realified block at d = 16), so after presolve A is held as
-one sparse matrix over the raveled stacks and A x, A^T y are one product
-each.  The Schur complement M = sum_k A_k (W_k (x) W_k) A_k^T is built
-only over the rows that touch each block, in the manner of SDPA's sparse
-Schur formulas (Fujisawa, Kojima & Nakata, Math. Prog. 79, 1997); it is
-dense and is Cholesky-factored once per iteration; a block whose rows
-form one contiguous range adds its term through a slice.
+row of a 16x16 Hermitian block at d = 16), so after presolve A is held as
+one sparse matrix over the float view of the raveled stacks (dense when it
+is small enough that a dense product beats the sparse dispatch) and A x,
+A^T y are one product each.  The Schur complement M_jl = sum_k
+Re tr(A_jk W_k A_lk W_k) is built only over the rows that touch each
+block, in the manner of SDPA's sparse Schur formulas (Fujisawa, Kojima &
+Nakata, Math. Prog. 79, 1997); it is dense and is Cholesky-factored once
+per iteration through LAPACK; a block whose rows form one contiguous range
+adds its term through a slice.  The corrector's Schur solve takes one step
+of iterative refinement against A Q_W A^T.
 
 Presolve drops dependent rows by a pivoted QR of the border rows only: a
 row with a private column (no other row is nonzero there) cannot be
 dependent.  The task programs' Hermitian-basis rows all have one, so at
 most their algebra and trace rows reach the QR.  On one core of a 2-core
-Xeon, restricted_ht at eps = 0.1 on dephaser(16) solves in 0.5 s, and on
-dephaser(32) (1057 rows, two 64x64 blocks) in 2.5 s at 263 MB peak RSS.
+Xeon, restricted_ht at eps = 0.1 on dephaser(16) takes 0.4 s, and on
+dephaser(32) (1057 rows, two 32x32 Hermitian blocks) 2.0 s at 206 MB peak
+RSS.
 
-Complex Hermitian blocks enter through :class:`HermitianProgram`, which
-realifies each block as ``[[Re X, -Im X], [Im X, Re X]]`` (PSD iff the
-Hermitian block is PSD) and halves constraint coefficients so that real
-inner products reproduce the complex ones.
+:class:`HermitianProgram` assembles programs over complex Hermitian
+variables and nonnegative scalars; each d x d variable is one Hermitian
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
 from .linalg import herm
 
-MAX_BLOCK_DIM = 64 * 2  # realified Hermitian blocks of dimension <= 64
+# Real blocks up to 128; a Hermitian block counts at twice its dimension,
+# the size of its real equivalent, so Hermitian blocks go up to 64.
+MAX_BLOCK_DIM = 128
 
 # ---------------------------------------------------------------------------
-# svec coordinates
+# svec and hvec coordinates
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
-_svec_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _svec_data(n: int):
-    if n not in _svec_cache:
-        rows, cols = np.tril_indices(n)
-        scale = np.where(rows == cols, 1.0, _SQRT2)
-        _svec_cache[n] = (rows, cols, scale)
-    return _svec_cache[n]
+class _Coords(NamedTuple):
+    """Coordinate q of an n x n block is part `part[q]` (0 real, 1
+    imaginary) of entry (rows[q], cols[q]), rows >= cols, times scale[q].
+
+    `flat` and `mirror` locate that part of the entry and of its mirror
+    (cols, rows) in the block's raveled float view; the mirror's imaginary
+    part is negated.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    part: np.ndarray
+    scale: np.ndarray
+    flat: np.ndarray
+    mirror: np.ndarray
+
+
+_coords_cache: dict[tuple[int, bool], _Coords] = {}
+
+
+def _coords(n: int, hermitian: bool = False) -> _Coords:
+    key = (n, hermitian)
+    if key not in _coords_cache:
+        if hermitian:
+            lr, lc = np.tril_indices(n, -1)
+            diag = np.arange(n)
+            rows = np.concatenate([diag, lr, lr])
+            cols = np.concatenate([diag, lc, lc])
+            part = np.repeat([0, 0, 1], [n, lr.size, lr.size])
+        else:
+            rows, cols = np.tril_indices(n)
+            part = np.zeros(rows.size, dtype=int)
+        width = 2 if hermitian else 1
+        _coords_cache[key] = _Coords(
+            rows, cols, part, np.where(rows == cols, 1.0, _SQRT2),
+            width * (rows * n + cols) + part, width * (cols * n + rows) + part,
+        )
+    return _coords_cache[key]
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    rows, cols, scale = _svec_data(n)
-    return np.real(m[rows, cols]) * scale
+    co = _coords(m.shape[0])
+    return np.real(m[co.rows, co.cols]) * co.scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    rows, cols, scale = _svec_data(n)
+    co = _coords(n)
     out = np.zeros((n, n))
-    out[rows, cols] = v / scale
-    out[cols, rows] = out[rows, cols]
+    out[co.rows, co.cols] = v / co.scale
+    out[co.cols, co.rows] = out[co.rows, co.cols]
     return out
+
+
+def hvec(m: np.ndarray) -> np.ndarray:
+    """Coordinates of a Hermitian matrix: the diagonal, then sqrt 2 Re and
+    sqrt 2 Im of the strict lower triangle; hvec(A) . hvec(B) = Re tr(AB)."""
+    co = _coords(m.shape[0], True)
+    entries = m[co.rows, co.cols]
+    return np.where(co.part == 1, np.imag(entries), np.real(entries)) * co.scale
+
+
+def hmat(v: np.ndarray, n: int) -> np.ndarray:
+    co = _coords(n, True)
+    lower = np.zeros((n, n), dtype=complex)
+    np.add.at(lower, (co.rows, co.cols), np.where(co.part == 1, 1j, 1.0) * (v / co.scale))
+    return lower + np.tril(lower, -1).conj().T
 
 
 def svec_dim(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def _coord_dim(n: int, hermitian: bool) -> int:
+    return n * n if hermitian else svec_dim(n)
 
 
 # ---------------------------------------------------------------------------
@@ -85,22 +149,34 @@ def svec_dim(n: int) -> int:
 
 @dataclass
 class SdpProblem:
-    """min <c, x> s.t. A x = b, x in a product of PSD cones (svec coords)."""
+    """min <c, x> s.t. A x = b, x in a product of PSD cones, in svec
+    coordinates for real blocks and hvec coordinates for the blocks that
+    `hermitian` flags (all real by default)."""
 
     block_dims: list[int]
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    hermitian: list[bool] | None = None
 
     def __post_init__(self):
         self.block_dims = [int(n) for n in self.block_dims]
+        if self.hermitian is None:
+            self.hermitian = [False] * len(self.block_dims)
+        self.hermitian = [bool(h) for h in self.hermitian]
+        if len(self.hermitian) != len(self.block_dims):
+            raise ValidationError("one hermitian flag per block is required")
         if any(n < 1 for n in self.block_dims):
             raise ValidationError("block dimensions must be positive")
-        if any(n > MAX_BLOCK_DIM for n in self.block_dims):
+        if any(
+            n * (2 if h else 1) > MAX_BLOCK_DIM
+            for n, h in zip(self.block_dims, self.hermitian)
+        ):
             raise ValidationError(
                 f"block dimension exceeds the supported maximum {MAX_BLOCK_DIM}"
+                f" ({MAX_BLOCK_DIM // 2} for a Hermitian block)"
             )
-        d = sum(svec_dim(n) for n in self.block_dims)
+        d = sum(_coord_dim(n, h) for n, h in zip(self.block_dims, self.hermitian))
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float).ravel()
@@ -117,11 +193,15 @@ class SdpProblem:
 
     @property
     def segments(self) -> list[slice]:
-        out, off = [], 0
-        for n in self.block_dims:
-            out.append(slice(off, off + svec_dim(n)))
-            off += svec_dim(n)
-        return out
+        return _segments(self.block_dims, self.hermitian)
+
+
+def _segments(dims, hermitian) -> list[slice]:
+    out, off = [], 0
+    for n, h in zip(dims, hermitian):
+        out.append(slice(off, off + _coord_dim(n, h)))
+        off += _coord_dim(n, h)
+    return out
 
 
 @dataclass
@@ -142,33 +222,39 @@ class SdpSolution:
     # and whether some iteration fell back to least squares.
     max_jitter: float = 0.0
     used_lstsq: bool = False
+    hermitian: list[bool] = field(default_factory=list)
 
     def block(self, k: int) -> np.ndarray:
-        off = sum(svec_dim(n) for n in self.block_dims[:k])
-        n = self.block_dims[k]
-        return smat(self.x[off : off + svec_dim(n)], n)
+        flags = self.hermitian or [False] * len(self.block_dims)
+        seg = _segments(self.block_dims, flags)[k]
+        return (hmat if flags[k] else smat)(self.x[seg], self.block_dims[k])
 
 
 # ---------------------------------------------------------------------------
 # Stack kernels: each acts on one n x n block or on a (g, n, n) stack of
-# same-size blocks, member by member.
+# same-size blocks, member by member, real symmetric or complex Hermitian.
 # ---------------------------------------------------------------------------
 
 
+def _ct(m):
+    """Conjugate transpose of each member (a view for real input)."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _sym(m):
-    return (m + m.swapaxes(-1, -2)) / 2
+    return (m + _ct(m)) / 2
 
 
 def _psd_sqrt_pair(m: np.ndarray, floor: float = 1e-300):
-    """(m^{1/2}, m^{-1/2}) of symmetric m, from its lower triangle."""
+    """(m^{1/2}, m^{-1/2}) of Hermitian m, from its lower triangle."""
     w, v = np.linalg.eigh(m)
     r = np.sqrt(np.clip(w, floor, None))[..., None, :]
-    vt = v.swapaxes(-1, -2)
+    vt = _ct(v)
     return (v * r) @ vt, (v / r) @ vt
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling W with W s W = x for symmetric x, s > 0: the tuple
+    """NT scaling W with W s W = x for Hermitian x, s > 0: the tuple
     (W, W^{1/2}, W^{-1/2}, lam, [x^{-1/2}, s^{-1/2}]).
 
     lam = W^{-1/2} x W^{-1/2} is the scaled point.  x and s are decomposed
@@ -189,11 +275,11 @@ def _jordan(a, b):
 
 def _lam_inverse_op(lam: np.ndarray):
     """Return R -> L_lam^{-1}(R), the X with (lam X + X lam)/2 = R, using
-    the eigenbasis of symmetric lam."""
+    the eigenbasis of Hermitian lam."""
     w, v = np.linalg.eigh(lam)
     denom = (w[..., :, None] + w[..., None, :]) / 2.0
     denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-    vt = v.swapaxes(-1, -2)
+    vt = _ct(v)
 
     def solve(r):
         return _sym(v @ ((vt @ r @ v) / denom) @ vt)
@@ -214,63 +300,88 @@ def _max_step(m_mhalf: np.ndarray, dm: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _csr(parts, shape):
-    """CSR matrix from (row, column, value) triples concatenated over `parts`."""
+# A matrix of at most this many entries is held dense: a dense product then
+# costs less than the per-call dispatch of a scipy.sparse one.
+_DENSE_ENTRIES = 1 << 15
+
+
+def _matrix(rows, cols, vals, shape):
+    """The matrix with the (row, column, value) triples as its nonzeros,
+    duplicates adding: dense if small, else CSR, grouped by one stable sort
+    on the rows (no COO stage)."""
+    if shape[0] * shape[1] <= _DENSE_ENTRIES:
+        out = np.zeros(shape, dtype=vals.dtype)
+        np.add.at(out, (rows, cols), vals)
+        return out
     import scipy.sparse  # scipy loads on first SDP use, not with the package
 
-    r, c, v = (np.concatenate(x) for x in zip(*parts))
-    return scipy.sparse.csr_matrix((v, (r, c)), shape=shape)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return scipy.sparse.csr_matrix(
+        (vals[order], cols[order].astype(np.int32), indptr), shape=shape
+    )
 
 
-def _both_triangles(j, q, v, n: int):
-    """Rows' svec nonzeros (row j, svec index q, value v) of an n x n block
-    as full-matrix nonzeros (row, matrix row, matrix column, value)."""
-    rows, cols, scale = _svec_data(n)
-    v = v / scale[q]
-    r, c = rows[q], cols[q]
+def _entries(j, q, v, co: _Coords):
+    """Rows' coordinate nonzeros (row j, coordinate q, value v) of one block
+    as the nonzeros of its coefficient matrices: (row j, matrix row, matrix
+    column, part, value of that part).  A strictly lower coordinate also
+    fills its mirror entry, with an imaginary part negated."""
+    v = v / co.scale[q]
+    r, c, part = co.rows[q], co.cols[q], co.part[q]
     off = r != c
     return (
         np.concatenate([j, j[off]]),
         np.concatenate([r, c[off]]),
         np.concatenate([c, r[off]]),
-        np.concatenate([v, v[off]]),
+        np.concatenate([part, part[off]]),
+        np.concatenate([v, v[off] * (1 - 2 * part[off])]),
     )
 
 
 class _SchurGroup:
-    """Blocks of one size whose Schur terms are formed in one update.
+    """Blocks of one kind and size whose Schur terms are formed in one update.
 
-    The pairs (j, k) with row j touching block k hold A_jk in `a_stack`, in
-    full-matrix coordinates with row r of pair p at row r * pairs + p, so
+    The pairs (j, k) with row j touching block k hold the coefficient
+    matrix A_jk in `a_stack`, with row r of pair p at row r * pairs + p, so
     that a_stack @ [W_k] gives every A_jk W_k with the pairs in the middle
-    axis; `a_svec` holds the same rows in svec coordinates, rescaled so that
-    a_svec @ T, with T the lower triangles of the W_k A_lk W_k as its
-    columns, gives tr(A_j W A_l W) over the touched rows.
+    axis; `a_vec` holds the same rows in svec or hvec coordinates, rescaled
+    so that a_vec @ T, with T the coordinate parts of the W_k A_lk W_k as
+    its columns, gives Re tr(A_j W A_l W) over the touched rows.
     """
 
-    def __init__(self, n: int, entries: list):
-        g, nq = len(entries), svec_dim(n)
+    def __init__(self, n: int, hermitian: bool, entries: list):
+        co = _coords(n, hermitian)
+        g, nq = len(entries), co.rows.size
         key = np.sort(np.concatenate(
             [np.unique(j) * g + k for k, (j, _, _) in enumerate(entries)]
         ))
         pair_row, self.pair_block = np.divmod(key, g)
         self.rows = np.unique(pair_row)
         self.n, self.g = n, g
-        self.tri_r, self.tri_c, scale = _svec_data(n)
-        stack, svec_rows = [], []
+        # T's rows are read from the float view of the W A W stack.
+        self.tri_r, self.tri_c = co.rows, (2 if hermitian else 1) * co.cols + co.part
+        stack_r, stack_c, stack_v, vec_r, vec_c, vec_v = ([] for _ in range(6))
         for k, (j, q, v) in enumerate(entries):
-            fj, r, c, fv = _both_triangles(j, q, v, n)
-            stack.append((r * key.size + np.searchsorted(key, fj * g + k), k * n + c, fv))
-            # tr(A T) = svec(A) . svec(T), and svec(T) is T's lower triangle
-            # times the svec scale.
-            svec_rows.append((np.searchsorted(self.rows, j), k * nq + q, v * scale[q]))
-        self.a_stack = _csr(stack, (key.size * n, g * n))
-        self.a_svec = _csr(svec_rows, (self.rows.size, g * nq))
+            fj, r, c, part, fv = _entries(j, q, v, co)
+            stack_r.append(r * key.size + np.searchsorted(key, fj * g + k))
+            stack_c.append(k * n + c)
+            stack_v.append(np.where(part == 1, 1j * fv, fv) if hermitian else fv)
+            # Re tr(A T) = vec(A) . vec(T), and vec(T) is the coordinate
+            # parts of T times the scale.
+            vec_r.append(np.searchsorted(self.rows, j))
+            vec_c.append(k * nq + q)
+            vec_v.append(v * co.scale[q])
+        cat = np.concatenate
+        self.a_stack = _matrix(cat(stack_r), cat(stack_c), cat(stack_v), (key.size * n, g * n))
+        self.a_vec = _matrix(cat(vec_r), cat(vec_c), cat(vec_v), (self.rows.size, g * nq))
         # With one block the pairs are the touched rows in order; with more,
         # pair (j, k) fills column j of block k's rows of T.
         if g > 1:
             col = np.searchsorted(self.rows, pair_row) + self.pair_block * nq * self.rows.size
             self.scatter = (col[:, None] + np.arange(nq) * self.rows.size).ravel()
+            self.nq = nq
         # Contiguous rows (the task programs emit each block's rows as one
         # range) add through a basic slice, a view; others through np.ix_.
         rows = self.rows
@@ -280,100 +391,136 @@ class _SchurGroup:
             self.index = np.ix_(rows, rows)
 
     def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
-        """schur[rows, rows] += tr(A_j W A_l W) summed over the group's
+        """schur[rows, rows] += Re tr(A_j W A_l W) summed over the group's
         blocks, whose scalings are the (g, n, n) stack `w`."""
         n = self.n
         aw = self.a_stack @ w.reshape(-1, n)  # rows (c, p): (A_p W)[c, :]
         if self.g == 1:
             # One product W [A_p W]_p, laid out (a, p, b), and a gather of
-            # its lower triangles as columns: no transpose of the result.
-            waw = (w[0] @ aw.reshape(n, -1)).reshape(n, -1, n)
+            # its coordinate parts as columns: no transpose of the result.
+            waw = (w[0] @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
             t = waw[self.tri_r, :, self.tri_c]
         else:
             aw = aw.reshape(n, -1, n).transpose(1, 0, 2)
-            waw = np.matmul(w[self.pair_block], aw)
-            t = np.zeros(self.g * svec_dim(n) * self.rows.size)
+            waw = np.matmul(w[self.pair_block], aw).view(float)
+            t = np.zeros(self.g * self.nq * self.rows.size)
             t[self.scatter] = waw[:, self.tri_r, self.tri_c].ravel()
             t = t.reshape(-1, self.rows.size)
-        schur[self.index] += self.a_svec @ t
+        schur[self.index] += self.a_vec @ t
 
 
 class _Constraints:
     """The presolved rows as one sparse matrix over the block stacks.
 
-    The blocks of each size n form one (g, n, n) stack, in the problem's
-    order within the stack and with the sizes ascending.  A point of the
-    cone is every stack raveled into one vector (`split` gives the stack
-    views), and the coefficient matrices are stored in full-matrix
-    coordinates of that vector, so A x is one product and A^T y comes back
-    as symmetric stacks.  Same-size blocks share a Schur update, except that
-    each block as wide as the widest keeps its own, which bounds every
-    temporary of the build by one block's touched rows times n^2.
+    The Hermitian blocks of each size n > 1 form one complex (g, n, n)
+    stack and the real blocks of each size one real stack; a 1x1 Hermitian
+    block is real and joins the n = 1 stack.  Complex stacks come first,
+    then real ones, each by ascending size, and within a stack the blocks
+    keep the problem's order.  A point of the cone is the float views of
+    the raveled stacks in one vector (`split` gives the stack views), and
+    the coefficient matrices are stored in the coordinates of that vector,
+    where Re tr(K X) is the dot product of the float views of K and X, so
+    A x is one product and A^T y comes back as Hermitian stacks.  Same-kind,
+    same-size blocks share a Schur update, except that each block as wide
+    as the widest keeps its own, which bounds every temporary of the build
+    by one block's touched rows times n^2.
     """
 
-    def __init__(self, a_svec: np.ndarray, dims: list[int]):
-        m = a_svec.shape[0]
+    def __init__(self, a_vec: np.ndarray, dims: list[int], hermitian=None):
+        m = a_vec.shape[0]
         self.m = m
-        sizes = sorted(set(dims))
-        self.members = [[k for k, nk in enumerate(dims) if nk == n] for n in sizes]
-        # Each block's offset in the raveled stacks, where its svec segment
-        # lands as it is read: the presolved matrix is never reordered.
-        offset, self.stacks, base = np.zeros(len(dims), dtype=int), [], 0
-        for n, ks in zip(sizes, self.members):
-            offset[ks] = base + n * n * np.arange(len(ks))
-            self.stacks.append((n, len(ks), slice(base, base + len(ks) * n * n)))
-            base += len(ks) * n * n
-        entries, full, lower, upper, scales, off = [], [], [], [], [], 0
-        for k, n in enumerate(dims):
-            j, q = np.nonzero(a_svec[:, off : off + svec_dim(n)])
-            entries.append((j, q, a_svec[j, off + q]))
-            fj, r, c, fv = _both_triangles(*entries[-1], n)
-            full.append((fj, offset[k] + r * n + c, fv))
-            rows, cols, scale = _svec_data(n)
-            lower.append(offset[k] + rows * n + cols)
-            upper.append(offset[k] + cols * n + rows)
-            scales.append(scale)
-            off += svec_dim(n)
-        self.a = _csr(full, (m, base))
-        self.at = self.a.T.tocsr()
-        # svec coordinates in the problem's order <-> the raveled stacks.
-        self.lower, self.upper, self.scale = (
-            np.concatenate(x) for x in (lower, upper, scales)
+        flags = [False] * len(dims) if hermitian is None else list(hermitian)
+        kinds = [(bool(h) and n > 1, n) for n, h in zip(dims, flags)]
+        keys = sorted(set(kinds), key=lambda kind: (not kind[0], kind[1]))
+        self.members = [[k for k, kind in enumerate(kinds) if kind == key] for key in keys]
+        # Each block's offset in the float vector; a Hermitian block has
+        # barrier weight 2.
+        offset, base, self.nu = np.zeros(len(dims), dtype=int), 0, 0.0
+        self.stacks, self.weights, inv_weight = [], [], []
+        for (cplx, n), ks in zip(keys, self.members):
+            size = (2 if cplx else 1) * n * n
+            weight = np.array([2.0 if flags[k] else 1.0 for k in ks])
+            offset[ks] = base + size * np.arange(len(ks))
+            self.stacks.append((n, len(ks), slice(base, base + len(ks) * size), cplx))
+            self.weights.append(weight[:, None, None])
+            inv_weight.append(np.repeat(1.0 / weight, size))
+            self.nu += float(weight.sum()) * n
+            base += len(ks) * size
+        # Dual quantities are measured as in the equivalent real problem,
+        # where a block of weight w counts its squared entries over w.
+        self.inv_weight = np.concatenate(inv_weight)
+        # The presolved matrix is read once, column by column, and split
+        # into the blocks' coordinate ranges.
+        col, row = np.nonzero(a_vec.T)
+        val = a_vec[row, col]
+        segs = _segments(dims, flags)
+        bounds = np.searchsorted(col, [seg.start for seg in segs] + [a_vec.shape[1]])
+        entries, full_r, full_c, full_v = [], [], [], []
+        flat, mirror, signs, scales = [], [], [], []
+        for k, ((cplx, n), seg) in enumerate(zip(kinds, segs)):
+            co = _coords(n, cplx)
+            span = slice(bounds[k], bounds[k + 1])
+            entries.append((row[span], col[span] - seg.start, val[span]))
+            fj, r, c, part, fv = _entries(*entries[-1], co)
+            full_r.append(fj)
+            full_c.append(offset[k] + (2 if cplx else 1) * (r * n + c) + part)
+            full_v.append(fv)
+            flat.append(offset[k] + co.flat)
+            mirror.append(offset[k] + co.mirror)
+            signs.append(1 - 2 * co.part)
+            scales.append(co.scale)
+        cat = np.concatenate
+        self.size = base
+        self.a = _matrix(cat(full_r), cat(full_c), cat(full_v), (m, base))
+        self.at = self.a.T if isinstance(self.a, np.ndarray) else self.a.T.tocsr()
+        # svec/hvec coordinates in the problem's order <-> the float vector.
+        self.flat, self.mirror, self.sign, self.scale = (
+            cat(x) for x in (flat, mirror, signs, scales)
         )
         widest = max(dims, default=0)
         self.groups = []
-        for i, (n, ks) in enumerate(zip(sizes, self.members)):
+        for i, ((cplx, n), ks) in enumerate(zip(keys, self.members)):
             parts = (
                 [(slice(p, p + 1), [k]) for p, k in enumerate(ks)]
                 if n == widest
                 else [(slice(None), ks)]
             )
             for part, ks_part in parts:
-                group = _SchurGroup(n, [entries[k] for k in ks_part])
+                group = _SchurGroup(n, cplx, [entries[k] for k in ks_part])
                 if group.rows.size:
                     self.groups.append((i, part, group))
 
     def split(self, v: np.ndarray) -> list:
-        """The (g, n, n) stack views of a raveled point."""
-        return [v[part].reshape(g, n, n) for n, g, part in self.stacks]
+        """The (g, n, n) stack views of a point's float vector."""
+        return [
+            (v[part].view(complex) if cplx else v[part]).reshape(g, n, n)
+            for n, g, part, cplx in self.stacks
+        ]
 
     @staticmethod
     def join(stacks) -> np.ndarray:
-        return np.concatenate([s.reshape(-1) for s in stacks])
+        return np.concatenate([s.reshape(-1).view(float) for s in stacks])
 
-    def identity(self) -> np.ndarray:
-        return self.join(np.broadcast_to(np.eye(n), (g, n, n)) for n, g, _ in self.stacks)
+    def identity(self, weighted: bool = False) -> list:
+        """The identity of each stack, times the barrier weights if asked."""
+        return [
+            np.eye(n, dtype=complex if cplx else float) * (w if weighted else np.ones_like(w))
+            for (n, _, _, cplx), w in zip(self.stacks, self.weights)
+        ]
 
     def from_svec(self, v: np.ndarray) -> np.ndarray:
-        """Raveled stacks from svec coordinates in the problem's block order."""
-        out = np.empty(self.a.shape[1])
-        out[self.lower] = v / self.scale
-        out[self.upper] = out[self.lower]
+        """Float vector from svec/hvec coordinates in the problem's block order."""
+        out = np.zeros(self.size)
+        out[self.flat] = v / self.scale
+        out[self.mirror] = self.sign * out[self.flat]
         return out
 
     def to_svec(self, v: np.ndarray) -> np.ndarray:
-        """svec coordinates in the problem's block order from raveled stacks."""
-        return v[self.lower] * self.scale
+        """svec/hvec coordinates in the problem's block order from a float vector."""
+        return v[self.flat] * self.scale
+
+    def dual_norm(self, v: np.ndarray) -> float:
+        return float(np.sqrt((v * v) @ self.inv_weight))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.a @ v
@@ -383,12 +530,10 @@ class _Constraints:
 
     def schur(self, ws) -> np.ndarray:
         """Schur matrix for per-block scalings W_k in the problem's block order."""
-        return self.stacked_schur(
-            [np.stack([ws[k] for k in ks]) for ks in self.members]
-        )
+        return self.stacked_schur([np.stack([ws[k] for k in ks]) for ks in self.members])
 
     def stacked_schur(self, w_stacks) -> np.ndarray:
-        """Schur matrix for the scalings given as one stack per size."""
+        """Schur matrix for the scalings given as one stack per kind and size."""
         out = np.zeros((self.m, self.m))
         for i, part, group in self.groups:
             group.add_to(out, w_stacks[i][part])
@@ -396,6 +541,16 @@ class _Constraints:
 
 
 _JITTER_LADDER = (0.0, 1e-14, 1e-11, 1e-8)
+_CHOLESKY = None  # LAPACK (dpotrf, dpotrs), looked up on first use
+
+
+def _cholesky_routines():
+    global _CHOLESKY
+    if _CHOLESKY is None:
+        from scipy.linalg import lapack
+
+        _CHOLESKY = (lapack.dpotrf, lapack.dpotrs)
+    return _CHOLESKY
 
 
 def _factor_schur(m: np.ndarray):
@@ -405,20 +560,17 @@ def _factor_schur(m: np.ndarray):
     the mean diagonal) that lets it succeed; least squares if none does.
     A non-finite matrix raises LinAlgError, a breakdown like any other.
     """
-    import scipy.linalg
-
     if not m.shape[0]:
         return (lambda rhs: np.zeros(0)), 0.0, False
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Schur matrix is not finite")
+    potrf, potrs = _cholesky_routines()
     scale = max(np.trace(m) / m.shape[0], 1e-300)
     for jitter in _JITTER_LADDER:
         shifted = m + jitter * scale * np.eye(m.shape[0]) if jitter else m
-        try:
-            cf = scipy.linalg.cho_factor(shifted, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
-        return (lambda rhs: scipy.linalg.cho_solve(cf, rhs)), jitter, False
+        factor, info = potrf(shifted, lower=1, clean=0)
+        if info == 0:
+            return (lambda rhs: potrs(factor, rhs, lower=1)[0]), jitter, False
     return (lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]), 0.0, True
 
 
@@ -475,28 +627,31 @@ def solve(
 ) -> SdpSolution:
     """Solve the SDP; `feas_tol`/`gap_tol` are the acceptance thresholds and
     the solver keeps polishing toward `target_tol` while it makes progress."""
-    a_svec, b, keep_rows = _presolve_rows(problem.A, problem.b)
-    m = a_svec.shape[0]
-    nu = sum(problem.block_dims)
-    cons = _Constraints(a_svec, problem.block_dims)
+    a_vec, b, keep_rows = _presolve_rows(problem.A, problem.b)
+    m = a_vec.shape[0]
+    cons = _Constraints(a_vec, problem.block_dims, problem.hermitian)
+    nu = cons.nu
     op_a, op_at, split, join = cons.apply, cons.adjoint, cons.split, cons.join
-    # Every point below is the raveled stacks, so inner products are dots.
+    # Every point below is one float vector, so inner products are dots.
     c = cons.from_svec(problem.c)
+    # The centering target of each stack is its barrier weights times I.
+    w_eye = cons.identity(weighted=True)
 
     def sym(v):
         return join(_sym(vk) for vk in split(v))
 
     def q_apply(factors, v):
-        """Q_F(V) = F V F stack by stack, with one factor stack per size."""
+        """Q_F(V) = F V F stack by stack, with one factor stack per stack."""
         return join(_sym(f @ vk @ f) for f, vk in zip(factors, split(v)))
 
-    x = cons.identity()
-    s = x.copy()
+    # x = I and s = weights * I lie on the central path.
+    x = join(cons.identity())
+    s = join(w_eye)
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
     b_norm = 1.0 + np.linalg.norm(b)
-    c_norm = 1.0 + np.linalg.norm(problem.c)
+    c_norm = 1.0 + cons.dual_norm(c)
 
     best = None
     best_score = np.inf
@@ -518,7 +673,7 @@ def solve(
         # Normalized optimality metrics for the de-homogenized point.
         xhat, shat, yhat = x / tau, s / tau, y / tau
         pres = np.linalg.norm(a_x / tau - b) / b_norm
-        dres = np.linalg.norm(c - at_y / tau - shat) / c_norm
+        dres = cons.dual_norm(c - at_y / tau - shat) / c_norm
         pobj = float(c @ xhat)
         dobj = float(b @ yhat)
         relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -567,10 +722,17 @@ def solve(
                 qw_rd = q_apply(w, rd)
                 a_qw_rd = op_a(qw_rd)
 
-                def direction(eta, comp_rhs, rhs_tk):
+                def direction(eta, comp_rhs, rhs_tk, refine=False):
                     d_c = join(f(r) for f, r in zip(lam_solvers, comp_rhs))
                     qwh_dc = q_apply(w_half, d_c)
-                    u1 = solve_m(eta * a_qw_rd - op_a(qwh_dc) - eta * rp)
+                    rhs1 = eta * a_qw_rd - op_a(qwh_dc) - eta * rp
+                    u1 = solve_m(rhs1)
+                    if refine:
+                        # One step of iterative refinement against A Q_W A^T
+                        # itself: late in a solve M is ill-conditioned, and
+                        # the step would miss its primal rows by as much as
+                        # they are off.
+                        u1 = u1 + solve_m(rhs1 - op_a(q_apply(w, op_at(u1))))
                     # dx = Q_W(A^T u1 - eta Rd) + Q_{W^{1/2}} d_c + d_tau * x2
                     at_u1 = op_at(u1)
                     x1 = q_apply(w, at_u1) - eta * qw_rd + qwh_dc
@@ -612,15 +774,15 @@ def solve(
 
                 # Corrector: second-order term in the scaled space.
                 comp = [
-                    gamma * mu * np.eye(l2.shape[-1])
+                    gamma * mu * we
                     - l2
                     - _jordan(_sym(wm @ dxk @ wm), _sym(wh @ dsk @ wh))
-                    for l2, wm, wh, dxk, dsk in zip(
-                        lam_sq, w_mhalf, w_half, split(dx_a), split(ds_a)
+                    for we, l2, wm, wh, dxk, dsk in zip(
+                        w_eye, lam_sq, w_mhalf, w_half, split(dx_a), split(ds_a)
                     )
                 ]
                 rhs_tk = gamma * mu - tau * kappa - dtau_a * dkap_a
-                dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk)
+                dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk, True)
                 alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa))
                 if not np.isfinite(alpha) or alpha <= 1e-14:
                     break
@@ -659,43 +821,13 @@ def _finalize(status, best, cons, keep_rows, problem, iterations, factor_log) ->
         block_dims=list(problem.block_dims),
         max_jitter=factor_log[0],
         used_lstsq=factor_log[1],
+        hermitian=list(problem.hermitian),
     )
 
 
 # ---------------------------------------------------------------------------
 # Hermitian front end
 # ---------------------------------------------------------------------------
-
-
-def realify(x: np.ndarray) -> np.ndarray:
-    """[[Re X, -Im X], [Im X, Re X]]; PSD iff the Hermitian X is PSD."""
-    re, im = np.real(x), np.imag(x)
-    return np.block([[re, -im], [im, re]])
-
-
-_realify_svec_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _realify_svec_map(n: int):
-    """(index, weight) with K.view(float)[index] * weight = svec(realify(K) / 2).
-
-    The float view of a complex n x n matrix interleaves Re and Im of each
-    entry; the lower triangle of realify(K) holds Re K in its diagonal
-    blocks and +Im K in its lower-left block.
-    """
-    if n not in _realify_svec_cache:
-        rows, cols, scale = _svec_data(2 * n)
-        imag = (rows >= n) & (cols < n)
-        index = 2 * ((rows % n) * n + cols % n) + imag
-        _realify_svec_cache[n] = (index, scale / 2.0)
-    return _realify_svec_cache[n]
-
-
-def derealify(s: np.ndarray, n: int) -> np.ndarray:
-    """Project a 2n x 2n symmetric matrix back to a Hermitian n x n one."""
-    a = (s[:n, :n] + s[n:, n:]) / 2.0
-    bmat = (s[n:, :n] - s[:n, n:]) / 2.0
-    return herm(a + 1j * bmat)
 
 
 @dataclass(frozen=True)
@@ -711,7 +843,8 @@ class HermitianProgram:
     Scalar variables are nonnegative; constraints are real-linear in the
     variables with Hermitian coefficient matrices: each term contributes
     Re tr[K^dagger X].  Rows are added in families (one row is a family of
-    one), each held as its stacked coefficients until `build`.
+    one), each held as its stacked coefficients until `build`.  Each d x d
+    variable is one Hermitian block in hvec coordinates.
     """
 
     def __init__(self):
@@ -765,29 +898,24 @@ class HermitianProgram:
         self._rows.append((clean, rhs, slack))
 
     def _layout(self):
-        dims, offsets, off = [], [], 0
-        for v in self._vars:
-            n = 1 if v.scalar else 2 * v.dim
-            dims.append(n)
-            offsets.append(off)
-            off += svec_dim(n)
-        return dims, offsets, off
+        dims = [1 if v.scalar else v.dim for v in self._vars]
+        flags = [not v.scalar for v in self._vars]
+        return dims, flags, _segments(dims, flags)
 
-    def _coeff_svec(self, v: _Var, coeff) -> np.ndarray:
-        """svec rows, shape (k, svec_dim), of one coefficient of `v` or a stack."""
+    def _coeff_vec(self, v: _Var, coeff) -> np.ndarray:
+        """hvec rows, shape (k, d^2), of one coefficient of `v` or a stack."""
         if v.scalar:
             return np.asarray(coeff, dtype=float).reshape(-1, 1)
-        # Re tr[K X] = (1/2) tr[realify(K) realify(X)]
-        index, weight = _realify_svec_map(v.dim)
+        co = _coords(v.dim, True)
         entries = np.ascontiguousarray(coeff, dtype=complex).reshape(-1, v.dim**2).view(float)
-        return entries[:, index] * weight
+        return entries[:, co.flat] * co.scale
 
     def build(self) -> SdpProblem:
-        dims, offsets, total = self._layout()
+        dims, flags, segs = self._layout()
+        total = segs[-1].stop if segs else 0
         c = np.zeros(total)
         for idx, coeff in self._obj.items():
-            seg = slice(offsets[idx], offsets[idx] + svec_dim(dims[idx]))
-            c[seg] += self._coeff_svec(self._vars[idx], coeff)[0]
+            c[segs[idx]] += self._coeff_vec(self._vars[idx], coeff)[0]
         m = sum(rhs.size for _, rhs, _ in self._rows)
         a = np.zeros((m, total))
         b = np.zeros(m)
@@ -797,29 +925,24 @@ class HermitianProgram:
             rows = slice(start, start + k)
             b[rows] = rhs
             for idx, coeff in terms.items():
-                seg = slice(offsets[idx], offsets[idx] + svec_dim(dims[idx]))
-                a[rows, seg] += self._coeff_svec(self._vars[idx], coeff)
+                a[rows, segs[idx]] += self._coeff_vec(self._vars[idx], coeff)
             if slack is not None:
                 # Row j's slack is the scalar variable first + j.
                 first, sign = slack
                 j = np.arange(k)
-                a[start + j, offsets[first] + j] = sign
+                a[start + j, segs[first].start + j] = sign
             start += k
-        return SdpProblem(dims, c, a, b)
+        return SdpProblem(dims, c, a, b, flags)
 
     def solve(self, **kw):
         problem = self.build()
         sol = solve(problem, **kw)
         values = {}
-        for v, seg_dim, off in zip(
-            self._vars, problem.block_dims, [s.start for s in problem.segments]
-        ):
-            vec = sol.x[off : off + svec_dim(seg_dim)]
-            matrix = smat(vec, seg_dim)
+        for v, seg in zip(self._vars, problem.segments):
             if v.scalar:
-                values[v.index] = float(matrix[0, 0])
+                values[v.index] = float(sol.x[seg][0])
             else:
-                values[v.index] = derealify(matrix, v.dim)
+                values[v.index] = hmat(sol.x[seg], v.dim)
         return sol, values
 
     @staticmethod

@@ -331,13 +331,16 @@ def assembly_channels():
     }
 
 
+def assembly_states():
+    rng = np.random.default_rng(11)
+    return check_density(random_density(3, rng)), check_density(random_density(3, rng, rank=2))
+
+
 class TestAssembly:
     @pytest.mark.parametrize("name", list(assembly_channels()))
     def test_programs_match_one_row_assembly(self, name, monkeypatch):
         channel = assembly_channels()[name]
-        rng = np.random.default_rng(11)
-        rho = check_density(random_density(3, rng))
-        face = check_density(random_density(3, rng, rank=2))
+        rho, face = assembly_states()
         cases = [
             (lambda: pr.restricted_ht(rho, channel, 0.1), reference_restricted_ht(rho, channel, 0.1)),
             (lambda: pr.restricted_ht(face, channel, 0.0), reference_restricted_face(face, channel)),
@@ -348,6 +351,7 @@ class TestAssembly:
         for run, ref in cases:
             got = built_problem(monkeypatch, run)
             assert got.block_dims == ref.block_dims
+            assert got.hermitian == ref.hermitian
             for field in ("A", "b", "c"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
@@ -382,6 +386,67 @@ class TestAssembly:
                 for k, (coef, rhs) in enumerate(zip([1.0, -2.0], [0.5, 0.25])):
                     prog.add_constraint({x: mats[k], y: coef}, rhs, sense="<=")
         got, want = family.build(), rows.build()
-        assert got.block_dims == want.block_dims == [4, 1, 1, 1]
+        assert got.block_dims == want.block_dims == [2, 1, 1, 1]
+        assert got.hermitian == want.hermitian == [True, False, False, False]
         for field in ("A", "b", "c"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+# ---------------------------------------------------------------------------
+# The realified problem as an oracle: each n x n Hermitian block X solved as
+# the real 2n x 2n block [[Re X, -Im X], [Im X, Re X]] must give the value
+# the native Hermitian solve gives.
+# ---------------------------------------------------------------------------
+
+
+def realify(problem):
+    """The real problem equivalent to a built Hermitian one.
+
+    The 2n x 2n block of X is PSD iff X is, and each Hermitian coefficient
+    K becomes half its realified block, so that the real inner products
+    reproduce Re tr(KX).
+    """
+
+    def real_block(k):
+        return np.block([[k.real, -k.imag], [k.imag, k.real]])
+
+    dims, a_cols, c_cols = [], [], []
+    for n, hermitian, seg in zip(problem.block_dims, problem.hermitian, problem.segments):
+        if not hermitian:
+            dims.append(n)
+            a_cols.append(problem.A[:, seg])
+            c_cols.append(problem.c[seg])
+            continue
+
+        def convert(v, n=n):
+            return sdp.svec(real_block(sdp.hmat(v, n)) / 2)
+
+        dims.append(2 * n)
+        a_cols.append(np.stack([convert(row[seg]) for row in problem.A]))
+        c_cols.append(convert(problem.c[seg]))
+    return sdp.SdpProblem(dims, np.concatenate(c_cols), np.hstack(a_cols), problem.b)
+
+
+class TestRealifiedOracle:
+    @pytest.mark.parametrize("name", list(assembly_channels()))
+    def test_native_matches_realified(self, name, monkeypatch):
+        channel = assembly_channels()[name]
+        rho, face = assembly_states()
+        runs = [
+            lambda: pr.restricted_ht(rho, channel, 0.1),
+            lambda: pr.restricted_ht(face, channel, 0.0),
+            lambda: pr.ht_free(rho, channel, 0.1),
+            lambda: pr.dmax_smoothed_free(rho, channel, 0.0),
+            lambda: pr.dmax_smoothed_free(rho, channel, 0.05),
+        ]
+        for run in runs:
+            problem = built_problem(monkeypatch, run)
+            real = realify(problem)
+            assert not any(real.hermitian)
+            assert sum(real.block_dims) == sum(
+                n * (2 if h else 1) for n, h in zip(problem.block_dims, problem.hermitian)
+            )
+            native = sdp.solve(problem, **pr.DEFAULT_SOLVER_KW)
+            oracle = sdp.solve(real, **pr.DEFAULT_SOLVER_KW)
+            assert native.status == oracle.status == "optimal"
+            assert abs(native.primal_objective - oracle.primal_objective) <= 1e-9

@@ -13,24 +13,41 @@ from instability.errors import SolverError, ValidationError
 from instability.sampling import random_density
 
 
-def planted_problem(dims, m, rng):
+def random_unitary_or_orthogonal(n, rng, hermitian):
+    g = rng.normal(size=(n, n))
+    if hermitian:
+        g = g + 1j * rng.normal(size=(n, n))
+    q, _ = np.linalg.qr(g)
+    return q
+
+
+def coords(m, hermitian):
+    return sdp.hvec(m) if hermitian else sdp.svec(m)
+
+
+def coord_dim(n, hermitian):
+    return n * n if hermitian else n * (n + 1) // 2
+
+
+def planted_problem(dims, m, rng, hermitian=None):
     """Random feasible SDP with a known optimum from a strictly
-    complementary primal-dual pair."""
-    total = sum(n * (n + 1) // 2 for n in dims)
+    complementary primal-dual pair; blocks flagged in `hermitian` are
+    complex Hermitian."""
+    flags = hermitian or [False] * len(dims)
+    total = sum(coord_dim(n, h) for n, h in zip(dims, flags))
     a = rng.normal(size=(m, total))
     xs, ss = [], []
-    for n in dims:
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for n, h in zip(dims, flags):
+        q = random_unitary_or_orthogonal(n, rng, h)
         k = int(rng.integers(1, n)) if n > 1 else 1
         wx = np.concatenate([rng.uniform(0.5, 2.0, size=k), np.zeros(n - k)])
         ws = np.concatenate([np.zeros(k), rng.uniform(0.5, 2.0, size=n - k)])
-        xs.append((q * wx) @ q.T)
-        ss.append((q * ws) @ q.T)
-    x = np.concatenate([sdp.svec(xk) for xk in xs])
-    s = np.concatenate([sdp.svec(sk) for sk in ss])
+        xs.append(coords((q * wx) @ q.conj().T, h))
+        ss.append(coords((q * ws) @ q.conj().T, h))
+    x, s = np.concatenate(xs), np.concatenate(ss)
     y = rng.normal(size=m)
     c = a.T @ y + s
-    return sdp.SdpProblem(list(dims), c, a, a @ x), float(c @ x)
+    return sdp.SdpProblem(list(dims), c, a, a @ x, hermitian), float(c @ x)
 
 
 class TestSvec:
@@ -47,14 +64,18 @@ class TestSvec:
         assert np.dot(sdp.svec(a), sdp.svec(b)) == pytest.approx(np.trace(a @ b))
 
 
-def dense_schur(a, dims, ws):
-    """Reference Schur matrix sum_k tr(A_jk W_k A_lk W_k) from dense blocks."""
+def dense_schur(a, dims, ws, hermitian=None):
+    """Reference Schur matrix sum_k Re tr(A_jk W_k A_lk W_k) from dense
+    blocks, reading each flagged segment in hvec coordinates."""
+    flags = hermitian or [False] * len(dims)
     out = np.zeros((a.shape[0], a.shape[0]))
     off = 0
-    for n, w in zip(dims, ws):
-        mats = np.stack([sdp.smat(row[off : off + sdp.svec_dim(n)], n) for row in a])
-        out += np.einsum("jab,lba->jl", mats, w @ mats @ w)
-        off += sdp.svec_dim(n)
+    for n, h, w in zip(dims, flags, ws):
+        width = coord_dim(n, h)
+        read = sdp.hmat if h else sdp.smat
+        mats = np.stack([read(row[off : off + width], n) for row in a])
+        out += np.einsum("jab,lba->jl", mats, w @ mats @ w).real
+        off += width
     return out
 
 
@@ -63,11 +84,17 @@ def random_spd(n, rng):
     return g @ g.T / n + 0.1 * np.eye(n)
 
 
+def random_hpd(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T / n + 0.1 * np.eye(n)
+
+
 class TestSchur:
-    def check(self, a, dims, rng):
-        ws = [random_spd(n, rng) for n in dims]
-        ref = dense_schur(a, dims, ws)
-        got = sdp._Constraints(a, dims).schur(ws)
+    def check(self, a, dims, rng, hermitian=None):
+        flags = hermitian or [False] * len(dims)
+        ws = [random_hpd(n, rng) if h and n > 1 else random_spd(n, rng) for n, h in zip(dims, flags)]
+        ref = dense_schur(a, dims, ws, hermitian)
+        got = sdp._Constraints(a, dims, hermitian).schur(ws)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_planted_dense_rows(self, rng):
@@ -96,7 +123,22 @@ class TestSchur:
         for i, h in enumerate(hermitian_basis(3)):
             prog.add_constraint({x: h, betas[i % 3]: np.eye(1)}, 0.0, sense="<=")
         problem = prog.build()
-        self.check(problem.A, problem.block_dims, rng)
+        assert problem.hermitian == [True] * 4 + [False] * 9
+        self.check(problem.A, problem.block_dims, rng, problem.hermitian)
+
+    def test_hermitian_blocks(self, rng):
+        # Two 3x3 Hermitian blocks share an update, a real 3x3 block has its
+        # own stack, a 1x1 Hermitian block joins the real scalars, and the
+        # two 5x5 Hermitian blocks are as wide as the widest; rows are dense.
+        dims = [3, 1, 3, 5, 1, 3, 5, 2]
+        flags = [True, True, True, True, False, False, True, True]
+        prob, _ = planted_problem(dims, 11, rng, flags)
+        self.check(prob.A, dims, rng, flags)
+        cons = sdp._Constraints(prob.A, dims, flags)
+        assert [(n, g, cplx) for n, g, _, cplx in cons.stacks] == [
+            (2, 1, True), (3, 2, True), (5, 2, True), (1, 2, False), (3, 1, False),
+        ]
+        assert [w.ravel().tolist() for w in cons.weights][3] == [2.0, 1.0]
 
     def test_contiguous_and_scattered_row_subsets(self, rng):
         # Block 0 is touched by rows 2-5 only, a contiguous strict subset
@@ -113,28 +155,40 @@ class TestSchur:
 
 
 def eig_fn(m, f):
-    """f(m) of one symmetric matrix through its eigendecomposition."""
+    """f(m) of one Hermitian matrix through its eigendecomposition."""
     w, v = np.linalg.eigh(m)
-    return (v * f(w)) @ v.T
+    return (v * f(w)) @ v.conj().T
 
 
-def spd_stack(g, n, rng):
-    return np.stack([random_spd(n, rng) for _ in range(g)])
+def pd_stack(g, n, rng, kind):
+    make = random_hpd if kind is complex else random_spd
+    return np.stack([make(n, rng) for _ in range(g)])
 
 
-def sym_stack(g, n, rng):
+def sym_stack(g, n, rng, kind):
     m = rng.normal(size=(g, n, n))
-    return (m + m.swapaxes(-1, -2)) / 2
+    if kind is complex:
+        m = m + 1j * rng.normal(size=(g, n, n))
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+# Real stacks keep the ids "1", "2", "5"; complex Hermitian ones are "herm-n".
+STACK_CASES = pytest.mark.parametrize(
+    "n, kind",
+    [(1, float), (2, float), (5, float), (1, complex), (2, complex), (5, complex)],
+    ids=["1", "2", "5", "herm-1", "herm-2", "herm-5"],
+)
 
 
 class TestStackKernels:
     """The kernels on a (g, n, n) stack against per-matrix references."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_nt_scaling(self, n, rng):
-        x, s = spd_stack(4, n, rng), spd_stack(4, n, rng)
+    @STACK_CASES
+    def test_nt_scaling(self, n, kind, rng):
+        x, s = pd_stack(4, n, rng, kind), pd_stack(4, n, rng, kind)
         w_mat, w_half, w_mhalf, lam, xs_mhalf = sdp._nt_scaling(x, s)
         assert xs_mhalf.shape == (2, 4, n, n)
+        assert w_mat.dtype == lam.dtype == np.dtype(kind)
         for i in range(4):
             err = np.linalg.norm(w_mat[i] @ s[i] @ w_mat[i] - x[i])
             assert err <= 1e-10 * np.linalg.norm(x[i])
@@ -156,18 +210,18 @@ class TestStackKernels:
             for got, want in zip((w_mat[i], w_half[i], w_mhalf[i], lam[i], xs_mhalf[:, i]), alone):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_lam_inverse_op(self, n, rng):
-        lam, r = spd_stack(4, n, rng), sym_stack(4, n, rng)
+    @STACK_CASES
+    def test_lam_inverse_op(self, n, kind, rng):
+        lam, r = pd_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
         x = sdp._lam_inverse_op(lam)(r)
         for i in range(4):
             resid = (lam[i] @ x[i] + x[i] @ lam[i]) / 2 - r[i]
             assert np.abs(resid).max() <= 1e-10 * np.abs(r[i]).max()
-            assert np.array_equal(x[i], x[i].T)
+            assert np.array_equal(x[i], x[i].conj().T)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_max_step(self, n, rng):
-        m, dm = spd_stack(4, n, rng), sym_stack(4, n, rng)
+    @STACK_CASES
+    def test_max_step(self, n, kind, rng):
+        m, dm = pd_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
         m_mhalf = sdp._psd_sqrt_pair(m)[1]
 
         def step(mk, dk):
@@ -182,20 +236,20 @@ class TestStackKernels:
             assert sdp._max_step(m_mhalf[i], dm[i]) == pytest.approx(
                 step(m[i], dm[i]), rel=1e-10
             )
-        psd = np.stack([random_spd(n, rng) for _ in range(4)])
+        psd = pd_stack(4, n, rng, kind)
         assert sdp._max_step(m_mhalf, psd) == np.inf
 
 
 class TestFactorization:
     def test_one_cholesky_per_iteration(self, rng, monkeypatch):
         calls = []
-        real = scipy.linalg.cho_factor
+        potrf, potrs = sdp._cholesky_routines()
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return real(*args, **kwargs)
+            return potrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        monkeypatch.setattr(sdp, "_CHOLESKY", (counting, potrs))
         prob, _ = planted_problem([3, 2, 1], 5, rng)
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
@@ -231,26 +285,31 @@ class TestFactorization:
         assert not sol.used_lstsq
 
 
-class TestRealify:
-    def test_svec_index_map(self, rng):
-        for n in (1, 2, 3, 16):
-            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            k = g + g.conj().T
-            index, weight = sdp._realify_svec_map(n)
-            got = np.ascontiguousarray(k).reshape(-1).view(float)[index] * weight
-            assert np.array_equal(got, sdp.svec(sdp.realify(k) / 2.0))
+class TestHvec:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_roundtrip(self, n, rng):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = (g + g.conj().T) / 2
+        v = sdp.hvec(m)
+        assert v.shape == (n * n,) and v.dtype == float
+        assert np.allclose(sdp.hmat(v, n), m, rtol=0, atol=1e-15)
+        assert np.array_equal(sdp.hvec(sdp.hmat(v, n)), v)
 
-    def test_psd_equivalence(self, rng):
-        x = random_density(3, rng)
-        r = sdp.realify(x)
-        assert np.linalg.eigvalsh(r).min() >= -1e-12
-        assert np.allclose(sdp.derealify(r, 3), x)
+    def test_inner_product(self, rng):
+        for n in (1, 2, 5):
+            a, b = (sym_stack(1, n, rng, complex)[0] for _ in range(2))
+            assert np.dot(sdp.hvec(a), sdp.hvec(b)) == pytest.approx(np.trace(a @ b).real)
 
-    def test_inner_product_factor(self, rng):
-        x = random_density(3, rng)
-        k = random_density(3, rng)
-        lhs = np.trace(sdp.realify(k) / 2 @ sdp.realify(x))
-        assert lhs == pytest.approx(np.trace(k @ x).real)
+    def test_psd_read_from_eigenvalues(self, rng):
+        # hmat(v) is PSD exactly when its eigenvalues are nonnegative: a
+        # density matrix is, and it stops being as its smallest eigenvalue
+        # is pushed below zero.
+        x = random_density(4, rng)
+        w, v = np.linalg.eigh(x)
+        back = sdp.hmat(sdp.hvec(x), 4)
+        assert np.linalg.eigvalsh(back).min() >= -1e-15
+        shifted = x - (w[0] + 1e-3) * np.outer(v[:, 0], v[:, 0].conj())
+        assert np.linalg.eigvalsh(sdp.hmat(sdp.hvec(shifted), 4)).min() == pytest.approx(-1e-3)
 
 
 class TestSolver:
@@ -340,9 +399,29 @@ class TestSolver:
         assert sol.status == "optimal"
         assert sol.primal_objective == pytest.approx(opt, abs=1e-6)
 
+    def test_planted_hermitian_instances(self, rng):
+        for _ in range(10):
+            k = int(rng.integers(1, 4))
+            dims = [int(rng.integers(1, 6)) for _ in range(k)] + [1]
+            flags = [bool(rng.integers(0, 2)) for _ in range(k)] + [True]
+            total = sum(coord_dim(n, h) for n, h in zip(dims, flags))
+            prob, opt = planted_problem(dims, int(rng.integers(2, total // 2 + 3)), rng, flags)
+            sol = sdp.solve(prob)
+            assert sol.status == "optimal"
+            assert sol.primal_residual <= 1e-8
+            assert abs(sol.primal_objective - opt) <= 1e-6 * (1 + abs(opt))
+            for k, (n, h) in enumerate(zip(dims, flags)):
+                block = sol.block(k)
+                assert block.dtype == (complex if h else float)
+                assert np.linalg.eigvalsh(block).min() >= -1e-7
+
     def test_rejects_oversized_blocks(self):
         with pytest.raises(ValidationError):
             sdp.SdpProblem([200], np.zeros(200 * 201 // 2), np.zeros((0, 200 * 201 // 2)), np.zeros(0))
+        # A Hermitian block counts at twice its dimension.
+        with pytest.raises(ValidationError):
+            sdp.SdpProblem([65], np.zeros(65 * 65), np.zeros((0, 65 * 65)), np.zeros(0), [True])
+        sdp.SdpProblem([64], np.zeros(64 * 64), np.zeros((0, 64 * 64)), np.zeros(0), [True])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
