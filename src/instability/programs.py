@@ -10,6 +10,14 @@ All equality constraints involving Delta^* are expressed in an orthonormal
 Hermitian basis of the fixed-point algebra, which keeps the row space
 full rank; membership of an algebra element in the PSD cone is imposed
 blockwise on its B-factor components.
+
+When the fixed algebra is one-dimensional (one block with d_B = 1: a
+replacer by gamma, the depolarizer and any tensor product of them, such as
+a replacer joined with a currency system), Delta^*(Gamma) = tr[gamma Gamma] I
+for every effect.  Both hypothesis tests then equal D_H^eps(rho || gamma),
+and they are answered by the exact Neyman-Pearson scan of
+:func:`~instability.divergences.neyman_pearson` instead of an interior-point
+solve.  `HypothesisTestingResult.method` says which path ran.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DestructionChannel, hermitian_basis
+from .divergences import neyman_pearson
 from .errors import SolverError, ValidationError
 from .linalg import check_density, herm, rank_tol
 from .sdp import HermitianProgram, SdpSolution
@@ -28,10 +37,19 @@ DEFAULT_SOLVER_KW = dict(feas_tol=1e-8, gap_tol=1e-7, max_iter=200)
 
 @dataclass(frozen=True)
 class HypothesisTestingResult:
+    """The value, its optimal c and witnessing effect, and the path taken.
+
+    `method` is "sdp" (interior point), "neyman_pearson" (the exact scan for
+    a one-dimensional fixed algebra) or "closed_form" (eps = 1, ht_free at
+    eps = 0, and restricted_ht at eps = 0 on a full-rank state).  The two
+    exact paths carry `_degenerate_solution()`, whose gap is 0.
+    """
+
     value: float          # bits
     scale: float          # the optimal c (2^{-value})
     gamma: np.ndarray     # witnessing effect
     solution: SdpSolution
+    method: str = "sdp"
 
 
 def _check_eps(eps: float) -> float:
@@ -85,11 +103,40 @@ def restricted_ht(
     """
     eps = _check_eps(eps)
     rho = check_density(rho, channel.dim)
-    d = channel.dim
     if eps >= 1.0:
-        return HypothesisTestingResult(
-            float("inf"), 0.0, np.zeros((d, d), dtype=complex), _degenerate_solution()
-        )
+        return _eps_one_result(channel.dim)
+    if _trivial_algebra(channel):
+        return _neyman_pearson_result(rho, channel, eps)
+    return _restricted_ht_sdp(rho, channel, eps, **solver_kw)
+
+
+def _trivial_algebra(channel: DestructionChannel) -> bool:
+    """Whether the fixed algebra is C I (one block with d_B = 1)."""
+    return len(channel.blocks) == 1 and channel.blocks[0].d_b == 1
+
+
+def _eps_one_result(d: int) -> HypothesisTestingResult:
+    """eps = 1: the zero effect passes, and the value is infinite."""
+    return HypothesisTestingResult(
+        float("inf"), 0.0, np.zeros((d, d), dtype=complex), _degenerate_solution(),
+        "closed_form",
+    )
+
+
+def _neyman_pearson_result(
+    rho, channel: DestructionChannel, eps: float
+) -> HypothesisTestingResult:
+    """Both tests for a one-dimensional fixed algebra: the optimal test of
+    rho against the fixed state, clipped and polished like a solver's."""
+    test = neyman_pearson(rho, channel.fixed_state(), eps)
+    return _ht_result(test.gamma, channel, _degenerate_solution(), "neyman_pearson")
+
+
+def _restricted_ht_sdp(
+    rho, channel: DestructionChannel, eps: float, **solver_kw
+) -> HypothesisTestingResult:
+    """restricted_ht by interior point, for a validated state and eps < 1."""
+    d = channel.dim
     kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     if eps <= 0.0:
         return _restricted_ht_perfect(rho, channel, kw)
@@ -126,7 +173,9 @@ def _restricted_ht_perfect(
     q = v[:, ~live]
     k = q.shape[1]
     if k == 0:  # full rank: Gamma = I, and Delta^*(I) = I
-        return _ht_result(np.eye(d, dtype=complex), channel, _degenerate_solution())
+        return _ht_result(
+            np.eye(d, dtype=complex), channel, _degenerate_solution(), "closed_form"
+        )
     prog = HermitianProgram()
     g = prog.add_hermitian(k)
     s = prog.add_hermitian(k)
@@ -145,13 +194,13 @@ def _restricted_ht_perfect(
 
 
 def _ht_result(
-    gamma, channel: DestructionChannel, sol: SdpSolution
+    gamma, channel: DestructionChannel, sol: SdpSolution, method: str = "sdp"
 ) -> HypothesisTestingResult:
     """The clipped and polished effect, with -log2 c of its scalar dual image."""
     gamma, c_star = _polish_to_scaled_identity(_clip_effect(gamma), channel)
     if c_star <= 0:
-        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol)
-    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol)
+        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol, method)
+    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
 
 
 def ht_free(
@@ -168,18 +217,27 @@ def ht_free(
     """
     eps = _check_eps(eps)
     rho = check_density(rho, channel.dim)
-    d = channel.dim
     if eps >= 1.0:
-        return HypothesisTestingResult(
-            float("inf"), 0.0, np.zeros((d, d), dtype=complex), _degenerate_solution()
-        )
+        return _eps_one_result(channel.dim)
     if eps <= 0.0:
         from .linalg import support_projector
 
         gamma = support_projector(rho)
         c_star = float(np.linalg.eigvalsh(herm(channel.apply_dual(gamma)))[-1])
         value = -float(np.log2(c_star)) if c_star > 0 else float("inf")
-        return HypothesisTestingResult(value, c_star, gamma, _degenerate_solution())
+        return HypothesisTestingResult(
+            value, c_star, gamma, _degenerate_solution(), "closed_form"
+        )
+    if _trivial_algebra(channel):
+        return _neyman_pearson_result(rho, channel, eps)
+    return _ht_free_sdp(rho, channel, eps, **solver_kw)
+
+
+def _ht_free_sdp(
+    rho, channel: DestructionChannel, eps: float, **solver_kw
+) -> HypothesisTestingResult:
+    """ht_free by interior point, for a validated state and 0 < eps < 1."""
+    d = channel.dim
     kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     prog = HermitianProgram()
     g = prog.add_hermitian(d)

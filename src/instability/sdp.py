@@ -13,12 +13,20 @@ The iterates are stacks: the blocks of one kind and size n form one
 (g, n, n) stack, complex for Hermitian blocks, and NT scaling, the inverse
 of L_lam, the scaled products, the Jordan corrector and the step length
 each run once per stack, with the 1x1 blocks (scalar slacks and 1x1
-Hermitian variables) as the n = 1 stack.  The step length reuses the
-inverse square roots of x and s that the scaling computes.  A Hermitian
-block has barrier weight 2, the weight of the real 2n x 2n block
-[[Re X, -Im X], [Im X, Re X]] it is equivalent to: it counts 2n in the
-barrier parameter, its centering target is 2 gamma mu I and it starts at
-x = I, s = 2I, on the central path.
+Hermitian variables) as the n = 1 stack.  The NT scaling takes no
+eigendecomposition: a Cholesky of x and s and an SVD of L_s^H L_x give a
+factor G with W = G G^H and G^{-1} x G^{-H} = G^H s G = diag(sigma), so
+the scaled point lam is diagonal, L_lam^{-1} is an elementwise division
+and Q_{W^{1/2}} is V -> G V G^H.  A step length is the smallest
+eigenvalue of a scaled direction divided elementwise by
+sqrt(sigma_i sigma_j), and the predictor's scaled directions are the
+corrector's second-order term.  Per stack, an iteration makes one batched
+Cholesky, one batched SVD and two batched eigvalsh calls, and no eigh; a
+Cholesky that fails is a numerical breakdown, and the solver returns its
+best iterate.  A Hermitian block has barrier weight 2, the weight of the
+real 2n x 2n block [[Re X, -Im X], [Im X, Re X]] it is equivalent to: it
+counts 2n in the barrier parameter, its centering target is 2 gamma mu I
+and it starts at x = I, s = 2I, on the central path.
 
 The constraint rows the task programs emit are sparse (a few nonzeros per
 row of a 16x16 Hermitian block at d = 16), so after presolve A is held as
@@ -245,51 +253,38 @@ def _sym(m):
     return (m + _ct(m)) / 2
 
 
-def _psd_sqrt_pair(m: np.ndarray, floor: float = 1e-300):
-    """(m^{1/2}, m^{-1/2}) of Hermitian m, from its lower triangle."""
-    w, v = np.linalg.eigh(m)
-    r = np.sqrt(np.clip(w, floor, None))[..., None, :]
-    vt = _ct(v)
-    return (v * r) @ vt, (v / r) @ vt
-
-
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling W with W s W = x for Hermitian x, s > 0: the tuple
-    (W, W^{1/2}, W^{-1/2}, lam, [x^{-1/2}, s^{-1/2}]).
+    """NT scaling of Hermitian x, s > 0 without an eigendecomposition:
+    (W, G, G^{-1}, sigma) with W = G G^H, W s W = x and
+    G^{-1} x G^{-H} = G^H s G = diag(sigma).
 
-    lam = W^{-1/2} x W^{-1/2} is the scaled point.  x and s are decomposed
-    in one call, and their inverse square roots, stacked on a new first
-    axis, are for the step length to reuse.
+    One Cholesky of the stacked pair gives x = L_x L_x^H and
+    s = L_s L_s^H, and one SVD L_s^H L_x = U diag(sigma) V^H gives
+    G = L_x V sigma^{-1/2} and G^{-1} = sigma^{-1/2} U^H L_s^H (Todd, Toh &
+    Tutuncu, SIAM J. Optim. 8, 1998).  A factor that is not positive
+    definite raises LinAlgError.
     """
-    (xh, _), m_mhalf = _psd_sqrt_pair(np.stack([x, s]))
-    g_mhalf = _psd_sqrt_pair(_sym(xh @ s @ xh))[1]
-    w_mat = _sym(xh @ g_mhalf @ xh)
-    w_half, w_mhalf = _psd_sqrt_pair(w_mat)
-    lam = _sym(w_mhalf @ x @ w_mhalf)
-    return w_mat, w_half, w_mhalf, lam, m_mhalf
+    lx, ls = np.linalg.cholesky(np.stack([x, s]))
+    u, sig, vh = np.linalg.svd(_ct(ls) @ lx)
+    root = np.sqrt(sig)
+    g = (lx @ _ct(vh)) / root[..., None, :]
+    g_inv = (_ct(u) @ _ct(ls)) / root[..., :, None]
+    return _sym(g @ _ct(g)), g, g_inv, sig
 
 
 def _jordan(a, b):
     return (a @ b + b @ a) / 2.0
 
 
-def _lam_inverse_op(lam: np.ndarray):
-    """Return R -> L_lam^{-1}(R), the X with (lam X + X lam)/2 = R, using
-    the eigenbasis of Hermitian lam."""
-    w, v = np.linalg.eigh(lam)
-    denom = (w[..., :, None] + w[..., None, :]) / 2.0
-    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-    vt = _ct(v)
-
-    def solve(r):
-        return _sym(v @ ((vt @ r @ v) / denom) @ vt)
-
-    return solve
+def _lam_inverse(sig: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The X with (diag(sig) X + X diag(sig))/2 = R, member by member."""
+    return r / ((sig[..., :, None] + sig[..., None, :]) / 2.0)
 
 
-def _max_step(m_mhalf: np.ndarray, dm: np.ndarray) -> float:
-    """sup {alpha : m + alpha dm >= 0} over every member, given m^{-1/2} of m > 0."""
-    lam_min = np.linalg.eigvalsh(_sym(m_mhalf @ dm @ m_mhalf))[..., 0].min()
+def _max_step(sig: np.ndarray, dm: np.ndarray) -> float:
+    """sup {alpha : diag(sig) + alpha dm >= 0} over every member, for sig > 0."""
+    root = np.sqrt(sig)
+    lam_min = np.linalg.eigvalsh(dm / (root[..., :, None] * root[..., None, :]))[..., 0].min()
     if lam_min >= -1e-300:
         return np.inf
     return -1.0 / lam_min
@@ -703,10 +698,14 @@ def solve(
 
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                scal = [_nt_scaling(xk, sk) for xk, sk in zip(split(x), split(s))]
-                w, w_half, w_mhalf, lam, xs_mhalf = zip(*scal)
-                lam_solvers = [_lam_inverse_op(lk) for lk in lam]
-                lam_sq = [_sym(lk @ lk) for lk in lam]
+                w, g, g_inv, sig = zip(
+                    *(_nt_scaling(xk, sk) for xk, sk in zip(split(x), split(s)))
+                )
+                # (G^{-1}, G^H) on a new first axis: a direction pair (dx, ds)
+                # is scaled to (G^{-1} dx G^{-H}, G^H ds G) in one product.
+                scalers = [np.stack([gi, _ct(gk)]) for gk, gi in zip(g, g_inv)]
+                # lam = diag(sig) is the scaled point.
+                lam_sq = [np.eye(sk.shape[-1]) * (sk * sk)[..., None, :] for sk in sig]
 
                 # Schur complement M = A Q_W A^T, factored once for u2 and
                 # both direction solves.
@@ -723,8 +722,11 @@ def solve(
                 a_qw_rd = op_a(qw_rd)
 
                 def direction(eta, comp_rhs, rhs_tk, refine=False):
-                    d_c = join(f(r) for f, r in zip(lam_solvers, comp_rhs))
-                    qwh_dc = q_apply(w_half, d_c)
+                    # Q_{W^{1/2}}(L_lam^{-1}(comp_rhs)) taken as G d_c G^H.
+                    qwh_dc = join(
+                        _sym(gk @ _lam_inverse(sk, r) @ _ct(gk))
+                        for gk, sk, r in zip(g, sig, comp_rhs)
+                    )
                     rhs1 = eta * a_qw_rd - op_a(qwh_dc) - eta * rp
                     u1 = solve_m(rhs1)
                     if refine:
@@ -750,21 +752,24 @@ def solve(
                     return dx, dy, ds, d_tau, d_kappa
 
                 def max_alpha(dx, ds, d_tau, d_kappa):
-                    steps = [
-                        _max_step(h, np.stack([dxk, dsk]))
-                        for h, dxk, dsk in zip(xs_mhalf, split(dx), split(ds))
+                    """The step to the boundary and the scaled (dx, ds) pairs."""
+                    scaled = [
+                        _sym(f @ np.stack([dxk, dsk]) @ _ct(f))
+                        for f, dxk, dsk in zip(scalers, split(dx), split(ds))
                     ]
+                    steps = [_max_step(sk, pair) for sk, pair in zip(sig, scaled)]
                     if d_tau < 0:
                         steps.append(-tau / d_tau)
                     if d_kappa < 0:
                         steps.append(-kappa / d_kappa)
-                    return min(steps)
+                    return min(steps), scaled
 
                 # Predictor (affine) direction.
                 dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(
                     1.0, [-l2 for l2 in lam_sq], -tau * kappa
                 )
-                alpha_aff = min(1.0, 0.99 * max_alpha(dx_a, ds_a, dtau_a, dkap_a))
+                step_aff, scaled_aff = max_alpha(dx_a, ds_a, dtau_a, dkap_a)
+                alpha_aff = min(1.0, 0.99 * step_aff)
 
                 mu_aff = (
                     float((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a))
@@ -774,16 +779,12 @@ def solve(
 
                 # Corrector: second-order term in the scaled space.
                 comp = [
-                    gamma * mu * we
-                    - l2
-                    - _jordan(_sym(wm @ dxk @ wm), _sym(wh @ dsk @ wh))
-                    for we, l2, wm, wh, dxk, dsk in zip(
-                        w_eye, lam_sq, w_mhalf, w_half, split(dx_a), split(ds_a)
-                    )
+                    gamma * mu * we - l2 - _jordan(*pair)
+                    for we, l2, pair in zip(w_eye, lam_sq, scaled_aff)
                 ]
                 rhs_tk = gamma * mu - tau * kappa - dtau_a * dkap_a
                 dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk, True)
-                alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa))
+                alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa)[0])
                 if not np.isfinite(alpha) or alpha <= 1e-14:
                     break
 

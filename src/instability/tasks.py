@@ -153,7 +153,7 @@ def one_shot_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> Task
             "yield",
             max(m, 0.0) if np.isfinite(m) else m,
             eps,
-            {"effect": res.gamma},
+            {"effect": res.gamma, "method": res.method},
             {"sdp_gap": res.solution.gap},
         )
     gamma = res.gamma
@@ -165,7 +165,12 @@ def one_shot_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> Task
         "yield",
         m,
         eps,
-        {"effect": gamma, "currency_level": m, "channel": "binary measurement"},
+        {
+            "effect": gamma,
+            "currency_level": m,
+            "channel": "binary measurement",
+            "method": res.method,
+        },
         {
             "covariance": cov,
             "output_accuracy": out_err,
@@ -293,7 +298,7 @@ def battery_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> TaskR
     protocol = restricted_ht(joint_state, joint.channel, eps, **solver_kw)
     identity_residual = abs(res.value - (protocol.value - 1.0))
 
-    witness = {"effect": res.gamma}
+    witness = {"effect": res.gamma, "method": res.method}
     residuals = {
         "battery_identity": identity_residual,
         "sdp_gap": res.solution.gap,

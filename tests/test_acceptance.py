@@ -277,10 +277,12 @@ def test_criterion_11_sdp_vs_oracles():
         eps = float(rng.uniform(0.0, 0.5))
         rep = ch.replacer(gamma)
         oracle = dv.d_hypothesis(rho, gamma, eps)
+        # The public functions answer a replacer by the Neyman-Pearson scan
+        # itself; the interior-point bodies are what this compares.
         worst_exact = max(
             worst_exact,
-            abs(pr.restricted_ht(rho, rep, eps).value - oracle),
-            abs(pr.ht_free(rho, rep, eps).value - oracle),
+            abs(pr._restricted_ht_sdp(rho, rep, eps).value - oracle),
+            abs(pr._ht_free_sdp(rho, rep, eps).value - oracle),
         )
     assert worst_grid <= 1e-3
     assert worst_exact <= 1e-7

@@ -81,6 +81,7 @@ class TestCliCommands:
         ) == 0
         y = json.loads(capsys.readouterr().out)
         assert y["value"] == pytest.approx(1.0, abs=1e-6)
+        assert y["witness"]["method"] == "sdp"
         assert main(
             ["cost", "--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]
         ) == 0
@@ -130,6 +131,17 @@ class TestCliCommands:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == pytest.approx(1 - np.log2(0.9), abs=1e-6)
+        assert data["witness"]["method"] == "sdp"
+
+    def test_replacer_reports_the_exact_path(self, workdir, capsys):
+        gamma = np.diag([0.25, 0.75]).astype(complex)
+        sz.dump_json(sz.channel_to_json(ch.replacer(gamma)), str(workdir / "replacer.json"))
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "replacer.json")]
+        for command in ("yield", "battery"):
+            assert main([command, *io_args, "--eps", "0.1"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["witness"]["method"] == "neyman_pearson"
+            assert data["residuals"]["sdp_gap"] == 0.0
 
     def test_deterministic_output(self, workdir, tmp_path):
         args = [

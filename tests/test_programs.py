@@ -5,6 +5,7 @@ from instability import channels as ch
 from instability import divergences as dv
 from instability import programs as pr
 from instability import sdp
+from instability import tasks as tk
 from instability.linalg import check_density, herm, rank_tol, spectral_norm
 from instability.sampling import random_density, random_full_rank_density, random_unitary
 from tests.conftest import random_channel
@@ -91,13 +92,15 @@ class TestRestrictedHt:
 
     def test_against_replacer_oracle(self, rng):
         # under a replacer every effect has scalar dual image, so the
-        # restricted quantity is plain hypothesis testing against gamma
+        # restricted quantity is plain hypothesis testing against gamma; the
+        # interior-point body is tested, since restricted_ht itself runs the
+        # Neyman-Pearson scan here
         for _ in range(10):
             d = int(rng.integers(2, 4))
             gamma = random_full_rank_density(d, rng, 0.2)
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.6))
-            sdp_val = pr.restricted_ht(rho, ch.replacer(gamma), eps).value
+            sdp_val = pr._restricted_ht_sdp(rho, ch.replacer(gamma), eps).value
             oracle = dv.d_hypothesis(rho, gamma, eps)
             assert sdp_val == pytest.approx(oracle, abs=1e-7)
 
@@ -121,7 +124,7 @@ class TestHtFree:
             gamma = random_full_rank_density(d, rng, 0.2)
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.6))
-            lhs = pr.ht_free(rho, ch.replacer(gamma), eps).value
+            lhs = pr._ht_free_sdp(rho, ch.replacer(gamma), eps).value
             rhs = dv.d_hypothesis(rho, gamma, eps)
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
@@ -176,6 +179,71 @@ class TestHtFree:
             assert np.trace(rho @ res.gamma).real >= 1 - eps - 1e-8
             dual_top = np.linalg.eigvalsh(herm(c.apply_dual(res.gamma)))[-1]
             assert dual_top <= res.scale + 1e-10
+
+
+class TestExactPath:
+    """One block with d_B = 1: both tests are D_H^eps(rho || gamma)."""
+
+    def test_trivial_algebra_takes_the_scan(self, rng, monkeypatch):
+        gamma2 = random_full_rank_density(2, rng, 0.3)
+        battery = ch.tensor_compose(
+            ch.system(ch.replacer(gamma2)), tk.currency(1.0).system
+        ).channel
+        channels = {
+            "replacer": ch.replacer(random_full_rank_density(3, rng, 0.3)),
+            "depolarizer": ch.depolarizer(3),
+            "replacer (x) replacer": ch.tensor_channels(ch.replacer(gamma2), ch.replacer(GAMMA)),
+            "battery joint": battery,
+        }
+
+        def refuse(self, **kw):
+            raise AssertionError("interior-point solve on the exact path")
+
+        monkeypatch.setattr(sdp.HermitianProgram, "solve", refuse)
+        for name, c in channels.items():
+            rho = random_density(c.dim, rng, rank=c.dim - 1)
+            for run, eps in ((pr.restricted_ht, 0.1), (pr.restricted_ht, 0.0), (pr.ht_free, 0.1)):
+                res = run(rho, c, eps)
+                assert res.method == "neyman_pearson", name
+                assert res.solution.gap == 0.0 and res.solution.iterations == 0
+                want = dv.d_hypothesis(rho, c.fixed_state(), eps)
+                assert res.value == pytest.approx(want, abs=1e-12), name
+                assert spectral_norm(c.apply_dual(res.gamma) - res.scale * np.eye(c.dim)) <= 1e-12
+
+    def test_other_channels_stay_on_the_sdp(self, rng):
+        channels = [
+            ch.tensor_channels(ch.dephaser(2), ch.replacer(GAMMA)),
+            ch.cond_replacer(GAMMA, 2),
+        ]
+        for c in channels:
+            rho = random_density(c.dim, rng)
+            assert pr.restricted_ht(rho, c, 0.1).method == "sdp"
+            assert pr.ht_free(rho, c, 0.1).method == "sdp"
+
+    def test_closed_forms(self, rng):
+        rho = random_density(2, rng)
+        full = random_full_rank_density(2, rng)
+        assert pr.ht_free(rho, DEPH2, 0.0).method == "closed_form"
+        assert pr.ht_free(rho, ch.replacer(GAMMA), 0.0).method == "closed_form"
+        assert pr.restricted_ht(full, DEPH2, 0.0).method == "closed_form"
+        assert pr.restricted_ht(rho, DEPH2, 1.0).method == "closed_form"
+        assert pr.ht_free(rho, DEPH2, 1.0).method == "closed_form"
+
+    def test_sdp_matches_neyman_pearson(self, rng):
+        worst = 0.0
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            gamma = random_full_rank_density(d, rng, 0.2)
+            rho = random_density(d, rng)
+            eps = float(rng.uniform(0.05, 0.4))
+            rep = ch.replacer(gamma)
+            exact = dv.neyman_pearson(rho, gamma, eps).value
+            assert pr.restricted_ht(rho, rep, eps).value == pytest.approx(exact, abs=1e-12)
+            for body in (pr._restricted_ht_sdp, pr._ht_free_sdp):
+                res = body(rho, rep, eps)
+                assert res.method == "sdp"
+                worst = max(worst, abs(res.value - exact))
+        assert worst <= 1e-8
 
 
 class TestSmoothedDmax:
@@ -342,9 +410,9 @@ class TestAssembly:
         channel = assembly_channels()[name]
         rho, face = assembly_states()
         cases = [
-            (lambda: pr.restricted_ht(rho, channel, 0.1), reference_restricted_ht(rho, channel, 0.1)),
-            (lambda: pr.restricted_ht(face, channel, 0.0), reference_restricted_face(face, channel)),
-            (lambda: pr.ht_free(rho, channel, 0.1), reference_ht_free(rho, channel, 0.1)),
+            (lambda: pr._restricted_ht_sdp(rho, channel, 0.1), reference_restricted_ht(rho, channel, 0.1)),
+            (lambda: pr._restricted_ht_sdp(face, channel, 0.0), reference_restricted_face(face, channel)),
+            (lambda: pr._ht_free_sdp(rho, channel, 0.1), reference_ht_free(rho, channel, 0.1)),
             (lambda: pr.dmax_smoothed_free(rho, channel, 0.0), reference_dmax(rho, channel, 0.0)),
             (lambda: pr.dmax_smoothed_free(rho, channel, 0.05), reference_dmax(rho, channel, 0.05)),
         ]
@@ -433,9 +501,9 @@ class TestRealifiedOracle:
         channel = assembly_channels()[name]
         rho, face = assembly_states()
         runs = [
-            lambda: pr.restricted_ht(rho, channel, 0.1),
-            lambda: pr.restricted_ht(face, channel, 0.0),
-            lambda: pr.ht_free(rho, channel, 0.1),
+            lambda: pr._restricted_ht_sdp(rho, channel, 0.1),
+            lambda: pr._restricted_ht_sdp(face, channel, 0.0),
+            lambda: pr._ht_free_sdp(rho, channel, 0.1),
             lambda: pr.dmax_smoothed_free(rho, channel, 0.0),
             lambda: pr.dmax_smoothed_free(rho, channel, 0.05),
         ]

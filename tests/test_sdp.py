@@ -186,58 +186,69 @@ class TestStackKernels:
     @STACK_CASES
     def test_nt_scaling(self, n, kind, rng):
         x, s = pd_stack(4, n, rng, kind), pd_stack(4, n, rng, kind)
-        w_mat, w_half, w_mhalf, lam, xs_mhalf = sdp._nt_scaling(x, s)
-        assert xs_mhalf.shape == (2, 4, n, n)
-        assert w_mat.dtype == lam.dtype == np.dtype(kind)
+        w_mat, g, g_inv, sig = sdp._nt_scaling(x, s)
+        assert w_mat.dtype == g.dtype == g_inv.dtype == np.dtype(kind)
+        assert sig.shape == (4, n) and sig.dtype == np.dtype(float)
         for i in range(4):
             err = np.linalg.norm(w_mat[i] @ s[i] @ w_mat[i] - x[i])
             assert err <= 1e-10 * np.linalg.norm(x[i])
-            # W = x^{1/2} (x^{1/2} s x^{1/2})^{-1/2} x^{1/2}, lam = W^{1/2} s W^{1/2}.
+            assert np.abs(g[i] @ g[i].conj().T - w_mat[i]).max() <= 1e-12 * np.abs(w_mat[i]).max()
+            assert np.abs(g_inv[i] @ g[i] - np.eye(n)).max() <= 1e-10
+            # Both scaled points are diag(sigma).
+            lam = np.diag(sig[i])
+            for scaled in (g_inv[i] @ x[i] @ g_inv[i].conj().T, g[i].conj().T @ s[i] @ g[i]):
+                assert np.abs(scaled - lam).max() <= 1e-10 * sig[i].max()
+            # W = x^{1/2} (x^{1/2} s x^{1/2})^{-1/2} x^{1/2}, and sigma is the
+            # spectrum of (x^{1/2} s x^{1/2})^{1/2}.
             xh = eig_fn(x[i], np.sqrt)
             ref_w = xh @ eig_fn(xh @ s[i] @ xh, lambda v: v**-0.5) @ xh
-            ref_w_half = eig_fn(ref_w, np.sqrt)
-            ref = {
-                "W": (w_mat[i], ref_w),
-                "W^1/2": (w_half[i], ref_w_half),
-                "W^-1/2": (w_mhalf[i], eig_fn(ref_w, lambda v: v**-0.5)),
-                "lam": (lam[i], ref_w_half @ s[i] @ ref_w_half),
-                "x^-1/2": (xs_mhalf[0, i], eig_fn(x[i], lambda v: v**-0.5)),
-                "s^-1/2": (xs_mhalf[1, i], eig_fn(s[i], lambda v: v**-0.5)),
-            }
-            for name, (got, want) in ref.items():
-                assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max(), name
+            assert np.abs(w_mat[i] - ref_w).max() <= 1e-8 * np.abs(ref_w).max()
+            ref_sig = np.sqrt(np.linalg.eigvalsh(xh @ s[i] @ xh))
+            assert np.abs(np.sort(sig[i]) - ref_sig).max() <= 1e-10 * ref_sig.max()
             alone = sdp._nt_scaling(x[i], s[i])
-            for got, want in zip((w_mat[i], w_half[i], w_mhalf[i], lam[i], xs_mhalf[:, i]), alone):
+            for got, want in zip((w_mat[i], g[i], g_inv[i], sig[i]), alone):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_nt_scaling_rejects_an_indefinite_point(self, rng):
+        x = random_spd(3, rng)
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._nt_scaling(x, -x)
 
     @STACK_CASES
     def test_lam_inverse_op(self, n, kind, rng):
-        lam, r = pd_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
-        x = sdp._lam_inverse_op(lam)(r)
+        sig, r = rng.uniform(0.1, 2.0, size=(4, n)), sym_stack(4, n, rng, kind)
+        x = sdp._lam_inverse(sig, r)
         for i in range(4):
-            resid = (lam[i] @ x[i] + x[i] @ lam[i]) / 2 - r[i]
+            lam = np.diag(sig[i])
+            resid = (lam @ x[i] + x[i] @ lam) / 2 - r[i]
             assert np.abs(resid).max() <= 1e-10 * np.abs(r[i]).max()
             assert np.array_equal(x[i], x[i].conj().T)
 
     @STACK_CASES
     def test_max_step(self, n, kind, rng):
-        m, dm = pd_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
-        m_mhalf = sdp._psd_sqrt_pair(m)[1]
+        x, s = pd_stack(4, n, rng, kind), pd_stack(4, n, rng, kind)
+        dx, ds = sym_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
+        _, g, g_inv, sig = sdp._nt_scaling(x, s)
+        ct = lambda m: m.conj().swapaxes(-1, -2)  # noqa: E731
+        scaled_x, scaled_s = g_inv @ dx @ ct(g_inv), ct(g) @ ds @ g
 
         def step(mk, dk):
             # sup {alpha : mk + alpha dk >= 0} from the generalized eigenvalues.
             low = scipy.linalg.eigh(dk, mk, eigvals_only=True)[0]
             return np.inf if low >= 0 else -1.0 / low
 
-        got = sdp._max_step(m_mhalf, dm)
-        want = min(step(m[i], dm[i]) for i in range(4))
-        assert got == pytest.approx(want, rel=1e-10)
-        for i in range(4):
-            assert sdp._max_step(m_mhalf[i], dm[i]) == pytest.approx(
-                step(m[i], dm[i]), rel=1e-10
-            )
+        for scaled, m, dm in ((scaled_x, x, dx), (scaled_s, s, ds)):
+            got = sdp._max_step(sig, scaled)
+            assert got == pytest.approx(min(step(m[i], dm[i]) for i in range(4)), rel=1e-10)
+            for i in range(4):
+                assert sdp._max_step(sig[i], scaled[i]) == pytest.approx(
+                    step(m[i], dm[i]), rel=1e-10
+                )
+        # The solver's stacked pair gives the smaller of the two steps.
+        both = sdp._max_step(sig, np.stack([scaled_x, scaled_s]))
+        assert both == min(sdp._max_step(sig, scaled_x), sdp._max_step(sig, scaled_s))
         psd = pd_stack(4, n, rng, kind)
-        assert sdp._max_step(m_mhalf, psd) == np.inf
+        assert sdp._max_step(sig, g_inv @ psd @ ct(g_inv)) == np.inf
 
 
 class TestFactorization:
@@ -543,13 +554,18 @@ class TestBlockOrder:
 class TestBatching:
     def test_eigh_calls_per_iteration_do_not_grow_with_slacks(self, rng, monkeypatch):
         # Every <= row adds a 1x1 slack block; the slacks are one stack, so
-        # they add no eigh call to an iteration.
-        calls = []
-        real = np.linalg.eigh
+        # they add no decomposition to an iteration, and the NT scaling and
+        # step lengths make no eigh call at all.
+        names = ("eigh", "cholesky", "svd", "eigvalsh")
+        calls = {name: 0 for name in names}
+        real = {name: getattr(np.linalg, name) for name in names}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
+
+            return call
 
         effects = [random_spd(3, rng) for _ in range(12)]
         target = random_density(3, rng)
@@ -561,13 +577,17 @@ class TestBatching:
             prog.add_constraint({x: np.eye(3)}, 1.0)
             for e in effects[:rows]:
                 prog.add_constraint({x: e}, float(np.trace(e)), sense="<=")
-            calls.clear()
-            monkeypatch.setattr(np.linalg, "eigh", counting)
+            calls.update(dict.fromkeys(names, 0))
+            for name in names:
+                monkeypatch.setattr(np.linalg, name, counting(name))
             sol, _ = prog.solve()
-            monkeypatch.setattr(np.linalg, "eigh", real)
+            for name in names:
+                monkeypatch.setattr(np.linalg, name, real[name])
             assert sol.status == "optimal"
+            assert calls["eigh"] == 0
+            assert calls["cholesky"] > 0
             # The last iteration stops on its residuals before any scaling.
-            per_iteration.append(len(calls) / (sol.iterations - 1))
+            per_iteration.append({k: v / (sol.iterations - 1) for k, v in calls.items()})
         assert per_iteration[0] == per_iteration[1]
 
 

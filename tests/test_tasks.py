@@ -72,6 +72,16 @@ class TestOneShotYield:
         rep = tk.one_shot_yield(sigma, SYS2, 0.0)
         assert rep.value == pytest.approx(0.0, abs=1e-8)
 
+    def test_witness_names_the_method(self, rng):
+        rho = random_density(2, rng)
+        rep_sys = ch.system(ch.replacer(random_full_rank_density(2, rng, 0.3)))
+        for sys_, method in ((SYS2, "sdp"), (rep_sys, "neyman_pearson")):
+            assert tk.one_shot_yield(rho, sys_, 0.1).witness["method"] == method
+            assert tk.battery_yield(rho, sys_, 0.1).witness["method"] == method
+        free = ch.random_free_state(DEPH2, rng)
+        assert tk.one_shot_yield(free, SYS2, 0.2).witness["method"] == "sdp"
+        assert tk.battery_yield(rho, SYS2, 0.0).witness["method"] == "closed_form"
+
 
 class TestOneShotCost:
     def test_free_state_costs_nothing(self, rng):
