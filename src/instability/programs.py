@@ -18,11 +18,19 @@ for every effect.  Both hypothesis tests then equal D_H^eps(rho || gamma),
 and they are answered by the exact Neyman-Pearson scan of
 :func:`~instability.divergences.neyman_pearson` instead of an interior-point
 solve.  `HypothesisTestingResult.method` says which path ran.
+
+On n copies of a qubit under the dephaser (in any basis),
+`_symmetric_restricted_ht` and `_symmetric_dmax_free` solve the restricted
+test and the smoothed max-relative entropy over the n//2 + 1 Schur-Weyl
+blocks of rho^{(x)n} from :func:`qubit_power_blocks`, each at most n + 1
+wide, instead of over 2^n x 2^n variables; `tasks.regularize_sweep` uses
+them, and the programs on the explicit tensor power are their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -354,3 +362,167 @@ def _degenerate_solution() -> SdpSolution:
         iterations=0,
         block_dims=[],
     )
+
+
+# ---------------------------------------------------------------------------
+# n copies of a qubit under the dephaser, reduced by permutation symmetry
+# ---------------------------------------------------------------------------
+#
+# Both programs on rho^{(x)n} under Delta^{(x)n} are convex and invariant
+# under permuting the copies, so an optimum may be taken permutation-
+# invariant (Gatermann & Parrilo, J. Pure Appl. Algebra 192, 2004).  By
+# Schur-Weyl duality such an operator is (+)_l X_l (x) I_{m_l} over the
+# Young diagrams (n - l, l), l = 0..n//2, with X_l of size N + 1, N = n - 2l,
+# and m_l = C(n, l) - C(n, l - 1); rho^{(x)n} has the blocks
+# R_l = det(rho)^l Sym^N(rho).  In the Dicke basis of block l, index a has
+# Hamming weight k = l + a, and Delta^{(x)n} sends an invariant operator to
+# sum_k f_k Pi_k over the Hamming-weight projectors, where C(n, k) f_k is
+# the sum over l of m_l (X_l)_{k-l, k-l}.
+
+
+def _is_qubit_dephaser(channel: DestructionChannel) -> bool:
+    """Whether the channel is the dephaser of a qubit in some basis (two
+    one-dimensional blocks)."""
+    return channel.dim == 2 and len(channel.blocks) == 2
+
+
+def _sym_power(m: np.ndarray, big_n: int) -> np.ndarray:
+    """Sym^N(m) in the Dicke basis |a> = S_a / sqrt(C(N, a)), where S_a is
+    the sum of the N-qubit basis states with a ones.
+
+    <S_a| m^{(x)N} |S_b> = sum_t N! / (t! (a-t)! (b-t)! (N-a-b+t)!)
+    m_11^t m_10^(a-t) m_01^(b-t) m_00^(N-a-b+t) = C(N, b) c_ab, with c_ab
+    the coefficient of y^a in (m_00 + m_10 y)^(N-b) (m_01 + m_11 y)^b.
+    """
+
+    def powers(c):  # coefficients of (c_0 + c_1 y)^k for k = 0..N
+        out = [np.ones(1, dtype=complex)]
+        for _ in range(big_n):
+            out.append(np.convolve(out[-1], c))
+        return out
+
+    p0, p1 = powers(m[:, 0]), powers(m[:, 1])
+    out = np.stack([np.convolve(p0[big_n - b], p1[b]) for b in range(big_n + 1)], axis=1)
+    norm = np.sqrt([comb(big_n, a) for a in range(big_n + 1)])
+    return herm(out * norm[None, :] / norm[:, None])
+
+
+def qubit_power_blocks(rho: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
+    """(l, m_l, R_l) for l = 0..n//2: rho^{(x)n} = (+)_l R_l (x) I_{m_l}."""
+    det = float(np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]))
+    return [
+        (ell, comb(n, ell) - (comb(n, ell - 1) if ell else 0),
+         det**ell * _sym_power(rho, n - 2 * ell))
+        for ell in range(n // 2 + 1)
+    ]
+
+
+def _weight_rows(n: int, ell: int, scale) -> np.ndarray:
+    """The (n + 1, N + 1, N + 1) stack whose member k is scale[k] times the
+    Dicke unit of Hamming weight k in block l (zero if l > k or k > n - l)."""
+    dim = n - 2 * ell + 1
+    out = np.zeros((n + 1, dim, dim))
+    a = np.arange(dim)
+    out[ell + a, a, a] = np.asarray(scale, dtype=float)[ell + a]
+    return out
+
+
+def _perfect_face(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q): the support projector of r (exactly I when r is full rank)
+    and an isometry onto its kernel."""
+    w, v = np.linalg.eigh(r)
+    live = w > tol
+    if live.all():
+        return np.eye(len(r), dtype=complex), v[:, :0]
+    return v[:, live] @ v[:, live].conj().T, v[:, ~live]
+
+
+def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
+    """restricted_ht(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the blocks
+    of :func:`qubit_power_blocks`.
+
+    The test is (+) X_l (x) I with 0 <= X_l <= I, Delta^*(Gamma) = c I is
+    one row per Hamming weight (the mean of Gamma's diagonal there is c),
+    and the value is -log2 of tr[clip(Gamma)] / 2^n, as in `_ht_result`.
+    At eps = 0 each X_l is P_l + Q_l G_l Q_l^dagger on the face of perfect
+    tests, as in `_restricted_ht_perfect`; at eps = 1 the value is infinite.
+    """
+    eps = _check_eps(eps)
+    if eps >= 1.0:
+        return float("inf")
+    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
+    if eps <= 0.0:
+        top = max(np.linalg.eigvalsh(r)[-1] for _, _, r in blocks)
+        faces = [_perfect_face(r, rank_tol(2**n, top)) for _, _, r in blocks]
+    else:
+        faces = [(np.zeros_like(r), np.eye(len(r))) for _, _, r in blocks]
+    gammas = [p for p, _ in faces]
+    if any(q.shape[1] for _, q in faces):
+        mean = [1.0 / comb(n, k) for k in range(n + 1)]
+        prog = HermitianProgram()
+        c = prog.add_scalar()
+        prog.add_objective(c, 1.0)
+        weight_terms, rhs, pass_terms, free = {c: -np.ones(n + 1)}, np.zeros(n + 1), {}, []
+        for (ell, mult, r), (p, q) in zip(blocks, faces):
+            rows = _weight_rows(n, ell, np.multiply(mult, mean))
+            rhs -= rows.diagonal(axis1=1, axis2=2) @ np.diagonal(p).real
+            k = q.shape[1]
+            g = prog.add_hermitian(k) if k else None
+            free.append(g)
+            if g is not None:
+                _add_box_rows(prog, g, prog.add_hermitian(k), k)
+                weight_terms[g] = q.conj().T @ rows @ q
+                pass_terms[g] = mult * (q.conj().T @ r @ q)
+        prog.add_constraint(weight_terms, rhs)
+        if eps > 0.0:
+            prog.add_constraint(pass_terms, 1.0 - eps, sense=">=")
+        sol, vals = prog.solve(**kw)
+        _require_solved(sol, "restricted hypothesis test")
+        gammas = [
+            p if g is None else p + q @ vals[g.index] @ q.conj().T
+            for (p, q), g in zip(faces, free)
+        ]
+    total = sum(
+        mult * float(np.clip(np.linalg.eigvalsh(herm(gm)), 0.0, 1.0).sum())
+        for (_, mult, _), gm in zip(blocks, gammas)
+    )
+    c_star = total / 2**n
+    return -float(np.log2(c_star)) if c_star > 0 else float("inf")
+
+
+def _symmetric_dmax_free(blocks, n: int, eps: float, **solver_kw) -> float:
+    """dmax_smoothed_free(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the
+    blocks of :func:`qubit_power_blocks`.
+
+    The free omega is sum_k f_k Pi_k with f_k >= 0, diag(f_l..f_{n-l}) in
+    block l, and tr[omega] = sum_k C(n, k) f_k.  Each block has its own
+    tau, ball witness P, Q = P - tau + R and omega - tau; the two trace rows
+    weigh block l by m_l.  At eps = 0 the ball collapses to rho, as in
+    `dmax_smoothed_free`.
+    """
+    eps = _check_eps(eps)
+    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
+    prog = HermitianProgram()
+    f = [prog.add_scalar() for _ in range(n + 1)]
+    for k, fk in enumerate(f):
+        prog.add_objective(fk, comb(n, k))
+    p_terms, t_terms = {}, {}
+    for ell, mult, r in blocks:
+        dim = len(r)
+        basis = hermitian_basis(dim)
+        overlaps = (basis.reshape(dim * dim, -1).conj() @ r.reshape(-1)).real
+        omega = {f[ell + a]: basis[:, a, a].real for a in range(dim)}
+        rr = prog.add_hermitian(dim)  # omega - tau >= 0
+        if eps <= 0.0:
+            prog.add_constraint({rr: -basis, **omega}, overlaps)
+            continue
+        t, p, q = (prog.add_hermitian(dim) for _ in range(3))
+        prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
+        prog.add_constraint({t: -basis, rr: -basis, **omega}, np.zeros(dim * dim))
+        p_terms[p] = t_terms[t] = mult * np.eye(dim)
+    if eps > 0.0:
+        prog.add_constraint(p_terms, eps, sense="<=")
+        prog.add_constraint(t_terms, 1.0)
+    sol, _ = prog.solve(**kw)
+    _require_solved(sol, "smoothed max-relative entropy")
+    return float(np.log2(max(sol.primal_objective, 1e-300)))

@@ -20,13 +20,15 @@ the scaled point lam is diagonal, L_lam^{-1} is an elementwise division
 and Q_{W^{1/2}} is V -> G V G^H.  A step length is the smallest
 eigenvalue of a scaled direction divided elementwise by
 sqrt(sigma_i sigma_j), and the predictor's scaled directions are the
-corrector's second-order term.  Per stack, an iteration makes one batched
-Cholesky, one batched SVD and two batched eigvalsh calls, and no eigh; a
-Cholesky that fails is a numerical breakdown, and the solver returns its
-best iterate.  A Hermitian block has barrier weight 2, the weight of the
-real 2n x 2n block [[Re X, -Im X], [Im X, Re X]] it is equivalent to: it
-counts 2n in the barrier parameter, its centering target is 2 gamma mu I
-and it starts at x = I, s = 2I, on the central path.
+corrector's second-order term.  Per stack of blocks wider than 1, an
+iteration makes one batched Cholesky, one batched SVD and two batched
+eigvalsh calls, and no eigh; the real 1x1 stack (the scalar slacks) takes
+the same formulas in closed form and makes no LAPACK call.  A Cholesky that
+fails, or a nonpositive scalar, is a numerical breakdown, and the solver
+returns its best iterate.  A Hermitian block has barrier weight 2, the
+weight of the real 2n x 2n block [[Re X, -Im X], [Im X, Re X]] it is
+equivalent to: it counts 2n in the barrier parameter, its centering target
+is 2 gamma mu I and it starts at x = I, s = 2I, on the central path.
 
 The constraint rows the task programs emit are sparse (a few nonzeros per
 row of a 16x16 Hermitian block at d = 16), so after presolve A is held as
@@ -261,9 +263,19 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     One Cholesky of the stacked pair gives x = L_x L_x^H and
     s = L_s L_s^H, and one SVD L_s^H L_x = U diag(sigma) V^H gives
     G = L_x V sigma^{-1/2} and G^{-1} = sigma^{-1/2} U^H L_s^H (Todd, Toh &
-    Tutuncu, SIAM J. Optim. 8, 1998).  A factor that is not positive
-    definite raises LinAlgError.
+    Tutuncu, SIAM J. Optim. 8, 1998).  A real stack of 1x1 blocks (the
+    scalar slacks) takes the same formulas in closed form, with no LAPACK
+    call: sigma = sqrt(x) sqrt(s), G = sqrt(x) / sqrt(sigma),
+    G^{-1} = sqrt(s) / sqrt(sigma) and W = G^2.  A factor that is not
+    positive definite raises LinAlgError.
     """
+    if x.shape[-1] == 1 and not np.iscomplexobj(x):
+        if not (np.all(x > 0) and np.all(s > 0)):
+            raise np.linalg.LinAlgError("scalar slack is not positive")
+        lx, ls = np.sqrt(x), np.sqrt(s)
+        root = np.sqrt(lx * ls)
+        g = lx / root
+        return g * g, g, ls / root, (lx * ls)[..., 0]
     lx, ls = np.linalg.cholesky(np.stack([x, s]))
     u, sig, vh = np.linalg.svd(_ct(ls) @ lx)
     root = np.sqrt(sig)
@@ -282,9 +294,14 @@ def _lam_inverse(sig: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _max_step(sig: np.ndarray, dm: np.ndarray) -> float:
-    """sup {alpha : diag(sig) + alpha dm >= 0} over every member, for sig > 0."""
+    """sup {alpha : diag(sig) + alpha dm >= 0} over every member, for sig > 0;
+    on a real 1x1 stack the scaled direction is its own eigenvalue."""
     root = np.sqrt(sig)
-    lam_min = np.linalg.eigvalsh(dm / (root[..., :, None] * root[..., None, :]))[..., 0].min()
+    scaled = dm / (root[..., :, None] * root[..., None, :])
+    if sig.shape[-1] == 1 and not np.iscomplexobj(dm):
+        lam_min = scaled.min()
+    else:
+        lam_min = np.linalg.eigvalsh(scaled)[..., 0].min()
     if lam_min >= -1e-300:
         return np.inf
     return -1.0 / lam_min

@@ -27,7 +27,15 @@ from .divergences import d_max
 from .errors import SolverError, ValidationError
 from .linalg import check_effect, herm, spectral_norm, trace_distance, trace_norm
 from .optimize import d_min_free, umegaki_free
-from .programs import dmax_smoothed_free, ht_free, restricted_ht
+from .programs import (
+    _is_qubit_dephaser,
+    _symmetric_dmax_free,
+    _symmetric_restricted_ht,
+    dmax_smoothed_free,
+    ht_free,
+    qubit_power_blocks,
+    restricted_ht,
+)
 
 log = logging.getLogger("instability.tasks")
 
@@ -396,10 +404,17 @@ def regularize_sweep(
     max-relative entropy (eigenvalue only, budget 256); cost_lo_rate is the
     smoothed lower bound (SDP budget).  The Umegaki rate is the common
     asymptotic target of both.
+
+    For a qubit dephaser in any basis (two one-dimensional blocks) the two
+    SDP rows solve permutation-invariant programs over the n//2 + 1
+    Schur-Weyl blocks of rho^{(x)n}, each at most n + 1 wide, with rho in
+    the dephaser's basis; every other channel builds rho^{(x)n} and
+    Delta^{(x)n} and solves the programs on them.
     """
     ch = sys.channel
     rho = np.asarray(rho, dtype=complex)
-    target = umegaki_free(rho, ch).value
+    target = umegaki_free(rho, ch).value  # validates rho
+    qubit = ch.to_block_frame(rho) if _is_qubit_dephaser(ch) else None
     rows = []
     rho_n = None
     sys_n = None
@@ -415,10 +430,15 @@ def regularize_sweep(
             "umegaki": target,
         }
         if dim_n <= YIELD_DIM_BUDGET:
-            row["yield_rate"] = restricted_ht(rho_n, sys_n.channel, eps, **solver_kw).value / n
-            row["cost_lo_rate"] = (
-                dmax_smoothed_free(rho_n, sys_n.channel, eps, **solver_kw).value / n
-            )
+            if qubit is None:
+                row["yield_rate"] = restricted_ht(rho_n, sys_n.channel, eps, **solver_kw).value / n
+                row["cost_lo_rate"] = (
+                    dmax_smoothed_free(rho_n, sys_n.channel, eps, **solver_kw).value / n
+                )
+            else:
+                blocks = qubit_power_blocks(qubit, n)
+                row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps, **solver_kw) / n
+                row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps, **solver_kw) / n
         else:
             log.info("n=%d: dimension %d exceeds the SDP budget %d, yield rows skipped",
                      n, dim_n, YIELD_DIM_BUDGET)

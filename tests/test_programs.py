@@ -286,6 +286,44 @@ class TestSmoothedDmax:
             )
 
 
+class TestSchurWeyl:
+    """qubit_power_blocks against rho^{(x)n} built explicitly."""
+
+    @pytest.mark.parametrize("rank", [2, 1], ids=["full-rank", "rank-1"])
+    def test_blocks_reproduce_the_tensor_power(self, rank, rng):
+        from math import comb
+
+        for _ in range(3):
+            rho = random_density(2, rng, rank=rank)
+            rho_n = rho
+            for n in range(1, 7):
+                rho_n = rho if n == 1 else np.kron(rho_n, rho)
+                blocks = pr.qubit_power_blocks(rho, n)
+                assert [ell for ell, _, _ in blocks] == list(range(n // 2 + 1))
+                assert sum(m * (n - 2 * ell + 1) for ell, m, _ in blocks) == 2**n
+                for k in range(n + 1):
+                    assert sum(m for ell, m, _ in blocks if ell <= min(k, n - k)) == comb(n, k)
+                assert sum(m * np.trace(r).real for _, m, r in blocks) == pytest.approx(
+                    1.0, abs=1e-13
+                )
+                spectrum = np.sort(np.concatenate(
+                    [np.repeat(np.linalg.eigvalsh(r), m) for _, m, r in blocks]
+                ))
+                assert np.abs(spectrum - np.linalg.eigvalsh(rho_n)).max() <= 1e-13
+                # Dicke index a of block l has Hamming weight l + a: the
+                # blocks carry the diagonal mass of each weight class.
+                weight = np.array([bin(x).count("1") for x in range(2**n)])
+                mass = np.zeros(n + 1)
+                for ell, m, r in blocks:
+                    mass[ell:n - ell + 1] += m * np.diagonal(r).real
+                assert np.abs(
+                    mass - np.bincount(weight, weights=np.diagonal(rho_n).real)
+                ).max() <= 1e-13
+                # Block 0 is rho^{(x)n} on the Dicke states.
+                dicke = np.stack([(weight == a) / np.sqrt(comb(n, a)) for a in range(n + 1)], 1)
+                assert np.abs(blocks[0][2] - dicke.T @ rho_n @ dicke).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Row assembly: each program emits its Hermitian-basis rows as one family;
 # the built problem must equal one assembled a row at a time.

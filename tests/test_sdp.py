@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from instability import programs, sdp
 from instability.channels import dephaser, hermitian_basis
@@ -249,6 +250,32 @@ class TestStackKernels:
         assert both == min(sdp._max_step(sig, scaled_x), sdp._max_step(sig, scaled_s))
         psd = pd_stack(4, n, rng, kind)
         assert sdp._max_step(sig, g_inv @ psd @ ct(g_inv)) == np.inf
+
+
+    def test_scalar_stack_closed_forms_match_lapack(self, rng):
+        # A real 1x1 stack takes the closed forms; the same stack as complex
+        # goes through the Cholesky, SVD and eigvalsh path.
+        x, s = rng.uniform(1e-3, 10.0, size=(2, 9, 1, 1))
+        fast = sdp._nt_scaling(x, s)
+        slow = sdp._nt_scaling(x.astype(complex), s.astype(complex))
+        assert all(f.dtype == np.dtype(float) for f in fast)
+        for got, want in zip(fast, slow):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        sig, g, g_inv = fast[3], fast[1], fast[2]
+        for pair in (rng.normal(size=(2, 9, 1, 1)), rng.uniform(0.1, 1.0, size=(2, 9, 1, 1))):
+            scaled = np.stack([g_inv * pair[0] * g_inv, g * pair[1] * g])
+            got, want = sdp._max_step(sig, scaled), sdp._max_step(sig, scaled.astype(complex))
+            if np.isinf(want):
+                assert got == np.inf
+            else:
+                assert abs(got - want) <= 1e-14 * want
+
+    def test_scalar_stack_rejects_a_nonpositive_point(self):
+        one = np.ones((2, 1, 1))
+        for bad in (0.0, -1.0):
+            for x, s in ((np.full_like(one, bad), one), (one, np.full_like(one, bad))):
+                with pytest.raises(np.linalg.LinAlgError):
+                    sdp._nt_scaling(x, s)
 
 
 class TestFactorization:
@@ -589,6 +616,32 @@ class TestBatching:
             # The last iteration stops on its residuals before any scaling.
             per_iteration.append({k: v / (sol.iterations - 1) for k, v in calls.items()})
         assert per_iteration[0] == per_iteration[1]
+
+    def test_all_scalar_lp_makes_no_batched_decomposition(self, rng, monkeypatch):
+        # Every block of an LP is a scalar, so the NT scaling and the step
+        # lengths are closed forms; the Schur matrix's Cholesky is the only
+        # factorization left in an iteration.
+        names = ("eigh", "cholesky", "svd", "eigvalsh")
+        calls = []
+        for name in names:
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+            )
+        prog = sdp.HermitianProgram()
+        xs = [prog.add_scalar() for _ in range(4)]
+        cost, weight = rng.uniform(0.5, 2.0, size=4), rng.uniform(0.0, 1.0, size=4)
+        for x, c in zip(xs, cost):
+            prog.add_objective(x, c)
+        prog.add_constraint(dict.fromkeys(xs, 1.0), 1.0)
+        prog.add_constraint(dict(zip(xs, weight)), 0.2, sense=">=")
+        sol, _ = prog.solve()
+        assert sol.status == "optimal" and sol.iterations > 2
+        assert calls == []
+        ref = scipy.optimize.linprog(
+            cost, A_ub=-weight[None], b_ub=[-0.2], A_eq=np.ones((1, 4)), b_eq=[1.0]
+        )
+        assert sol.primal_objective == pytest.approx(ref.fun, abs=1e-8)
 
 
 def test_import_leaves_scipy_linalg_and_sparse_unloaded():

@@ -3,10 +3,16 @@ import pytest
 
 from instability import channels as ch
 from instability import optimize as op
+from instability import sdp
 from instability import tasks as tk
 from instability.errors import SolverError, ValidationError
 from instability.linalg import herm
-from instability.sampling import random_density, random_effect, random_full_rank_density
+from instability.sampling import (
+    random_density,
+    random_effect,
+    random_full_rank_density,
+    random_unitary,
+)
 from tests.conftest import raised_lower_bound, random_channel
 
 PLUS = ch.plus_state(2)
@@ -317,6 +323,87 @@ class TestRegularize:
         lines = csv.strip().split("\n")
         assert lines[0] == "n,yield_rate,cost_lo_rate,cost_hi_rate,umegaki"
         assert len(lines) == 3
+
+
+_SWEEP_RNG = np.random.default_rng(909)
+REDUCED_CASES = {
+    "mixed": (random_density(2, _SWEEP_RNG), DEPH2),
+    "plus": (PLUS, DEPH2),
+    "nearly-free": (np.array([[0.3, 1e-3], [1e-3, 0.7]], dtype=complex), DEPH2),
+    "rotated": (
+        random_density(2, _SWEEP_RNG), ch.dephaser(2, basis=random_unitary(2, _SWEEP_RNG))
+    ),
+}
+
+
+def _spy(monkeypatch, name, log):
+    """Record each call of tasks.`name` in `log` as (name, n)."""
+    real = getattr(tk, name)
+
+    def call(first, second, *args, **kw):
+        log.append((name, second if isinstance(second, int) else first.shape[0]))
+        return real(first, second, *args, **kw)
+
+    monkeypatch.setattr(tk, name, call)
+
+
+class TestRegularizeReduced:
+    """A qubit dephaser's sweep solves the Schur-Weyl-reduced programs."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
+    @pytest.mark.parametrize("case", list(REDUCED_CASES))
+    def test_matches_the_tensor_programs(self, case, eps):
+        rho, channel = REDUCED_CASES[case]
+        one = ch.system(channel)
+        rows = tk.regularize_sweep(rho, one, eps, 4)
+        rho_n, sys_n = rho, one
+        for n, row in enumerate(rows, start=1):
+            if n > 1:
+                rho_n, sys_n = np.kron(rho_n, rho), ch.tensor_compose(sys_n, one)
+            y = tk.restricted_ht(rho_n, sys_n.channel, eps).value / n
+            lo = tk.dmax_smoothed_free(rho_n, sys_n.channel, eps).value / n
+            assert row["yield_rate"] == pytest.approx(y, abs=1e-8)
+            assert row["cost_lo_rate"] == pytest.approx(lo, abs=1e-8)
+
+    def test_eps_one_yield_is_infinite(self):
+        rows = tk.regularize_sweep(PLUS, SYS2, 1.0, 2)
+        assert all(r["yield_rate"] == np.inf for r in rows)
+
+    def test_blocks_are_at_most_n_plus_one_wide(self, monkeypatch, rng):
+        calls, widths = [], {}
+        real_build = sdp.HermitianProgram.build
+
+        def build(self):
+            problem = real_build(self)
+            n = calls[-1][1]
+            wide = [d for d, h in zip(problem.block_dims, problem.hermitian) if h]
+            widths[n] = max([widths.get(n, 0)] + wide)
+            return problem
+
+        for name in ("_symmetric_restricted_ht", "_symmetric_dmax_free",
+                     "restricted_ht", "dmax_smoothed_free"):
+            _spy(monkeypatch, name, calls)
+        monkeypatch.setattr(sdp.HermitianProgram, "build", build)
+        channel = ch.dephaser(2, basis=random_unitary(2, rng))
+        tk.regularize_sweep(random_density(2, rng), ch.system(channel), 0.05, 5)
+        assert {name for name, _ in calls} == {"_symmetric_restricted_ht", "_symmetric_dmax_free"}
+        assert widths == {n: n + 1 for n in range(1, 6)}
+
+    @pytest.mark.parametrize("which", ["currency", "dephaser(5)"])
+    def test_other_channels_reach_the_tensor_programs(self, which, monkeypatch):
+        calls = []
+        for name in ("_symmetric_restricted_ht", "_symmetric_dmax_free",
+                     "restricted_ht", "dmax_smoothed_free"):
+            _spy(monkeypatch, name, calls)
+        if which == "currency":
+            cur = tk.currency(1.5)
+            tk.regularize_sweep(cur.state, cur.system, 0.05, 3)
+            dims = [2, 4, 8]
+        else:
+            s = ch.system(ch.dephaser(5))
+            tk.regularize_sweep(random_density(5, np.random.default_rng(0)), s, 0.05, 2)
+            dims = [5, 25]
+        assert calls == [(name, d) for d in dims for name in ("restricted_ht", "dmax_smoothed_free")]
 
 
 class TestCovariance:
