@@ -19,10 +19,9 @@ from instability import (
     one_shot_yield,
     plus_state,
     replacer,
-    system,
 )
 
-qubit = system(dephaser(2))
+qubit = dephaser(2)
 plus = plus_state(2)
 
 print("Fully coherent qubit under dephasing:")
@@ -58,12 +57,12 @@ print(f"  eps=0.1 cost interval: [{lo:.6f}, {hi:.6f}]")
 print("\nCurrency units compose additively:")
 for m in (0.5, 1.0, 2.5):
     cur = currency(m)
-    print(f"  phi_{m}: yield0 = {one_shot_yield(cur.state, cur.system, 0.0).value:.9f}")
+    print(f"  phi_{m}: yield0 = {one_shot_yield(cur.state, cur.channel, 0.0).value:.9f}")
 
 print("\nCoherence converts to athermality (cross-mechanism free channel):")
 gibbs = np.diag([1 / 3, 2 / 3]).astype(complex)
 target = replacer(gibbs)
-residual = covariance_check(lambda e: np.trace(e) * gibbs, qubit.channel, target)
+residual = covariance_check(lambda e: np.trace(e) * gibbs, qubit, target)
 print(f"  the constant preparation tau -> tr[tau] gamma is destruction-covariant")
 print(f"  (residual {residual:.2e}); composing it after distillation moves")
 print("  coherent bits into thermodynamic ones at the currency exchange rate.")

@@ -12,14 +12,13 @@ the sweep takes well under a second.
 
 import numpy as np
 
-from instability import dephaser, plus_state, system
+from instability import dephaser, plus_state
 from instability.tasks import regularize_sweep, sweep_csv, sweep_diagnostics
 
 rho = 0.6 * plus_state(2) + 0.4 * np.eye(2) / 2
-sys2 = system(dephaser(2))
 
 eps = 0.05
-rows = regularize_sweep(rho, sys2, eps=eps, n_max=6)
+rows = regularize_sweep(rho, dephaser(2), eps=eps, n_max=6)
 print(sweep_csv(rows))
 
 diag = sweep_diagnostics(rows, eps)

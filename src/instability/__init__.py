@@ -9,7 +9,6 @@ independent brute-force oracles at desk scale.
 from .channels import (
     Block,
     DestructionChannel,
-    InstabilitySystem,
     cond_depolarizer,
     cond_replacer,
     dephaser,
@@ -23,7 +22,6 @@ from .channels import (
     standard_channel,
     system,
     tensor_channels,
-    tensor_compose,
     tpce,
 )
 from .divergences import (

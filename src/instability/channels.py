@@ -174,6 +174,15 @@ class DestructionChannel:
             return x
         return self.basis @ x @ self.basis.conj().T
 
+    def block_diagonal(self, parts) -> np.ndarray:
+        """The operator with parts[i] on block i (None for zero) and zero
+        off the blocks, in the original frame."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for s, part in zip(self._slices, parts):
+            if part is not None:
+                out[s, s] = part
+        return self.from_block_frame(out)
+
     # -- channel action ------------------------------------------------
     #
     # Each action gathers the diagonal blocks of one shape at once, acts on
@@ -215,23 +224,14 @@ class DestructionChannel:
             g.scatter(out, _kron(pow_from_eigh(*g.fixed_eig, r), np.eye(g.d_b)))
         return self.from_block_frame(out)
 
-    def fixed_input(self) -> np.ndarray:
-        return self.fixed_input_power(1.0)
-
     def fixed_state(self) -> np.ndarray:
         """The canonical full-rank fixed state Delta(I)/dim."""
-        return self.fixed_input() / self.dim
+        return self.fixed_input_power(1.0) / self.dim
 
     def twist(self, x: np.ndarray, r: float) -> np.ndarray:
         """Delta(I)^{r/2} X Delta(I)^{r/2}."""
         t = self.fixed_input_power(r / 2.0)
         return t @ as_matrix(x, self.dim) @ t
-
-    @property
-    def is_unital(self) -> bool:
-        return bool(
-            spectral_norm(self.fixed_input() - np.eye(self.dim)) <= 1e-10
-        )
 
     # -- fixed-point algebra ----------------------------------------------
 
@@ -244,21 +244,16 @@ class DestructionChannel:
         out = []
         for i, b in enumerate(self.blocks):
             for h in hermitian_basis(b.d_b):
-                e = np.zeros((self.dim, self.dim), dtype=complex)
-                e[self._slices[i], self._slices[i]] = np.kron(
-                    np.eye(b.d_a) / np.sqrt(b.d_a), h
-                )
-                out.append(self.from_block_frame(e))
+                parts = [None] * len(self.blocks)
+                parts[i] = np.kron(np.eye(b.d_a) / np.sqrt(b.d_a), h)
+                out.append(self.block_diagonal(parts))
         return out
 
     def embed_algebra_element(self, parts: list[np.ndarray]) -> np.ndarray:
         """Assemble (+)_i I_{A_i} (x) parts[i] in the original frame."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, b in enumerate(self.blocks):
-            out[self._slices[i], self._slices[i]] = np.kron(
-                np.eye(b.d_a), as_matrix(parts[i], b.d_b)
-            )
-        return self.from_block_frame(out)
+        return self.block_diagonal(
+            [np.kron(np.eye(b.d_a), as_matrix(parts[i], b.d_b)) for i, b in enumerate(self.blocks)]
+        )
 
     def dual_block_reduction(self, y: np.ndarray, i: int) -> np.ndarray:
         """The B_i component of Delta^*(Y): tr_A[(tau_i (x) I) Y_i], of one
@@ -302,20 +297,10 @@ class DestructionChannel:
         return ops
 
 
-@dataclass(frozen=True)
-class InstabilitySystem:
-    """A dimension paired with its destruction channel."""
-
-    dim: int
-    channel: DestructionChannel
-
-    def __post_init__(self):
-        if self.channel.dim != self.dim:
-            raise ValidationError("channel dimension does not match system")
-
-
-def system(channel: DestructionChannel) -> InstabilitySystem:
-    return InstabilitySystem(channel.dim, channel)
+def system(channel: DestructionChannel) -> DestructionChannel:
+    """The channel itself: every task takes the channel, and this alias
+    remains only because the benchmark workloads still call it."""
+    return channel
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +440,6 @@ def tensor_channels(a: DestructionChannel, b: DestructionChannel) -> Destruction
     return DestructionChannel(dim, u, tuple(blocks))
 
 
-def tensor_compose(a: InstabilitySystem, b: InstabilitySystem) -> InstabilitySystem:
-    return system(tensor_channels(a.channel, b.channel))
-
-
 # ---------------------------------------------------------------------------
 # Free states
 # ---------------------------------------------------------------------------
@@ -473,11 +454,10 @@ def free_state(channel: DestructionChannel, weights, betas) -> np.ndarray:
         raise ValidationError("weights must lie on the probability simplex")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    out = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for i, b in enumerate(channel.blocks):
-        beta = check_density(betas[i], b.d_b)
-        out[channel._slices[i], channel._slices[i]] = p[i] * np.kron(b.tau, beta)
-    return channel.from_block_frame(out)
+    return channel.block_diagonal(
+        [p[i] * np.kron(b.tau, check_density(betas[i], b.d_b))
+         for i, b in enumerate(channel.blocks)]
+    )
 
 
 def free_parameter_count(channel: DestructionChannel) -> int:
@@ -573,8 +553,8 @@ def random_free_state(channel: DestructionChannel, rng) -> np.ndarray:
 def random_free_unitary(channel: DestructionChannel, seed) -> np.ndarray:
     """Unitary commuting with the channel: U = (+) u_i (x) v_i, [u_i, tau_i] = 0."""
     r = rng_from(seed)
-    out = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for i, b in enumerate(channel.blocks):
+    parts = []
+    for b in channel.blocks:
         w, v = np.linalg.eigh(b.tau)
         u = np.zeros((b.d_a, b.d_a), dtype=complex)
         # Haar unitary on each (nearly) degenerate eigenspace of tau keeps
@@ -587,9 +567,8 @@ def random_free_unitary(channel: DestructionChannel, seed) -> np.ndarray:
                 vs = v[:, start:k]
                 u += vs @ u_sub @ vs.conj().T
                 start = k
-        v_b = random_unitary(b.d_b, r)
-        out[channel._slices[i], channel._slices[i]] = np.kron(u, v_b)
-    return channel.from_block_frame(out)
+        parts.append(np.kron(u, random_unitary(b.d_b, r)))
+    return channel.block_diagonal(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import optimize as op
 from . import tasks as tk
-from .channels import system
 from .divergences import in_dpi_region
 from .errors import BudgetError, InstabilityError, ParseError, SolverError, ValidationError
 from .serialize import channel_from_json, dump_json, load_json_file, state_from_json
@@ -41,8 +40,8 @@ def _load_state(path: str) -> np.ndarray:
     return state_from_json(load_json_file(path))
 
 
-def _load_system(path: str):
-    return system(channel_from_json(load_json_file(path)))
+def _load_channel(path: str):
+    return channel_from_json(load_json_file(path))
 
 
 def _emit(text: str, output: str | None):
@@ -64,16 +63,16 @@ def _emit_json(data, output: str | None):
 
 def cmd_monotone(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
+    channel = _load_channel(args.channel)
     if args.alpha == 1.0:
-        res = op.umegaki_free(rho, sys_.channel)
+        res = op.umegaki_free(rho, channel)
     else:
         res = op.m_lambda(
             rho,
             args.alpha,
             args.z,
             args.lam,
-            sys_.channel,
+            channel,
             grid_resolution=args.resolution,
         )
     _emit_json(
@@ -94,8 +93,8 @@ def cmd_monotone(args) -> int:
 
 def cmd_yield(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
-    report = tk.one_shot_yield(rho, sys_, args.eps)
+    channel = _load_channel(args.channel)
+    report = tk.one_shot_yield(rho, channel, args.eps)
     _verify_report(report)
     _emit_json(report.as_dict(), args.output)
     return 0
@@ -103,13 +102,13 @@ def cmd_yield(args) -> int:
 
 def cmd_cost(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
+    channel = _load_channel(args.channel)
     if args.eps > 0:
         if args.delta is None:
             raise ValidationError("eps > 0 cost needs --delta in (0, eps)")
-        report = tk.one_shot_cost_eps(rho, sys_, args.eps, args.delta)
+        report = tk.one_shot_cost_eps(rho, channel, args.eps, args.delta)
     else:
-        report = tk.one_shot_cost_exact(rho, sys_)
+        report = tk.one_shot_cost_exact(rho, channel)
     _verify_report(report)
     _emit_json(report.as_dict(), args.output)
     return 0
@@ -117,8 +116,8 @@ def cmd_cost(args) -> int:
 
 def cmd_battery(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
-    report = tk.battery_yield(rho, sys_, args.eps)
+    channel = _load_channel(args.channel)
+    report = tk.battery_yield(rho, channel, args.eps)
     _verify_report(report)
     _emit_json(report.as_dict(), args.output)
     return 0
@@ -146,7 +145,7 @@ def _sweep_point(payload):
 
 def cmd_sweep(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
+    channel = _load_channel(args.channel)
     alphas = [float(a) for a in args.alphas.split(",")]
     zs = [float(z) for z in args.zs.split(",")]
     lams = [float(x) for x in args.lambdas.split(",")]
@@ -155,7 +154,7 @@ def cmd_sweep(args) -> int:
         raise BudgetError(
             f"sweep has {len(points)} evaluations, budget is {SWEEP_EVAL_BUDGET}"
         )
-    payloads = [(rho, sys_.channel, a, z, x) for a, z, x in points]
+    payloads = [(rho, channel, a, z, x) for a, z, x in points]
     if args.workers > 1 and len(payloads) > 8:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, payloads, chunksize=8))
@@ -175,8 +174,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_regularize(args) -> int:
     rho = _load_state(args.state)
-    sys_ = _load_system(args.channel)
-    rows = tk.regularize_sweep(rho, sys_, args.eps, args.nmax)
+    channel = _load_channel(args.channel)
+    rows = tk.regularize_sweep(rho, channel, args.eps, args.nmax)
     diag = tk.sweep_diagnostics(rows, args.eps)
     log.info("regularize diagnostics: %s", diag)
     _emit(tk.sweep_csv(rows), args.output)

@@ -114,10 +114,6 @@ def fixed_point_residual(sigma, spec: TraceFunctionalSpec) -> float:
     return trace_norm(sigma - target)
 
 
-def _has_unique_free_state(channel: DestructionChannel) -> bool:
-    return len(channel.blocks) == 1 and channel.blocks[0].d_b == 1
-
-
 def _default_init(spec: TraceFunctionalSpec) -> np.ndarray:
     seed = herm(spec.channel.apply(spec.x))
     tr = float(np.trace(seed).real)
@@ -145,7 +141,7 @@ def optimize_trace_functional(
     if method not in ("auto", "fixed_point", "closed_form"):
         raise ValidationError(f"unknown method {method!r}")
     if method != "fixed_point":
-        if _has_unique_free_state(spec.channel):
+        if spec.channel.algebra_dim() == 1:  # the fixed state is the only free state
             sigma = spec.channel.fixed_state()
             return OptimizerResult(
                 sigma_star=sigma,
@@ -270,11 +266,9 @@ def _d_min_optimizer(rho, channel: DestructionChannel) -> np.ndarray:
         if w[-1] > best_val:
             best_val, best = w[-1], (i, v[:, -1])
     i, vec = best
-    out = np.zeros((channel.dim, channel.dim), dtype=complex)
-    out[channel._slices[i], channel._slices[i]] = np.kron(
-        channel.blocks[i].tau, np.outer(vec, vec.conj())
-    )
-    return channel.from_block_frame(out)
+    parts = [None] * len(channel.blocks)
+    parts[i] = np.kron(channel.blocks[i].tau, np.outer(vec, vec.conj()))
+    return channel.block_diagonal(parts)
 
 
 def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult:

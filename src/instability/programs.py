@@ -113,14 +113,9 @@ def restricted_ht(
     rho = check_density(rho, channel.dim)
     if eps >= 1.0:
         return _eps_one_result(channel.dim)
-    if _trivial_algebra(channel):
+    if channel.algebra_dim() == 1:
         return _neyman_pearson_result(rho, channel, eps)
     return _restricted_ht_sdp(rho, channel, eps, **solver_kw)
-
-
-def _trivial_algebra(channel: DestructionChannel) -> bool:
-    """Whether the fixed algebra is C I (one block with d_B = 1)."""
-    return len(channel.blocks) == 1 and channel.blocks[0].d_b == 1
 
 
 def _eps_one_result(d: int) -> HypothesisTestingResult:
@@ -143,47 +138,23 @@ def _neyman_pearson_result(
 def _restricted_ht_sdp(
     rho, channel: DestructionChannel, eps: float, **solver_kw
 ) -> HypothesisTestingResult:
-    """restricted_ht by interior point, for a validated state and eps < 1."""
+    """restricted_ht by interior point, for a validated state and eps < 1.
+
+    The test is Gamma = P + Q G Q^dagger with 0 <= G <= I.  At eps = 0 it
+    lies on the face of perfect tests: P is the support projector of rho and
+    Q an isometry onto its kernel, so the program in G alone has no variable
+    pinned at the cone boundary (a full-rank rho leaves only Gamma = I).  At
+    eps > 0, P = 0, Q = I and tr[rho G] >= 1 - eps is a row.
+    """
     d = channel.dim
     kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     if eps <= 0.0:
-        return _restricted_ht_perfect(rho, channel, kw)
-    prog = HermitianProgram()
-    g = prog.add_hermitian(d)
-    s = prog.add_hermitian(d)
-    c = prog.add_scalar()
-    prog.add_objective(c, 1.0)
-    _add_box_rows(prog, g, s, d)
-    for e in channel.algebra_basis():
-        prog.add_constraint(
-            {g: channel.apply(e), c: -float(np.real(np.trace(e)))}, 0.0
-        )
-    prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
-    sol, vals = prog.solve(**kw)
-    _require_solved(sol, "restricted hypothesis test")
-    return _ht_result(vals[g.index], channel, sol)
-
-
-def _restricted_ht_perfect(
-    rho, channel: DestructionChannel, kw: dict
-) -> HypothesisTestingResult:
-    """restricted_ht at eps = 0, solved on the face of perfect tests.
-
-    A test with 0 <= Gamma <= I and tr[rho Gamma] = 1 is Gamma = P + Q G Q^dagger
-    with 0 <= G <= I, P the support projector of rho and Q an isometry onto
-    its kernel.  The program in G alone has no variable pinned at the cone
-    boundary, so the interior-point iterates stay strictly complementary.
-    """
-    d = channel.dim
-    w, v = np.linalg.eigh(rho)
-    live = w > rank_tol(d, w[-1])
-    p = v[:, live] @ v[:, live].conj().T
-    q = v[:, ~live]
+        p, q = _perfect_face(rho, rank_tol(d, np.linalg.eigvalsh(rho)[-1]))
+    else:
+        p, q = np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)
     k = q.shape[1]
     if k == 0:  # full rank: Gamma = I, and Delta^*(I) = I
-        return _ht_result(
-            np.eye(d, dtype=complex), channel, _degenerate_solution(), "closed_form"
-        )
+        return _ht_result(p, channel, _degenerate_solution(), "closed_form")
     prog = HermitianProgram()
     g = prog.add_hermitian(k)
     s = prog.add_hermitian(k)
@@ -196,6 +167,8 @@ def _restricted_ht_perfect(
             {g: q.conj().T @ de @ q, c: -float(np.real(np.trace(e)))},
             -float(np.real(np.trace(de @ p))),
         )
+    if eps > 0.0:
+        prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
     sol, vals = prog.solve(**kw)
     _require_solved(sol, "restricted hypothesis test")
     return _ht_result(p + q @ vals[g.index] @ q.conj().T, channel, sol)
@@ -236,7 +209,7 @@ def ht_free(
         return HypothesisTestingResult(
             value, c_star, gamma, _degenerate_solution(), "closed_form"
         )
-    if _trivial_algebra(channel):
+    if channel.algebra_dim() == 1:
         return _neyman_pearson_result(rho, channel, eps)
     return _ht_free_sdp(rho, channel, eps, **solver_kw)
 
@@ -257,12 +230,9 @@ def _ht_free_sdp(
     # c I - Delta^*(Gamma) = Z in algebra coordinates, Z >= 0 blockwise.
     for i, b in enumerate(channel.blocks):
         for h in hermitian_basis(b.d_b):
-            e = channel.embed_algebra_element(
-                [
-                    h if j == i else np.zeros((bb.d_b, bb.d_b), dtype=complex)
-                    for j, bb in enumerate(channel.blocks)
-                ]
-            )
+            parts = [None] * len(channel.blocks)
+            parts[i] = np.kron(np.eye(b.d_a), h)
+            e = channel.block_diagonal(parts)
             # <e, Delta^*(Gamma)> = <Delta(e), Gamma>; <e, I> = d_a tr[h]
             prog.add_constraint(
                 {
@@ -334,18 +304,11 @@ def dmax_smoothed_free(
     sol, vals = prog.solve(**kw)
     _require_solved(sol, "smoothed max-relative entropy")
     tau = rho if t is None else herm(vals[t.index])
-    omega = _free_cone_element(channel, [vals[b.index] for b in betas])
+    omega = channel.block_diagonal(
+        [np.kron(b.tau, herm(vals[beta.index])) for b, beta in zip(channel.blocks, betas)]
+    )
     total = max(sol.primal_objective, 1e-300)
     return SmoothedDmaxResult(float(np.log2(total)), tau, omega, sol)
-
-
-def _free_cone_element(channel: DestructionChannel, betas) -> np.ndarray:
-    out = np.zeros((channel.dim, channel.dim), dtype=complex)
-    for i, b in enumerate(channel.blocks):
-        out[channel._slices[i], channel._slices[i]] = np.kron(
-            b.tau, herm(np.asarray(betas[i], dtype=complex))
-        )
-    return channel.from_block_frame(out)
 
 
 def _degenerate_solution() -> SdpSolution:
@@ -445,7 +408,7 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
     one row per Hamming weight (the mean of Gamma's diagonal there is c),
     and the value is -log2 of tr[clip(Gamma)] / 2^n, as in `_ht_result`.
     At eps = 0 each X_l is P_l + Q_l G_l Q_l^dagger on the face of perfect
-    tests, as in `_restricted_ht_perfect`; at eps = 1 the value is infinite.
+    tests, as in `_restricted_ht_sdp`; at eps = 1 the value is infinite.
     """
     eps = _check_eps(eps)
     if eps >= 1.0:

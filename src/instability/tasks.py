@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import (
-    DestructionChannel,
-    InstabilitySystem,
-    basis_state,
-    replacer,
-    system,
-    tensor_compose,
-)
+from .channels import DestructionChannel, basis_state, replacer, tensor_channels
 from .divergences import d_max
 from .errors import SolverError, ValidationError
 from .linalg import check_effect, herm, spectral_norm, trace_distance, trace_norm
@@ -46,18 +39,18 @@ COST_CROSSING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CurrencyState:
-    """Reference resource state phi_m on its two-level replacer system."""
+    """Reference resource state phi_m with its two-level replacer channel."""
 
     m: float
     state: np.ndarray = field(init=False)
-    system: InstabilitySystem = field(init=False)
+    channel: DestructionChannel = field(init=False)
 
     def __post_init__(self):
         if not (self.m > 0):
             raise ValidationError("currency level m must be positive (gamma_0 is singular)")
         gamma = np.diag([2.0**-self.m, 1.0 - 2.0**-self.m]).astype(complex)
         object.__setattr__(self, "state", basis_state(2, 0))
-        object.__setattr__(self, "system", system(replacer(gamma)))
+        object.__setattr__(self, "channel", replacer(gamma))
 
 
 def currency(m: float) -> CurrencyState:
@@ -149,9 +142,9 @@ def preparation_action(out0: np.ndarray, out1: np.ndarray) -> Callable[[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def one_shot_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> TaskReport:
+def one_shot_yield(rho, channel: DestructionChannel, eps: float, **solver_kw) -> TaskReport:
     """Distillable currency at error eps, with the measurement witness."""
-    res = restricted_ht(rho, sys.channel, eps, **solver_kw)
+    res = restricted_ht(rho, channel, eps, **solver_kw)
     m = res.value
     if not np.isfinite(m) or m <= 1e-9:
         # Nothing distillable beyond solver noise (or degenerate eps):
@@ -167,7 +160,7 @@ def one_shot_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> Task
     gamma = res.gamma
     target = currency(m)
     action = measurement_action(gamma)
-    cov = covariance_check(action, sys.channel, target.system.channel)
+    cov = covariance_check(action, channel, target.channel)
     out_err = trace_distance(action(rho), target.state)
     return TaskReport(
         "yield",
@@ -187,15 +180,14 @@ def one_shot_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> Task
     )
 
 
-def one_shot_cost_exact(rho, sys: InstabilitySystem) -> TaskReport:
+def one_shot_cost_exact(rho, channel: DestructionChannel) -> TaskReport:
     """Exact (eps = 0) dilution cost D_max(rho || Delta(rho)) with witness."""
-    ch = sys.channel
-    delta_rho = herm(ch.apply(rho))
+    delta_rho = herm(channel.apply(rho))
     m = d_max(rho, delta_rho)
     if m <= 1e-12:
         # Free state: the constant preparation works from any system.
         action = preparation_action(np.asarray(rho, dtype=complex), np.asarray(rho, dtype=complex))
-        cov = covariance_check(action, currency(1.0).system.channel, ch)
+        cov = covariance_check(action, currency(1.0).channel, channel)
         return TaskReport(
             "cost",
             0.0,
@@ -206,7 +198,7 @@ def one_shot_cost_exact(rho, sys: InstabilitySystem) -> TaskReport:
     other = herm((2.0**m * delta_rho - rho) / (2.0**m - 1.0))
     min_eig = float(np.linalg.eigvalsh(other)[0])
     action = preparation_action(np.asarray(rho, dtype=complex), other)
-    cov = covariance_check(action, currency(m).system.channel, ch)
+    cov = covariance_check(action, currency(m).channel, channel)
     return TaskReport(
         "cost",
         m,
@@ -222,7 +214,7 @@ def one_shot_cost_exact(rho, sys: InstabilitySystem) -> TaskReport:
 
 
 def one_shot_cost_eps(
-    rho, sys: InstabilitySystem, eps: float, delta: float, **solver_kw
+    rho, channel: DestructionChannel, eps: float, delta: float, **solver_kw
 ) -> TaskReport:
     """Certified interval for the eps-dilution cost.
 
@@ -235,13 +227,12 @@ def one_shot_cost_eps(
     """
     if not (0.0 < delta < eps):
         raise ValidationError("need 0 < delta < eps")
-    ch = sys.channel
     rho = np.asarray(rho, dtype=complex)
-    lower_res = dmax_smoothed_free(rho, ch, eps, **solver_kw)
+    lower_res = dmax_smoothed_free(rho, channel, eps, **solver_kw)
     lower = lower_res.value
 
     candidates: list[np.ndarray] = [rho]
-    inner = dmax_smoothed_free(rho, ch, eps - delta, **solver_kw)
+    inner = dmax_smoothed_free(rho, channel, eps - delta, **solver_kw)
     tau_m = herm(inner.tau)
     tau_m = _project_to_state(tau_m)
     tr_om = float(np.trace(inner.omega).real)
@@ -249,7 +240,7 @@ def one_shot_cost_eps(
         sigma_m = _project_to_state(inner.omega / tr_om)
         candidates.append(herm((1.0 - delta) * tau_m + delta * sigma_m))
         candidates.append(herm((1.0 - delta) * rho + delta * sigma_m))
-    fixed = ch.fixed_state()
+    fixed = channel.fixed_state()
     candidates.append(herm((1.0 - delta) * rho + delta * fixed))
 
     upper = float("inf")
@@ -257,7 +248,7 @@ def one_shot_cost_eps(
     for tau in candidates:
         if trace_distance(tau, rho) > eps + 1e-12:
             continue
-        val = d_max(tau, herm(ch.apply(tau)))
+        val = d_max(tau, herm(channel.apply(tau)))
         if val < upper:
             upper, best = val, tau
     # The bounds may cross by solver noise; a wider crossing is a failure.
@@ -291,19 +282,18 @@ def _project_to_state(m: np.ndarray) -> np.ndarray:
     return herm((v * (w / total)) @ v.conj().T)
 
 
-def battery_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> TaskReport:
+def battery_yield(rho, channel: DestructionChannel, eps: float, **solver_kw) -> TaskReport:
     """Battery-assisted yield: equals the free hypothesis-testing divergence.
 
     Cross-checked against the one-extra-currency-bit protocol,
     yield(rho (x) phi_1) - 1, and witnessed by the composite effect built
     from the optimal free test.
     """
-    ch = sys.channel
-    res = ht_free(rho, ch, eps, **solver_kw)
+    res = ht_free(rho, channel, eps, **solver_kw)
     phi1 = currency(1.0)
-    joint = tensor_compose(sys, phi1.system)
+    joint = tensor_channels(channel, phi1.channel)
     joint_state = np.kron(np.asarray(rho, dtype=complex), phi1.state)
-    protocol = restricted_ht(joint_state, joint.channel, eps, **solver_kw)
+    protocol = restricted_ht(joint_state, joint, eps, **solver_kw)
     identity_residual = abs(res.value - (protocol.value - 1.0))
 
     witness = {"effect": res.gamma, "method": res.method}
@@ -312,10 +302,8 @@ def battery_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> TaskR
         "sdp_gap": res.solution.gap,
     }
     if np.isfinite(res.value):
-        upsilon = compose_effect(
-            res.gamma, phi1.state, 1.0, ch, phi1.system.channel
-        )
-        dual = joint.channel.apply_dual(upsilon)
+        upsilon = compose_effect(res.gamma, phi1.state, 1.0, channel, phi1.channel)
+        dual = joint.apply_dual(upsilon)
         level = -float(
             np.log2(max(float(np.trace(dual).real) / joint.dim, 1e-300))
         )
@@ -330,9 +318,9 @@ def battery_yield(rho, sys: InstabilitySystem, eps: float, **solver_kw) -> TaskR
     return TaskReport("battery_yield", res.value, eps, witness, residuals)
 
 
-def catalytic_yield0(rho, sys: InstabilitySystem) -> TaskReport:
+def catalytic_yield0(rho, channel: DestructionChannel) -> TaskReport:
     """Zero-error catalytic yield; coincides with the battery-assisted one."""
-    value = d_min_free(rho, sys.channel)
+    value = d_min_free(rho, channel)
     return TaskReport("catalytic_yield0", value, 0.0, {}, {})
 
 
@@ -395,7 +383,7 @@ COST_DIM_BUDGET = 256
 
 
 def regularize_sweep(
-    rho, sys: InstabilitySystem, eps: float, n_max: int, **solver_kw
+    rho, channel: DestructionChannel, eps: float, n_max: int, **solver_kw
 ) -> list[dict]:
     """Per-copy rates over n = 1..n_max tensor powers.
 
@@ -409,19 +397,19 @@ def regularize_sweep(
     SDP rows solve permutation-invariant programs over the n//2 + 1
     Schur-Weyl blocks of rho^{(x)n}, each at most n + 1 wide, with rho in
     the dephaser's basis; every other channel builds rho^{(x)n} and
-    Delta^{(x)n} and solves the programs on them.
+    Delta^{(x)n} and solves the programs on them.  Both are extended only
+    while d^n is within the exact-cost budget; past it a row holds only the
+    Umegaki target.
     """
-    ch = sys.channel
     rho = np.asarray(rho, dtype=complex)
-    target = umegaki_free(rho, ch).value  # validates rho
-    qubit = ch.to_block_frame(rho) if _is_qubit_dephaser(ch) else None
+    target = umegaki_free(rho, channel).value  # validates rho
+    qubit = channel.to_block_frame(rho) if _is_qubit_dephaser(channel) else None
     rows = []
-    rho_n = None
-    sys_n = None
+    rho_n, channel_n = rho, channel
     for n in range(1, n_max + 1):
-        rho_n = rho if n == 1 else np.kron(rho_n, rho)
-        sys_n = sys if n == 1 else tensor_compose(sys_n, sys)
-        dim_n = sys_n.dim
+        dim_n = channel.dim**n
+        if 1 < n and dim_n <= COST_DIM_BUDGET:
+            rho_n, channel_n = np.kron(rho_n, rho), tensor_channels(channel_n, channel)
         row = {
             "n": n,
             "yield_rate": None,
@@ -431,9 +419,9 @@ def regularize_sweep(
         }
         if dim_n <= YIELD_DIM_BUDGET:
             if qubit is None:
-                row["yield_rate"] = restricted_ht(rho_n, sys_n.channel, eps, **solver_kw).value / n
+                row["yield_rate"] = restricted_ht(rho_n, channel_n, eps, **solver_kw).value / n
                 row["cost_lo_rate"] = (
-                    dmax_smoothed_free(rho_n, sys_n.channel, eps, **solver_kw).value / n
+                    dmax_smoothed_free(rho_n, channel_n, eps, **solver_kw).value / n
                 )
             else:
                 blocks = qubit_power_blocks(qubit, n)
@@ -443,7 +431,7 @@ def regularize_sweep(
             log.info("n=%d: dimension %d exceeds the SDP budget %d, yield rows skipped",
                      n, dim_n, YIELD_DIM_BUDGET)
         if dim_n <= COST_DIM_BUDGET:
-            row["cost_hi_rate"] = d_max(rho_n, herm(sys_n.channel.apply(rho_n))) / n
+            row["cost_hi_rate"] = d_max(rho_n, herm(channel_n.apply(rho_n))) / n
         else:
             log.info("n=%d: dimension %d exceeds the exact-cost budget %d, row skipped",
                      n, dim_n, COST_DIM_BUDGET)

@@ -259,15 +259,14 @@ def check_task_consistency(seed) -> CheckResult:
     for _ in range(5):
         d = int(rng.integers(2, 4))
         c = _random_channel(d, rng)
-        s = ch.system(c)
         rho = random_density(d, rng)
-        y0 = tk.one_shot_yield(rho, s, 0.0)
-        cost0 = tk.one_shot_cost_exact(rho, s)
+        y0 = tk.one_shot_yield(rho, c, 0.0)
+        cost0 = tk.one_shot_cost_exact(rho, c)
         dmin = op.d_min_free(rho, c)
         umeg = op.umegaki_free(rho, c).value
         yv = y0.value if np.isfinite(y0.value) else 0.0
         worst = max(worst, yv - dmin, dmin - umeg, umeg - cost0.value)
-        bat = tk.battery_yield(rho, s, 0.1)
+        bat = tk.battery_yield(rho, c, 0.1)
         worst = max(worst, bat.residuals["battery_identity"], yv - bat.value)
     return CheckResult("operational ordering and battery identity", worst <= 1e-6, worst, 1e-6)
 

@@ -29,8 +29,8 @@ def test_criterion_01_currency_self_consistency():
     worst = 0.0
     for m in (0.5, 1.0, 2.0, 3.7):
         cur = tk.currency(m)
-        y = tk.one_shot_yield(cur.state, cur.system, 0.0).value
-        c = tk.one_shot_cost_exact(cur.state, cur.system).value
+        y = tk.one_shot_yield(cur.state, cur.channel, 0.0).value
+        c = tk.one_shot_cost_exact(cur.state, cur.channel).value
         worst = max(worst, abs(y - m), abs(c - m))
         assert y == pytest.approx(m, abs=1e-6)
         assert c == pytest.approx(m, abs=1e-6)
@@ -41,12 +41,12 @@ def test_criterion_02_reference_state_equivalences():
     t0 = time.time()
     worst = 0.0
     for d in (2, 3, 4):
-        s = ch.system(ch.dephaser(d))
+        s = ch.dephaser(d)
         y = tk.one_shot_yield(ch.plus_state(d), s, 0.0).value
         c = tk.one_shot_cost_exact(ch.plus_state(d), s).value
         worst = max(worst, abs(y - np.log2(d)), abs(c - np.log2(d)))
     for d in (2, 3):
-        s = ch.system(ch.cond_depolarizer(d, d))
+        s = ch.cond_depolarizer(d, d)
         phi = ch.maximally_entangled_state(d)
         y = tk.one_shot_yield(phi, s, 0.0).value
         c = tk.one_shot_cost_exact(phi, s).value
@@ -150,7 +150,7 @@ def test_criterion_06_extremality_sandwich():
     phi1 = tk.currency(1.0)
     # every monotone must map the unit currency to 1 before entering
     for name, m in MONOTONES:
-        val = m(phi1.state, phi1.system.channel)
+        val = m(phi1.state, phi1.channel)
         assert val == pytest.approx(1.0, abs=1e-8), name
     worst = -np.inf
     for _ in range(200):
@@ -173,10 +173,9 @@ def test_criterion_07_battery_identity():
     for k in range(50):
         d = 2 if k % 2 == 0 else 3
         c = random_channel(d, rng)
-        s = ch.system(c)
         rho = random_density(d, rng)
         eps = float(rng.uniform(0.0, 0.4)) if k % 3 else 0.0
-        rep = tk.battery_yield(rho, s, eps)
+        rep = tk.battery_yield(rho, c, eps)
         worst = max(worst, rep.residuals["battery_identity"])
         if eps == 0.0:
             dmin = op.d_min_free(rho, c)
@@ -224,15 +223,14 @@ def test_criterion_09_cost_sandwich():
     for _ in range(20):
         d = int(rng.integers(2, 4))
         c = random_channel(d, rng)
-        s = ch.system(c)
         rho = random_density(d, rng)
-        lo, hi = tk.one_shot_cost_eps(rho, s, eps, delta).value
+        lo, hi = tk.one_shot_cost_eps(rho, c, eps, delta).value
         worst = max(worst, lo - hi, hi - (lo + np.log2(1 / delta)))
         # the eps = 0 endpoint of the cost family is the exact formula, and
         # the eps-interval upper endpoint converges onto it from below
-        exact = tk.one_shot_cost_exact(rho, s).value
+        exact = tk.one_shot_cost_exact(rho, c).value
         assert exact == pytest.approx(dv.d_max(rho, herm(c.apply(rho))), abs=1e-12)
-        lo_s, hi_s = tk.one_shot_cost_eps(rho, s, 1e-5, 5e-6).value
+        lo_s, hi_s = tk.one_shot_cost_eps(rho, c, 1e-5, 5e-6).value
         worst = max(worst, abs(hi_s - exact) - 1e-4, lo_s - exact)
     assert worst <= 1e-6
     report("criterion 9 cost sandwich", worst, 1e-6, t0, 120)
@@ -241,9 +239,8 @@ def test_criterion_09_cost_sandwich():
 def test_criterion_10_asymptotic_trend():
     t0 = time.time()
     rho = 0.6 * ch.plus_state(2) + 0.4 * np.eye(2) / 2
-    s = ch.system(ch.dephaser(2))
     eps = 0.05
-    rows = tk.regularize_sweep(rho, s, eps, 4)
+    rows = tk.regularize_sweep(rho, ch.dephaser(2), eps, 4)
     target = rows[0]["umegaki"]
     gaps = [abs(r["cost_hi_rate"] - target) for r in rows]
     assert all(gaps[i + 1] <= gaps[i] + 1e-9 for i in range(len(gaps) - 1))
@@ -321,14 +318,14 @@ def test_criterion_12_dpi_and_covariance():
         joint = ch.tensor_channels(c, cb)
         outputs.append(("tensor with free", np.kron(rho, gamma_b), joint))
         if np.isfinite(base["yield0.1"]) and base["yield0.1"] > 1e-9:
-            rep = tk.one_shot_yield(rho, ch.system(c), 0.1)
+            rep = tk.one_shot_yield(rho, c, 0.1)
             m_level = rep.value
             out_state = np.diag(
                 [np.trace(rho @ rep.witness["effect"]).real, 0.0]
             ).astype(complex)
             out_state[1, 1] = 1 - out_state[0, 0]
             outputs.append(
-                ("yield witness", out_state, tk.currency(m_level).system.channel)
+                ("yield witness", out_state, tk.currency(m_level).channel)
             )
         outputs.append(("cross-mechanism constant", gamma_b, cb))
         for name, out_state, out_channel in outputs:

@@ -296,6 +296,16 @@ class TestFreeStates:
         assert ch.free_parameter_count(ch.cond_depolarizer(2, 2)) == 3
 
 
+class TestBlockDiagonal:
+    def test_parts_land_on_their_blocks(self, rng):
+        c = ch.tpce([(1, 2), (2, 1), (1, 1)], basis=random_unitary(5, rng))
+        parts = [random_hermitian(2, rng), None, random_hermitian(1, rng)]
+        xb = c.to_block_frame(c.block_diagonal(parts))
+        expected = np.zeros((5, 5), dtype=complex)
+        expected[:2, :2], expected[4:, 4:] = parts[0], parts[2]
+        assert np.abs(xb - expected).max() <= 1e-12
+
+
 class TestFreeUnitaries:
     def test_covariance_of_seeded_draws(self, rng):
         worst = 0.0

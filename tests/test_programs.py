@@ -186,9 +186,7 @@ class TestExactPath:
 
     def test_trivial_algebra_takes_the_scan(self, rng, monkeypatch):
         gamma2 = random_full_rank_density(2, rng, 0.3)
-        battery = ch.tensor_compose(
-            ch.system(ch.replacer(gamma2)), tk.currency(1.0).system
-        ).channel
+        battery = ch.tensor_channels(ch.replacer(gamma2), tk.currency(1.0).channel)
         channels = {
             "replacer": ch.replacer(random_full_rank_density(3, rng, 0.3)),
             "depolarizer": ch.depolarizer(3),

@@ -17,14 +17,13 @@ from tests.conftest import raised_lower_bound, random_channel
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
-SYS2 = ch.system(DEPH2)
 
 
 class TestCurrency:
     def test_realization(self):
         cur = tk.currency(2.0)
         assert np.allclose(cur.state, np.diag([1.0, 0.0]))
-        gamma = cur.system.channel.blocks[0].tau
+        gamma = cur.channel.blocks[0].tau
         assert np.allclose(gamma, np.diag([0.25, 0.75]))
 
     def test_rejects_nonpositive_level(self):
@@ -34,31 +33,45 @@ class TestCurrency:
     def test_self_consistency(self):
         for m in (0.5, 1.0, 2.0, 3.7):
             cur = tk.currency(m)
-            y = tk.one_shot_yield(cur.state, cur.system, 0.0)
-            c = tk.one_shot_cost_exact(cur.state, cur.system)
+            y = tk.one_shot_yield(cur.state, cur.channel, 0.0)
+            c = tk.one_shot_cost_exact(cur.state, cur.channel)
             assert y.value == pytest.approx(m, abs=1e-6)
             assert c.value == pytest.approx(m, abs=1e-6)
 
     def test_additivity(self):
         for m, t in ((1.0, 1.0), (0.5, 2.0)):
             a, b = tk.currency(m), tk.currency(t)
-            joint = ch.tensor_compose(a.system, b.system)
+            joint = ch.tensor_channels(a.channel, b.channel)
             state = np.kron(a.state, b.state)
             y = tk.one_shot_yield(state, joint, 0.0)
             assert y.value == pytest.approx(m + t, abs=1e-6)
 
 
+class TestChannelArgument:
+    def test_every_task_takes_the_channel(self, rng):
+        c = ch.tpce([(1, 2), (1, 1)], basis=random_unitary(3, rng))
+        assert ch.system(c) is c
+        rho = random_density(3, rng)
+        assert tk.one_shot_yield(rho, c, 0.1).value == tk.restricted_ht(rho, c, 0.1).value
+        assert tk.one_shot_cost_exact(rho, c).value == tk.d_max(rho, herm(c.apply(rho)))
+        lo, _ = tk.one_shot_cost_eps(rho, c, 0.1, 0.05).value
+        assert lo == tk.dmax_smoothed_free(rho, c, 0.1).value
+        assert tk.battery_yield(rho, c, 0.1).value == tk.ht_free(rho, c, 0.1).value
+        assert tk.catalytic_yield0(rho, c).value == op.d_min_free(rho, c)
+        (row,) = tk.regularize_sweep(rho, c, 0.1, 1)
+        assert row["yield_rate"] == tk.restricted_ht(rho, c, 0.1).value
+
+
 class TestOneShotYield:
     def test_plus_states(self):
         for d in (2, 3, 4):
-            s = ch.system(ch.dephaser(d))
-            y = tk.one_shot_yield(ch.plus_state(d), s, 0.0)
+            y = tk.one_shot_yield(ch.plus_state(d), ch.dephaser(d), 0.0)
             assert y.value == pytest.approx(np.log2(d), abs=1e-6)
 
     def test_maximally_entangled(self):
         for d in (2, 3):
-            s = ch.system(ch.cond_depolarizer(d, d))
-            y = tk.one_shot_yield(ch.maximally_entangled_state(d), s, 0.0)
+            c = ch.cond_depolarizer(d, d)
+            y = tk.one_shot_yield(ch.maximally_entangled_state(d), c, 0.0)
             assert y.value == pytest.approx(2 * np.log2(d), abs=1e-6)
 
     def test_witness_verified(self, rng):
@@ -67,7 +80,7 @@ class TestOneShotYield:
             c = random_channel(d, rng)
             rho = random_density(d, rng, rank=1)
             eps = float(rng.uniform(0.0, 0.3))
-            rep = tk.one_shot_yield(rho, ch.system(c), eps)
+            rep = tk.one_shot_yield(rho, c, eps)
             if not np.isfinite(rep.value) or rep.value <= 1e-9:
                 continue
             assert rep.residuals["covariance"] <= 1e-9
@@ -75,33 +88,33 @@ class TestOneShotYield:
 
     def test_free_state_yields_nothing(self, rng):
         sigma = ch.random_free_state(DEPH2, rng)
-        rep = tk.one_shot_yield(sigma, SYS2, 0.0)
+        rep = tk.one_shot_yield(sigma, DEPH2, 0.0)
         assert rep.value == pytest.approx(0.0, abs=1e-8)
 
     def test_witness_names_the_method(self, rng):
         rho = random_density(2, rng)
-        rep_sys = ch.system(ch.replacer(random_full_rank_density(2, rng, 0.3)))
-        for sys_, method in ((SYS2, "sdp"), (rep_sys, "neyman_pearson")):
-            assert tk.one_shot_yield(rho, sys_, 0.1).witness["method"] == method
-            assert tk.battery_yield(rho, sys_, 0.1).witness["method"] == method
+        rep = ch.replacer(random_full_rank_density(2, rng, 0.3))
+        for c, method in ((DEPH2, "sdp"), (rep, "neyman_pearson")):
+            assert tk.one_shot_yield(rho, c, 0.1).witness["method"] == method
+            assert tk.battery_yield(rho, c, 0.1).witness["method"] == method
         free = ch.random_free_state(DEPH2, rng)
-        assert tk.one_shot_yield(free, SYS2, 0.2).witness["method"] == "sdp"
-        assert tk.battery_yield(rho, SYS2, 0.0).witness["method"] == "closed_form"
+        assert tk.one_shot_yield(free, DEPH2, 0.2).witness["method"] == "sdp"
+        assert tk.battery_yield(rho, DEPH2, 0.0).witness["method"] == "closed_form"
 
 
 class TestOneShotCost:
     def test_free_state_costs_nothing(self, rng):
         sigma = ch.random_free_state(DEPH2, rng)
-        rep = tk.one_shot_cost_exact(sigma, SYS2)
+        rep = tk.one_shot_cost_exact(sigma, DEPH2)
         assert rep.value == pytest.approx(0.0, abs=1e-9)
         assert rep.residuals["covariance"] <= 1e-9
 
     def test_plus_single_copy_reversible(self):
-        assert tk.one_shot_cost_exact(PLUS, SYS2).value == pytest.approx(1.0)
+        assert tk.one_shot_cost_exact(PLUS, DEPH2).value == pytest.approx(1.0)
 
     def test_mixed_example(self):
         rho = 0.5 * PLUS + 0.25 * np.eye(2)
-        rep = tk.one_shot_cost_exact(rho, SYS2)
+        rep = tk.one_shot_cost_exact(rho, DEPH2)
         assert rep.value == pytest.approx(np.log2(1.5))
 
     def test_preparation_witness(self, rng):
@@ -109,15 +122,15 @@ class TestOneShotCost:
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
             rho = random_density(d, rng)
-            rep = tk.one_shot_cost_exact(rho, ch.system(c))
+            rep = tk.one_shot_cost_exact(rho, c)
             assert rep.residuals["covariance"] <= 1e-9
             if rep.value > 1e-9:
                 assert rep.residuals["second_output_min_eig"] >= -1e-9
 
     def test_interval_contains_exact_at_small_eps(self, rng):
         rho = random_density(2, rng)
-        exact = tk.one_shot_cost_exact(rho, SYS2).value
-        lo, hi = tk.one_shot_cost_eps(rho, SYS2, 1e-4, 5e-5).value
+        exact = tk.one_shot_cost_exact(rho, DEPH2).value
+        lo, hi = tk.one_shot_cost_eps(rho, DEPH2, 1e-4, 5e-5).value
         assert lo <= exact + 1e-6
         assert hi <= exact + 1e-9
         assert hi - lo <= 0.1 * exact + 0.2
@@ -127,24 +140,24 @@ class TestOneShotCost:
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
             rho = random_density(d, rng)
-            rep = tk.one_shot_cost_eps(rho, ch.system(c), 0.1, 0.05)
+            rep = tk.one_shot_cost_eps(rho, c, 0.1, 0.05)
             lo, hi = rep.value
             assert lo <= hi + 1e-9
             assert hi <= lo + np.log2(1 / 0.05) + 1e-6
 
     def test_interval_monotone_in_eps(self, rng):
         rho = random_density(2, rng)
-        lo1, _ = tk.one_shot_cost_eps(rho, SYS2, 0.05, 0.02).value
-        lo2, _ = tk.one_shot_cost_eps(rho, SYS2, 0.2, 0.02).value
+        lo1, _ = tk.one_shot_cost_eps(rho, DEPH2, 0.05, 0.02).value
+        lo2, _ = tk.one_shot_cost_eps(rho, DEPH2, 0.2, 0.02).value
         assert lo2 <= lo1 + 1e-7
 
     def test_interval_validates_delta(self, rng):
         with pytest.raises(ValidationError):
-            tk.one_shot_cost_eps(random_density(2, rng), SYS2, 0.1, 0.2)
+            tk.one_shot_cost_eps(random_density(2, rng), DEPH2, 0.1, 0.2)
 
     def test_interval_reports_bound_crossing(self, rng):
         for rho in (np.diag([0.3, 0.7]).astype(complex), random_density(2, rng)):
-            rep = tk.one_shot_cost_eps(rho, SYS2, 0.1, 0.05)
+            rep = tk.one_shot_cost_eps(rho, DEPH2, 0.1, 0.05)
             lo, hi = rep.value
             assert 0.0 <= rep.residuals["bound_crossing"] <= tk.COST_CROSSING_TOL
             assert lo <= hi
@@ -154,7 +167,7 @@ class TestOneShotCost:
         # by 1e-3 crosses the upper one by far more than solver noise.
         monkeypatch.setattr(tk, "dmax_smoothed_free", raised_lower_bound(0.1))
         with pytest.raises(SolverError, match="cost bounds cross"):
-            tk.one_shot_cost_eps(np.diag([0.3, 0.7]).astype(complex), SYS2, 0.1, 0.05)
+            tk.one_shot_cost_eps(np.diag([0.3, 0.7]).astype(complex), DEPH2, 0.1, 0.05)
 
 
 class TestAssistedYields:
@@ -164,7 +177,7 @@ class TestAssistedYields:
             c = random_channel(d, rng)
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.4))
-            rep = tk.battery_yield(rho, ch.system(c), eps)
+            rep = tk.battery_yield(rho, c, eps)
             assert rep.residuals["battery_identity"] <= 1e-6
 
     def test_eps_zero_is_catalytic(self, rng):
@@ -172,14 +185,14 @@ class TestAssistedYields:
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
             rho = random_density(d, rng, rank=int(rng.integers(1, d + 1)))
-            bat = tk.battery_yield(rho, ch.system(c), 0.0)
-            cat = tk.catalytic_yield0(rho, ch.system(c))
+            bat = tk.battery_yield(rho, c, 0.0)
+            cat = tk.catalytic_yield0(rho, c)
             assert bat.value == pytest.approx(cat.value, abs=1e-6)
             assert cat.value == pytest.approx(op.d_min_free(rho, c), abs=1e-12)
 
     def test_plus_battery_analytic(self):
         for eps in (0.1, 0.3):
-            rep = tk.battery_yield(PLUS, SYS2, eps)
+            rep = tk.battery_yield(PLUS, DEPH2, eps)
             assert rep.value == pytest.approx(1 - np.log2(1 - eps), abs=1e-6)
 
     def test_yield_chain(self, rng):
@@ -187,23 +200,21 @@ class TestAssistedYields:
         for _ in range(10):
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
-            s = ch.system(c)
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.3))
-            y = tk.one_shot_yield(rho, s, eps).value
-            b = tk.battery_yield(rho, s, eps).value
+            y = tk.one_shot_yield(rho, c, eps).value
+            b = tk.battery_yield(rho, c, eps).value
             assert y <= b + 1e-6
 
     def test_operational_sandwich(self, rng):
         for _ in range(10):
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
-            s = ch.system(c)
             rho = random_density(d, rng)
-            y0 = tk.one_shot_yield(rho, s, 0.0).value
+            y0 = tk.one_shot_yield(rho, c, 0.0).value
             dmin = op.d_min_free(rho, c)
             umeg = op.umegaki_free(rho, c).value
-            cost0 = tk.one_shot_cost_exact(rho, s).value
+            cost0 = tk.one_shot_cost_exact(rho, c).value
             assert y0 <= dmin + 1e-6
             assert dmin <= umeg + 1e-8
             assert umeg <= cost0 + 1e-8
@@ -211,9 +222,7 @@ class TestAssistedYields:
     def test_phi_maximally_entangled_catalytic(self):
         for d in (2, 3):
             c = ch.cond_depolarizer(d, d)
-            val = tk.catalytic_yield0(
-                ch.maximally_entangled_state(d), ch.system(c)
-            ).value
+            val = tk.catalytic_yield0(ch.maximally_entangled_state(d), c).value
             assert val == pytest.approx(2 * np.log2(d), abs=1e-9)
 
 
@@ -273,20 +282,20 @@ class TestEffectConstructions:
 class TestRegularize:
     def test_currency_rows_constant(self):
         cur = tk.currency(1.5)
-        rows = tk.regularize_sweep(cur.state, cur.system, 0.0, 3)
+        rows = tk.regularize_sweep(cur.state, cur.channel, 0.0, 3)
         for row in rows:
             assert row["yield_rate"] == pytest.approx(1.5, abs=1e-6)
             assert row["cost_hi_rate"] == pytest.approx(1.5, abs=1e-9)
 
     def test_pure_plus_rows_are_one(self):
-        rows = tk.regularize_sweep(PLUS, SYS2, 0.0, 3)
+        rows = tk.regularize_sweep(PLUS, DEPH2, 0.0, 3)
         for row in rows:
             assert row["yield_rate"] == pytest.approx(1.0, abs=1e-6)
             assert row["cost_hi_rate"] == pytest.approx(1.0, abs=1e-9)
 
     def test_mixed_trend_diagnostics(self):
         rho = 0.6 * PLUS + 0.4 * np.eye(2) / 2
-        rows = tk.regularize_sweep(rho, SYS2, 0.05, 4)
+        rows = tk.regularize_sweep(rho, DEPH2, 0.05, 4)
         diag = tk.sweep_diagnostics(rows, 0.05)
         assert diag["cost_gap_nonincreasing"]
         assert diag["yield_below_target"]
@@ -294,7 +303,7 @@ class TestRegularize:
 
     def test_diagnostics_allow_eps_yield_above_umegaki(self):
         # A free state has Umegaki rate 0, yet a valid 0.05-yield of 0.074.
-        rows = tk.regularize_sweep(np.diag([0.3, 0.7]).astype(complex), SYS2, 0.05, 1)
+        rows = tk.regularize_sweep(np.diag([0.3, 0.7]).astype(complex), DEPH2, 0.05, 1)
         assert rows[0]["yield_rate"] > rows[0]["umegaki"] + 0.05
         assert tk.sweep_diagnostics(rows, 0.05)["yield_below_target"]
 
@@ -309,8 +318,9 @@ class TestRegularize:
         assert tk.sweep_diagnostics([row], eps)["yield_below_target"]
 
     def test_budget_skips_rows(self):
-        s = ch.system(ch.dephaser(5))
-        rows = tk.regularize_sweep(random_density(5, np.random.default_rng(0)), s, 0.05, 4)
+        rows = tk.regularize_sweep(
+            random_density(5, np.random.default_rng(0)), ch.dephaser(5), 0.05, 4
+        )
         # 5^3 = 125 > 64: no SDP rows from n = 3; 5^4 = 625 > 256: no exact
         # cost row at n = 4
         assert rows[2]["yield_rate"] is None
@@ -318,11 +328,26 @@ class TestRegularize:
         assert rows[3]["cost_hi_rate"] is None
 
     def test_csv_shape(self):
-        rows = tk.regularize_sweep(PLUS, SYS2, 0.0, 2)
+        rows = tk.regularize_sweep(PLUS, DEPH2, 0.0, 2)
         csv = tk.sweep_csv(rows)
         lines = csv.strip().split("\n")
         assert lines[0] == "n,yield_rate,cost_lo_rate,cost_hi_rate,umegaki"
         assert len(lines) == 3
+
+    def test_powers_stop_at_the_cost_budget(self, monkeypatch):
+        dims = []
+        real = tk.tensor_channels
+
+        def spy(a, b):
+            dims.append(a.dim * b.dim)
+            return real(a, b)
+
+        monkeypatch.setattr(tk, "tensor_channels", spy)
+        rho = random_density(2, np.random.default_rng(3))
+        rows = tk.regularize_sweep(rho, DEPH2, 0.05, 12)
+        assert dims == [2**n for n in range(2, 9)]
+        assert rows[:8] == tk.regularize_sweep(rho, DEPH2, 0.05, 8)
+        assert all(r["cost_hi_rate"] is None and r["umegaki"] == rows[0]["umegaki"] for r in rows[8:])
 
 
 _SWEEP_RNG = np.random.default_rng(909)
@@ -354,19 +379,18 @@ class TestRegularizeReduced:
     @pytest.mark.parametrize("case", list(REDUCED_CASES))
     def test_matches_the_tensor_programs(self, case, eps):
         rho, channel = REDUCED_CASES[case]
-        one = ch.system(channel)
-        rows = tk.regularize_sweep(rho, one, eps, 4)
-        rho_n, sys_n = rho, one
+        rows = tk.regularize_sweep(rho, channel, eps, 4)
+        rho_n, channel_n = rho, channel
         for n, row in enumerate(rows, start=1):
             if n > 1:
-                rho_n, sys_n = np.kron(rho_n, rho), ch.tensor_compose(sys_n, one)
-            y = tk.restricted_ht(rho_n, sys_n.channel, eps).value / n
-            lo = tk.dmax_smoothed_free(rho_n, sys_n.channel, eps).value / n
+                rho_n, channel_n = np.kron(rho_n, rho), ch.tensor_channels(channel_n, channel)
+            y = tk.restricted_ht(rho_n, channel_n, eps).value / n
+            lo = tk.dmax_smoothed_free(rho_n, channel_n, eps).value / n
             assert row["yield_rate"] == pytest.approx(y, abs=1e-8)
             assert row["cost_lo_rate"] == pytest.approx(lo, abs=1e-8)
 
     def test_eps_one_yield_is_infinite(self):
-        rows = tk.regularize_sweep(PLUS, SYS2, 1.0, 2)
+        rows = tk.regularize_sweep(PLUS, DEPH2, 1.0, 2)
         assert all(r["yield_rate"] == np.inf for r in rows)
 
     def test_blocks_are_at_most_n_plus_one_wide(self, monkeypatch, rng):
@@ -385,7 +409,7 @@ class TestRegularizeReduced:
             _spy(monkeypatch, name, calls)
         monkeypatch.setattr(sdp.HermitianProgram, "build", build)
         channel = ch.dephaser(2, basis=random_unitary(2, rng))
-        tk.regularize_sweep(random_density(2, rng), ch.system(channel), 0.05, 5)
+        tk.regularize_sweep(random_density(2, rng), channel, 0.05, 5)
         assert {name for name, _ in calls} == {"_symmetric_restricted_ht", "_symmetric_dmax_free"}
         assert widths == {n: n + 1 for n in range(1, 6)}
 
@@ -397,11 +421,10 @@ class TestRegularizeReduced:
             _spy(monkeypatch, name, calls)
         if which == "currency":
             cur = tk.currency(1.5)
-            tk.regularize_sweep(cur.state, cur.system, 0.05, 3)
+            tk.regularize_sweep(cur.state, cur.channel, 0.05, 3)
             dims = [2, 4, 8]
         else:
-            s = ch.system(ch.dephaser(5))
-            tk.regularize_sweep(random_density(5, np.random.default_rng(0)), s, 0.05, 2)
+            tk.regularize_sweep(random_density(5, np.random.default_rng(0)), ch.dephaser(5), 0.05, 2)
             dims = [5, 25]
         assert calls == [(name, d) for d in dims for name in ("restricted_ht", "dmax_smoothed_free")]
 
