@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .linalg import (
     as_matrix,
     check_density,
+    check_psd_spectrum,
     herm,
     pow_from_eigh,
     rank_tol,
@@ -197,9 +198,7 @@ class DestructionChannel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Schroedinger action Delta(X) = (+) tau_i (x) tr_A[X_i]."""
-        return self._blockwise(
-            x, lambda g, m: _kron(g.taus, np.einsum("nabad->nbd", m))
-        )
+        return self.assemble_free(self.block_marginals(self.to_block_frame(x)))
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Heisenberg dual Delta^*(Y); a unital conditional expectation."""
@@ -214,6 +213,47 @@ class DestructionChannel:
             x,
             lambda g, m: _kron(np.eye(g.d_a) / g.d_a, np.einsum("nabad->nbd", m)),
         )
+
+    # -- free states by their factors ------------------------------------
+    #
+    # A free state is (+) tau_i (x) beta_i; its factors are the beta_i, held
+    # as one (n, d_b, d_b) stack per group of same-shape blocks.
+
+    def block_marginals(self, xb: np.ndarray) -> list[np.ndarray]:
+        """The B-marginals tr_A[X_i] of the diagonal blocks of ``xb``, an
+        operator in the block frame, as factor stacks."""
+        return [np.einsum("nabad->nbd", g.gather(xb)) for g in self._groups]
+
+    def assemble_free(self, betas) -> np.ndarray:
+        """(+) tau_i (x) beta_i in the original frame, from factor stacks."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for g, beta in zip(self._groups, betas):
+            g.scatter(out, _kron(g.taus, beta))
+        return self.from_block_frame(out)
+
+    def free_power(self, betas, r: float) -> np.ndarray:
+        """sigma^r in the block frame for sigma = (+) tau_i (x) beta_i, with
+        the conventions of ``mat_pow``: the eigenvalues of sigma are the
+        products t_a b_k of those of tau_i and beta_i, tested for positivity
+        and cut at rank_tol(dim, lambda_max(sigma)) before the power."""
+        eigs = [np.linalg.eigh(beta) for beta in betas]
+        prods = [
+            (g.fixed_eig[0] / g.d_a)[:, :, None] * b[:, None, :]
+            for g, (b, _) in zip(self._groups, eigs)
+        ]
+        lo = min(p.min() for p in prods)
+        hi = max(p.max() for p in prods)
+        check_psd_spectrum(lo, hi, what="free state")
+        cut = rank_tol(self.dim, hi)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for g, (_, w), p in zip(self._groups, eigs, prods):
+            pw = np.zeros_like(p)
+            live = p > cut
+            pw[live] = p[live] ** float(r)
+            n, s = g.index.shape
+            k = _kron(g.fixed_eig[1], w).reshape(n, s, s)
+            g.scatter(out, herm((k * pw.reshape(n, 1, s)) @ k.conj().swapaxes(-1, -2)))
+        return out
 
     # -- fixed data ------------------------------------------------------
 
@@ -248,12 +288,6 @@ class DestructionChannel:
                 parts[i] = np.kron(np.eye(b.d_a) / np.sqrt(b.d_a), h)
                 out.append(self.block_diagonal(parts))
         return out
-
-    def embed_algebra_element(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Assemble (+)_i I_{A_i} (x) parts[i] in the original frame."""
-        return self.block_diagonal(
-            [np.kron(np.eye(b.d_a), as_matrix(parts[i], b.d_b)) for i, b in enumerate(self.blocks)]
-        )
 
     def dual_block_reduction(self, y: np.ndarray, i: int) -> np.ndarray:
         """The B_i component of Delta^*(Y): tr_A[(tau_i (x) I) Y_i], of one

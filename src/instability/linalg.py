@@ -64,9 +64,7 @@ def check_density(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within 1e-10."""
     m = check_hermitian(rho, dim, what="state")
     w = np.linalg.eigvalsh(m)
-    scale = max(abs(w[0]), abs(w[-1]), 0.0)
-    if w[0] < -DENSITY_TOL * max(scale, 1e-300):
-        raise ValidationError(f"state has negative eigenvalue {w[0]:.3e}")
+    check_psd_spectrum(w[0], w[-1], what="state")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > DENSITY_TOL:
         raise ValidationError(f"state trace {tr} differs from 1 beyond tolerance")
@@ -76,10 +74,15 @@ def check_density(rho, dim: int | None = None) -> np.ndarray:
 def check_psd(p, dim: int | None = None, *, what: str = "operator") -> np.ndarray:
     m = check_hermitian(p, dim, what=what)
     w = np.linalg.eigvalsh(m)
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] < -DENSITY_TOL * scale:
-        raise ValidationError(f"{what} has negative eigenvalue {w[0]:.3e}")
+    check_psd_spectrum(w[0], w[-1], what=what)
     return m
+
+
+def check_psd_spectrum(lo: float, hi: float, *, what: str = "operator") -> None:
+    """The PSD test of ``check_psd`` on the smallest and largest eigenvalue
+    of a decomposition already at hand."""
+    if lo < -DENSITY_TOL * max(abs(lo), abs(hi), 1e-300):
+        raise ValidationError(f"{what} has negative eigenvalue {lo:.3e}")
 
 
 def check_effect(gamma, dim: int | None = None) -> np.ndarray:
@@ -118,9 +121,8 @@ def mat_pow(p: np.ndarray, r: float) -> np.ndarray:
     """
     m = check_hermitian(p, what="mat_pow argument")
     w, v = np.linalg.eigh(m)
-    # The PSD test of check_psd, on the eigenvalues of the one decomposition.
-    if m.shape[0] and w[0] < -DENSITY_TOL * max(abs(w[0]), abs(w[-1]), 1e-300):
-        raise ValidationError(f"mat_pow argument has negative eigenvalue {w[0]:.3e}")
+    if m.shape[0]:
+        check_psd_spectrum(w[0], w[-1], what="mat_pow argument")
     return pow_from_eigh(w, v, r)
 
 

@@ -10,11 +10,16 @@ which is solved by a damped fixed-point iteration, with closed forms at
 z = 1 (and hence for the whole Petz family) and a grid fallback for
 families within the grid budget.  F is concave for r in [0, 1] (maximized)
 and convex for r in [-1, 0] (minimized).
+
+Every free state is (+) tau_i (x) beta_i in the channel's block frame, so
+the iteration runs there on the small factors beta_i alone, with one
+eigendecomposition of the d x d core per evaluated step, and every result
+holds its optimizer by those factors (``OptimizerResult.betas``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,8 +33,10 @@ from .errors import BudgetError, SolverError, ValidationError
 from .linalg import (
     check_density,
     check_psd,
+    check_psd_spectrum,
     herm,
     mat_pow,
+    pow_from_eigh,
     schatten_norm,
     support_projector,
     trace_norm,
@@ -40,6 +47,7 @@ FIXED_POINT_MAX_ITER = 10_000
 FIXED_POINT_RESIDUAL_TOL = 1e-9
 ETA_FLOOR = 1.0 / 64.0
 INIT_MIX = 1e-3
+FREE_TOL = 1e-9
 
 
 def check_functional_region(r: float, z: float) -> None:
@@ -72,46 +80,70 @@ class TraceFunctionalSpec:
 class OptimizerResult:
     """Outcome of a free-state optimization.
 
-    ``value`` is F(sigma_star) for the raw trace-functional entry points and
-    the divergence in bits for the monotone wrappers; ``residual`` is the
-    trace-norm defect of the implicit fixed-point equation at sigma_star.
+    The optimizer sigma_star = (+) tau_i (x) beta_i is held by its factors:
+    ``betas`` has one (n, d_b, d_b) stack per block group of ``channel``
+    (see ``DestructionChannel.block_marginals``), and ``sigma_star``
+    assembles the matrix when it is read.  ``value`` is F(sigma_star) for
+    the raw trace-functional entry points and the divergence in bits for
+    the monotone wrappers; ``residual`` is the trace-norm defect of the
+    implicit fixed-point equation at sigma_star.
     """
 
-    sigma_star: np.ndarray
+    betas: tuple[np.ndarray, ...]
+    channel: DestructionChannel
     value: float
     residual: float
     iterations: int
     method: str
 
+    @property
+    def sigma_star(self) -> np.ndarray:
+        return self.channel.assemble_free(self.betas)
 
-def _value_at_half(half: np.ndarray, x: np.ndarray, z: float) -> float:
-    """F(sigma) from half = sigma^{r/2}."""
-    core = herm(half @ x @ half)
-    w = np.clip(np.linalg.eigvalsh(core), 0.0, None)
-    return float(np.sum(w**z))
+
+def _factors(sigma: np.ndarray, channel: DestructionChannel) -> tuple[np.ndarray, ...]:
+    """The factors beta_i of a free state given as a matrix."""
+    return tuple(channel.block_marginals(channel.to_block_frame(sigma)))
+
+
+def _free_factors(init, channel: DestructionChannel) -> tuple[np.ndarray, ...]:
+    """The factors of a free initial state; ValidationError if it is not free."""
+    init = check_density(init, channel.dim)
+    betas = _factors(init, channel)
+    gap = channel.assemble_free(betas) - init
+    # ||A||_1 <= sqrt(dim) ||A||_F: the exact norm only when the bound
+    # does not settle it.
+    if np.sqrt(channel.dim) * np.linalg.norm(gap) > FREE_TOL:
+        defect = trace_norm(gap)
+        if defect > FREE_TOL:
+            raise ValidationError(
+                f"init is not a free state: ||Delta(init) - init||_1 = {defect:.3e}"
+            )
+    return betas
+
+
+def _factor_distance(a, b) -> float:
+    """||(+) tau_i (x) (a_i - b_i)||_1 = sum_i ||a_i - b_i||_1, as tr tau_i = 1."""
+    return float(
+        sum(np.abs(np.linalg.eigvalsh(ai - bi)).sum() for ai, bi in zip(a, b))
+    )
 
 
 def _functional_value(sigma: np.ndarray, x: np.ndarray, r: float, z: float) -> float:
-    return _value_at_half(mat_pow(sigma, r / 2.0), x, z)
-
-
-def _map_at_half(half, x, z, channel):
-    """normalize(Delta(G(sigma))) with G(s) = (s^{r/2} X s^{r/2})^z.
-
-    ``half`` is sigma^{r/2}, which the caller has computed once.
-    """
-    g = mat_pow(herm(half @ x @ half), z)
-    t = herm(channel.apply(g))
-    tr = float(np.trace(t).real)
-    if tr <= 0:
-        raise SolverError("iteration map produced a zero-trace operator")
-    return t / tr
+    half = mat_pow(sigma, r / 2.0)
+    w = np.clip(np.linalg.eigvalsh(herm(half @ x @ half)), 0.0, None)
+    return float(np.sum(w**z))
 
 
 def fixed_point_residual(sigma, spec: TraceFunctionalSpec) -> float:
-    """Trace-norm defect of sigma against the implicit optimizer equation."""
-    target = _map_at_half(mat_pow(sigma, spec.r / 2.0), spec.x, spec.z, spec.channel)
-    return trace_norm(sigma - target)
+    """Trace-norm defect of sigma against the implicit optimizer equation
+    sigma = normalize(Delta(G(sigma))), G(s) = (s^{r/2} X s^{r/2})^z."""
+    half = mat_pow(sigma, spec.r / 2.0)
+    t = herm(spec.channel.apply(mat_pow(herm(half @ spec.x @ half), spec.z)))
+    tr = float(np.trace(t).real)
+    if tr <= 0:
+        raise SolverError("iteration map produced a zero-trace operator")
+    return trace_norm(sigma - t / tr)
 
 
 def _default_init(spec: TraceFunctionalSpec) -> np.ndarray:
@@ -134,66 +166,88 @@ def optimize_trace_functional(
     """Optimize F over the free states of the channel.
 
     ``method`` is "auto" (closed form when z = 1, otherwise the damped
-    fixed-point iteration), "fixed_point", or "closed_form".  When the fixed
-    point misses ``residual_tol`` the grid oracle answers instead, or, for a
-    family beyond GRID_PARAMETER_BUDGET, SolverError is raised.
+    fixed-point iteration), "fixed_point", or "closed_form".  ``init``, a
+    free state, starts the iteration (ValidationError if it is not free).
+    When the fixed point misses ``residual_tol`` the grid oracle answers
+    instead, or, for a family beyond GRID_PARAMETER_BUDGET, SolverError is
+    raised.
     """
     if method not in ("auto", "fixed_point", "closed_form"):
         raise ValidationError(f"unknown method {method!r}")
+    channel = spec.channel
     if method != "fixed_point":
-        if spec.channel.algebra_dim() == 1:  # the fixed state is the only free state
-            sigma = spec.channel.fixed_state()
+        if channel.algebra_dim() == 1:  # the fixed state is the only free state
+            sigma = channel.fixed_state()
             return OptimizerResult(
-                sigma_star=sigma,
-                value=_functional_value(sigma, spec.x, spec.r, spec.z),
-                residual=fixed_point_residual(sigma, spec),
-                iterations=0,
-                method="closed_form_z1",
+                _factors(sigma, channel),
+                channel,
+                _functional_value(sigma, spec.x, spec.r, spec.z),
+                fixed_point_residual(sigma, spec),
+                0,
+                "closed_form_z1",
             )
         if spec.z == 1.0 and spec.r < 1.0:
-            return z1_closed_form(spec.x, spec.r, spec.channel)
+            return z1_closed_form(spec.x, spec.r, channel)
         if method == "closed_form":
             raise ValidationError("no closed form available for z != 1")
 
+    # The iteration runs in the block frame on the factors beta_i of
+    # sigma = (+) tau_i (x) beta_i.  Each evaluated step takes one eigh of
+    # the core sigma^{r/2} X sigma^{r/2}: its eigenvalues give F, and, for
+    # an accepted step, its eigenvectors give G = core^z and so the next
+    # target, the normalized B-marginals of G.  A rejected step (eta
+    # halved) keeps the target.
     maximize = spec.r >= 0.0
-    sigma = _default_init(spec) if init is None else check_density(init, spec.channel.dim)
-    # Each sigma^{r/2} is computed once: the accepted step's half power
-    # feeds the next map, and a rejected step (eta halved) keeps the target.
-    half = mat_pow(sigma, spec.r / 2.0)
-    f_cur = _value_at_half(half, spec.x, spec.z)
-    target = None
+    xb = channel.to_block_frame(spec.x)
+
+    def evaluate(betas):
+        """(F, eigendecomposition of the core) at the free state of these factors."""
+        half = channel.free_power(betas, spec.r / 2.0)
+        w, v = np.linalg.eigh(herm(half @ xb @ half))
+        check_psd_spectrum(w[0], w[-1], what="core")
+        return float(np.sum(np.clip(w, 0.0, None) ** spec.z)), (w, v)
+
+    def target(core):
+        g = channel.block_marginals(pow_from_eigh(*core, spec.z))
+        tr = float(sum(np.trace(m, axis1=1, axis2=2).real.sum() for m in g))
+        if tr <= 0:
+            raise SolverError("iteration map produced a zero-trace operator")
+        return [m / tr for m in g]
+
+    betas = _free_factors(_default_init(spec) if init is None else init, channel)
+    f_cur, core = evaluate(betas)
+    tgt = None
     eta = 1.0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if target is None:
-            target = _map_at_half(half, spec.x, spec.z, spec.channel)
-        step = herm((1.0 - eta) * sigma + eta * target)
-        step_half = mat_pow(step, spec.r / 2.0)
-        f_new = _value_at_half(step_half, spec.x, spec.z)
+        if tgt is None:
+            tgt = target(core)
+        step = tuple((1.0 - eta) * b + eta * t for b, t in zip(betas, tgt))
+        f_new, step_core = evaluate(step)
         worse = f_new < f_cur - 1e-15 * (1 + abs(f_cur)) if maximize else (
             f_new > f_cur + 1e-15 * (1 + abs(f_cur))
         )
         if worse and eta > ETA_FLOOR:
             eta = max(eta / 2.0, ETA_FLOOR)
             continue
-        delta = trace_norm(step - sigma)
-        sigma, f_cur, half, target = step, f_new, step_half, None
+        delta = _factor_distance(step, betas)
+        betas, f_cur, core, tgt = step, f_new, step_core, None
         if delta < step_tol:
             break
-    # fixed_point_residual(sigma, spec), from the half power already at hand.
-    residual = trace_norm(sigma - _map_at_half(half, spec.x, spec.z, spec.channel))
+    residual = _factor_distance(betas, target(core))
     if residual <= residual_tol:
-        return OptimizerResult(sigma, f_cur, residual, iterations, "fixed_point")
+        return OptimizerResult(betas, channel, f_cur, residual, iterations, "fixed_point")
     # Non-convergence: fall back to the exhaustive grid when it is small;
     # beyond the grid budget this is a solver failure, not a budget refusal.
-    if free_parameter_count(spec.channel) > GRID_PARAMETER_BUDGET:
+    if free_parameter_count(channel) > GRID_PARAMETER_BUDGET:
         raise SolverError(
             f"fixed point did not converge: residual {residual:.3e} > {residual_tol:.0e} "
             f"after {iterations} iterations"
         )
     sigma_g, value_g = grid_oracle(spec, resolution=grid_resolution)
     return OptimizerResult(
-        sigma_g,
+        _factors(sigma_g, channel),
+        channel,
         value_g,
         fixed_point_residual(sigma_g, spec),
         iterations,
@@ -222,7 +276,12 @@ def z1_closed_form(x, r: float, channel: DestructionChannel) -> OptimizerResult:
     sigma = herm(core / tr)
     spec = TraceFunctionalSpec(x, r, 1.0, channel)
     return OptimizerResult(
-        sigma, value, fixed_point_residual(sigma, spec), 0, "closed_form_z1"
+        _factors(sigma, channel),
+        channel,
+        value,
+        fixed_point_residual(sigma, spec),
+        0,
+        "closed_form_z1",
     )
 
 
@@ -241,8 +300,9 @@ def pythagorean_factor(sigma, sigma_star, r: float) -> float:
 def umegaki_free(rho, channel: DestructionChannel) -> OptimizerResult:
     """Umegaki divergence to the free set; the optimizer is Delta(rho)."""
     rho = check_density(rho, channel.dim)
-    sigma = herm(channel.apply(rho))
-    return OptimizerResult(sigma, umegaki(rho, sigma), 0.0, 0, "closed_form_z1")
+    betas = _factors(rho, channel)
+    sigma = herm(channel.assemble_free(betas))
+    return OptimizerResult(betas, channel, umegaki(rho, sigma), 0.0, 0, "closed_form_z1")
 
 
 def d_min_free(rho, channel: DestructionChannel) -> float:
@@ -279,13 +339,17 @@ def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult
     if alpha == 1.0:
         return umegaki_free(rho, channel)
     if alpha == 0.0:
-        sigma = _d_min_optimizer(rho, channel)
-        return OptimizerResult(sigma, d_min_free(rho, channel), 0.0, 0, "closed_form_petz")
+        return OptimizerResult(
+            _factors(_d_min_optimizer(rho, channel), channel),
+            channel,
+            d_min_free(rho, channel),
+            0.0,
+            0,
+            "closed_form_petz",
+        )
     base = z1_closed_form(mat_pow(rho, alpha), 1.0 - alpha, channel)
     bits = float(np.log2(base.value) / (alpha - 1.0))
-    return OptimizerResult(
-        base.sigma_star, bits, base.residual, 0, "closed_form_petz"
-    )
+    return replace(base, value=bits, method="closed_form_petz")
 
 
 def d_alpha_z_free(rho, alpha: float, z: float, channel: DestructionChannel, **kw) -> OptimizerResult:
@@ -326,9 +390,9 @@ def m_lambda(
         # equation exactly and tr[X^z] is the common value.
         xz = mat_pow(x, z)
         q = float(np.trace(xz).real)
-        sigma = herm(channel.apply(xz)) / q
+        betas = tuple(m / q for m in _factors(xz, channel))
         bits = float(np.log2(q) / (alpha - 1.0)) if q > 0 else float("inf")
-        return OptimizerResult(sigma, bits, 0.0, 0, "endpoint")
+        return OptimizerResult(betas, channel, bits, 0.0, 0, "endpoint")
     spec = TraceFunctionalSpec(x, r, z, channel)
     init = solver_kw.pop("init", None)
     if init is None:
@@ -340,7 +404,7 @@ def m_lambda(
         bits = float("inf")
     else:
         bits = float(np.log2(base.value) / (alpha - 1.0))
-    return OptimizerResult(base.sigma_star, bits, base.residual, base.iterations, base.method)
+    return replace(base, value=bits)
 
 
 # ---------------------------------------------------------------------------

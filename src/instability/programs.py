@@ -323,6 +323,7 @@ def _degenerate_solution() -> SdpSolution:
         primal_residual=0.0,
         dual_residual=0.0,
         iterations=0,
+        stop_reason="target",
         block_dims=[],
     )
 
@@ -366,15 +367,17 @@ def _sym_power(m: np.ndarray, big_n: int) -> np.ndarray:
 
     p0, p1 = powers(m[:, 0]), powers(m[:, 1])
     out = np.stack([np.convolve(p0[big_n - b], p1[b]) for b in range(big_n + 1)], axis=1)
-    norm = np.sqrt([comb(big_n, a) for a in range(big_n + 1)])
+    # Float binomials: from N = 68 on, C(N, N/2) does not fit in int64.
+    norm = np.sqrt([float(comb(big_n, a)) for a in range(big_n + 1)])
     return herm(out * norm[None, :] / norm[:, None])
 
 
-def qubit_power_blocks(rho: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
-    """(l, m_l, R_l) for l = 0..n//2: rho^{(x)n} = (+)_l R_l (x) I_{m_l}."""
+def qubit_power_blocks(rho: np.ndarray, n: int) -> list[tuple[int, float, np.ndarray]]:
+    """(l, m_l, R_l) for l = 0..n//2: rho^{(x)n} = (+)_l R_l (x) I_{m_l},
+    with the multiplicities m_l as floats."""
     det = float(np.real(rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]))
     return [
-        (ell, comb(n, ell) - (comb(n, ell - 1) if ell else 0),
+        (ell, float(comb(n, ell) - (comb(n, ell - 1) if ell else 0)),
          det**ell * _sym_power(rho, n - 2 * ell))
         for ell in range(n // 2 + 1)
     ]

@@ -226,6 +226,12 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
+    # Why the iteration ended: target (every residual and the gap below
+    # target_tol), mu_floor (mu at the double-precision floor), stalled (no
+    # better iterate in over 10 iterations), step_collapse (a step below
+    # 1e-14), breakdown (a factorization or floating-point failure),
+    # certificate (an infeasibility or unboundedness ray) or max_iter.
+    stop_reason: str
     block_dims: list[int] = field(default_factory=list)
     # Largest jitter added to the Schur matrix before it factored, as a
     # multiple of its mean diagonal (0 when every Cholesky succeeded as is),
@@ -669,6 +675,7 @@ def solve(
     best_score = np.inf
     best_iter = 0
     status = "max_iter"
+    stop_reason = "max_iter"
     iterations = 0
     factor_log = [0.0, False]  # largest jitter, lstsq used
     mu0 = (x @ s + tau * kappa) / (nu + 1)
@@ -695,11 +702,14 @@ def solve(
             best_iter = iterations
             best = (xhat, yhat, shat, pobj, dobj, relgap, pres, dres)
         if pres <= target_tol and dres <= target_tol and relgap <= target_tol:
+            stop_reason = "target"
             break
         if mu <= 1e-16 * max(mu0, 1.0):
-            break  # nothing left to gain in double precision
+            stop_reason = "mu_floor"  # nothing left to gain in double precision
+            break
         if score > 0.5 * best_score and iterations - best_iter > 10:
-            break  # stalled
+            stop_reason = "stalled"
+            break
 
         # Infeasibility certificates appear as tau -> 0 with kappa bounded away.
         if tau <= 1e-10 * max(1.0, kappa) and mu <= 1e-10 * mu0:
@@ -710,7 +720,7 @@ def solve(
             else:  # pragma: no cover - degenerate ray
                 status = "infeasible"
             return _finalize(
-                status, best, cons, keep_rows, problem, iterations, factor_log
+                status, "certificate", best, cons, keep_rows, problem, iterations, factor_log
             )
 
         try:
@@ -803,6 +813,7 @@ def solve(
                 dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk, True)
                 alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa)[0])
                 if not np.isfinite(alpha) or alpha <= 1e-14:
+                    stop_reason = "step_collapse"
                     break
 
                 x = sym(x + alpha * dx)
@@ -811,17 +822,22 @@ def solve(
                 tau += alpha * d_tau
                 kappa += alpha * d_kappa
         except (FloatingPointError, np.linalg.LinAlgError):
-            break  # numerical breakdown past attainable precision
+            stop_reason = "breakdown"  # past attainable precision
+            break
 
     if best is None:
         raise SolverError("interior-point method produced no iterates")
     _, _, _, _, _, relgap, pres, dres = best
     if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
         status = "optimal"
-    return _finalize(status, best, cons, keep_rows, problem, iterations, factor_log)
+    return _finalize(
+        status, stop_reason, best, cons, keep_rows, problem, iterations, factor_log
+    )
 
 
-def _finalize(status, best, cons, keep_rows, problem, iterations, factor_log) -> SdpSolution:
+def _finalize(
+    status, stop_reason, best, cons, keep_rows, problem, iterations, factor_log
+) -> SdpSolution:
     xhat, yhat, shat, pobj, dobj, relgap, pres, dres = best
     y_full = np.zeros(problem.A.shape[0])
     y_full[keep_rows] = yhat
@@ -836,6 +852,7 @@ def _finalize(status, best, cons, keep_rows, problem, iterations, factor_log) ->
         primal_residual=pres,
         dual_residual=dres,
         iterations=iterations,
+        stop_reason=stop_reason,
         block_dims=list(problem.block_dims),
         max_jitter=factor_log[0],
         used_lstsq=factor_log[1],

@@ -6,7 +6,7 @@ from instability import divergences as dv
 from instability import optimize as op
 from instability.errors import BudgetError, SolverError, ValidationError
 from instability.linalg import herm, mat_pow, schatten_norm, trace_norm
-from instability.sampling import random_density, random_full_rank_density
+from instability.sampling import random_density, random_full_rank_density, random_unitary
 from tests.conftest import random_channel
 
 PLUS = ch.plus_state(2)
@@ -95,8 +95,18 @@ class TestFixedPoint:
             assert abs(res.value - grid_val) <= 2e-3
 
 
-    def test_accepted_iteration_makes_two_mat_pow_calls(self, rng, monkeypatch):
-        counts = {"mat_pow": 0, "trace_norm": 0}
+    def test_one_core_eigh_per_evaluated_step(self, rng, monkeypatch):
+        # Each evaluated step, accepted or rejected, decomposes its d x d core
+        # once; F, the next target and the distances come from that one
+        # decomposition and from the small factors, so the loop calls
+        # neither mat_pow nor trace_norm.
+        d = 6
+        counts = {"eigh": 0, "mat_pow": 0, "trace_norm": 0}
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a, *args, **kwargs):
+            counts["eigh"] += np.shape(a) == (d, d)
+            return eigh(a, *args, **kwargs)
 
         def count(name):
             fn = getattr(op, name)
@@ -107,22 +117,141 @@ class TestFixedPoint:
 
             monkeypatch.setattr(op, name, counted)
 
-        rho = random_full_rank_density(6, rng, 0.05)
+        rho = random_full_rank_density(d, rng, 0.05)
         spec = op.TraceFunctionalSpec(
             mat_pow(rho, 0.5 / 0.75), 0.5 / 0.75, 0.75, ch.tpce([(1, 3), (1, 3)])
         )
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         count("mat_pow")
         count("trace_norm")
         res = op.optimize_trace_functional(spec, method="fixed_point")
         assert res.method == "fixed_point"
-        # One trace norm per accepted step, and one for the final residual.
-        accepted = counts["trace_norm"] - 1
-        rejected = res.iterations - accepted
-        assert accepted >= 5
-        # sigma^{r/2} once at the start; per accepted step one new half power
-        # and one z-th power in the map; one half power per rejected step;
-        # two for the final residual.
-        assert counts["mat_pow"] <= 1 + 2 * accepted + rejected + 2
+        assert res.iterations >= 5
+        assert counts == {"eigh": res.iterations + 1, "mat_pow": 0, "trace_norm": 0}
+
+    def test_rejects_an_init_that_is_not_free(self, rng):
+        spec = op.TraceFunctionalSpec(random_full_rank_density(2, rng), 0.5, 0.8, DEPH2)
+        with pytest.raises(ValidationError, match="not a free state"):
+            op.optimize_trace_functional(spec, init=PLUS)
+        # A free init within the tolerance starts the iteration.
+        res = op.optimize_trace_functional(spec, init=herm(np.diag([0.3, 0.7]) + 1e-11 * PLUS))
+        assert res.method == "fixed_point"
+
+
+def reference_fixed_point(spec, init):
+    """The damped fixed point on dense d x d matrices, as it ran before the
+    block-frame iteration: (sigma, F(sigma), residual, iterations)."""
+
+    def value(half):
+        core = herm(half @ spec.x @ half)
+        return float(np.sum(np.clip(np.linalg.eigvalsh(core), 0.0, None) ** spec.z))
+
+    def target(half):
+        t = herm(spec.channel.apply(mat_pow(herm(half @ spec.x @ half), spec.z)))
+        return t / np.trace(t).real
+
+    maximize = spec.r >= 0.0
+    sigma = init
+    half = mat_pow(sigma, spec.r / 2.0)
+    f_cur = value(half)
+    tgt, eta = None, 1.0
+    for iterations in range(1, op.FIXED_POINT_MAX_ITER + 1):
+        if tgt is None:
+            tgt = target(half)
+        step = herm((1.0 - eta) * sigma + eta * tgt)
+        step_half = mat_pow(step, spec.r / 2.0)
+        f_new = value(step_half)
+        worse = f_new < f_cur - 1e-15 * (1 + abs(f_cur)) if maximize else (
+            f_new > f_cur + 1e-15 * (1 + abs(f_cur))
+        )
+        if worse and eta > op.ETA_FLOOR:
+            eta = max(eta / 2.0, op.ETA_FLOOR)
+            continue
+        delta = trace_norm(step - sigma)
+        sigma, f_cur, half, tgt = step, f_new, step_half, None
+        if delta < op.FIXED_POINT_STEP_TOL:
+            break
+    return sigma, f_cur, trace_norm(sigma - target(half)), iterations
+
+
+class TestBlockFrameFixedPoint:
+    """The block-frame iteration against the dense reference loop."""
+
+    @staticmethod
+    def cases(rng):
+        gamma = random_full_rank_density(2, rng, 0.2)
+        cond_replacer = ch.cond_replacer(gamma, 2)
+        composite = ch.tensor_channels(ch.dephaser(2), cond_replacer)
+        # States with a pure B part: the factor beta is rank one, and the
+        # roundoff eigenvalue (about 1e-17) of its decomposition must be cut
+        # before the power r/2 < 0.
+        rank_deficient = [
+            herm(np.kron(random_full_rank_density(2, rng), random_density(2, rng, rank=1)))
+            for _ in range(3)
+        ]
+        return [
+            ("haar-dephaser", ch.dephaser(4, basis=random_unitary(4, rng)),
+             random_full_rank_density(4, rng), 0.5, 0.75),
+            ("tpce", ch.tpce([(2, 2), (1, 3)]), random_full_rank_density(7, rng), 0.8, 0.9),
+            ("cond-replacer", cond_replacer, random_full_rank_density(4, rng), 0.5, 0.75),
+            ("composite", composite, random_full_rank_density(8, rng), 1.5, 1.2),
+            *[("rank-deficient", cond_replacer, rho, 1.5, 1.2) for rho in rank_deficient],
+        ]
+
+    def test_matches_dense_reference(self, rng):
+        for name, c, rho, alpha, z in self.cases(rng):
+            spec = op.TraceFunctionalSpec(mat_pow(rho, alpha / z), (1 - alpha) / z, z, c)
+            init = herm((1 - op.INIT_MIX) * c.apply(rho) + op.INIT_MIX * c.fixed_state())
+            sigma, value, residual, _ = reference_fixed_point(spec, init)
+            res = op.optimize_trace_functional(spec, init=init, method="fixed_point")
+            assert res.method == "fixed_point" and residual <= 1e-9, name
+            assert abs(res.value - value) <= 1e-10, name
+            assert np.abs(res.sigma_star - sigma).max() <= 1e-8, name
+            assert abs(res.residual - residual) <= 1e-9, name
+
+    def test_every_producer_returns_a_free_state(self, rng):
+        c = ch.dephaser(3, basis=random_unitary(3, rng))
+        rho = random_full_rank_density(3, rng)
+        x = mat_pow(rho, 0.5)
+        r = 0.5
+
+        def dense_z1(x, r):
+            twisted = herm(c.apply_dual(c.twist(x, r - 1.0)))
+            core = c.twist(mat_pow(twisted, 1.0 / (1.0 - r)), 1.0)
+            return herm(core / np.trace(core).real)
+
+        delta_rho = herm(c.apply(rho))
+        wing = mat_pow(delta_rho, (1 - 1.5) / (2 * 1.2))
+        xz = mat_pow(herm(wing @ mat_pow(rho, 1.5 / 1.2) @ wing), 1.2)
+        gamma = random_full_rank_density(2, rng, 0.2)
+        replacer = ch.replacer(gamma)
+        rank_one = random_density(3, rng, rank=1)
+        closed = {
+            "z1": (op.z1_closed_form(x, r, c), dense_z1(x, r)),
+            "petz": (op.petz_free(rho, 0.7, c), dense_z1(mat_pow(rho, 0.7), 0.3)),
+            "petz0": (op.petz_free(rank_one, 0.0, c), op._d_min_optimizer(rank_one, c)),
+            "umegaki": (op.umegaki_free(rho, c), delta_rho),
+            "endpoint": (op.m_lambda(rho, 1.5, 1.2, 1.0, c), herm(c.apply(xz)) / np.trace(xz).real),
+            "replacer": (
+                op.optimize_trace_functional(op.TraceFunctionalSpec(x[:2, :2], 0.5, 0.8, replacer)),
+                gamma,
+            ),
+        }
+        assert closed["endpoint"][0].method == "endpoint"
+        iterated = {
+            "fixed_point": op.optimize_trace_functional(
+                op.TraceFunctionalSpec(x, 0.5, 0.8, c), method="fixed_point"
+            ),
+            "grid_fallback": op.m_lambda(random_density(2, rng), 0.5, 0.8, 0.0, DEPH2, max_iter=1),
+        }
+        assert iterated["grid_fallback"].method == "grid_fallback"
+        results = {**{k: v for k, (v, _) in closed.items()}, **iterated}
+        for name, res in results.items():
+            sigma = res.sigma_star
+            assert trace_norm(res.channel.apply(sigma) - sigma) <= 1e-12, name
+            assert abs(np.trace(sigma) - 1.0) <= 1e-12, name
+        for name, (res, dense) in closed.items():
+            assert np.abs(res.sigma_star - dense).max() <= 1e-12, name
 
 
 class TestPetzFree:

@@ -321,6 +321,37 @@ class TestSchurWeyl:
                 dicke = np.stack([(weight == a) / np.sqrt(comb(n, a)) for a in range(n + 1)], 1)
                 assert np.abs(blocks[0][2] - dicke.T @ rho_n @ dicke).max() <= 1e-13
 
+    def test_every_block_is_a_dicke_projection(self, rng):
+        # R_l = det(rho)^l Sym^N(rho), N = n - 2l, on the N-qubit Dicke states.
+        from math import comb
+
+        for rank in (2, 1):
+            rho = random_density(2, rng, rank=rank)
+            det = np.linalg.det(rho).real
+            for n in range(1, 7):
+                for ell, _, r in pr.qubit_power_blocks(rho, n):
+                    big_n = n - 2 * ell
+                    rho_n = np.eye(1)
+                    for _ in range(big_n):
+                        rho_n = np.kron(rho_n, rho)
+                    weight = np.array([bin(x).count("1") for x in range(2**big_n)])
+                    dicke = np.stack(
+                        [(weight == a) / np.sqrt(comb(big_n, a)) for a in range(big_n + 1)], 1
+                    )
+                    assert np.abs(r - det**ell * dicke.T @ rho_n @ dicke).max() <= 1e-14
+
+    def test_blocks_past_int64_binomials(self, rng):
+        # C(68, 34) > 2^63: the binomials and multiplicities are floats.
+        for rank in (2, 1):
+            rho = random_density(2, rng, rank=rank)
+            for n in (68, 100):
+                blocks = pr.qubit_power_blocks(rho, n)
+                assert len(blocks) == n // 2 + 1
+                assert sum(m * (n - 2 * ell + 1) for ell, m, _ in blocks) == pytest.approx(
+                    2.0**n, rel=1e-12
+                )
+                assert abs(sum(m * np.trace(r).real for _, m, r in blocks) - 1.0) <= 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Row assembly: each program emits its Hermitian-basis rows as one family;
@@ -391,9 +422,9 @@ def reference_ht_free(rho, channel, eps):
         one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
     for i, b in enumerate(channel.blocks):
         for h in ch.hermitian_basis(b.d_b):
-            e = channel.embed_algebra_element(
-                [h if j == i else np.zeros((bb.d_b, bb.d_b)) for j, bb in enumerate(channel.blocks)]
-            )
+            parts = [None] * len(channel.blocks)
+            parts[i] = np.kron(np.eye(b.d_a), h)
+            e = channel.block_diagonal(parts)
             one_row(prog, {g: channel.apply(e), c: -b.d_a * np.real(np.trace(h)), z[i]: b.d_a * h}, 0.0)
     one_row(prog, {g: rho}, 1.0 - eps, ">=")
     return prog.build()

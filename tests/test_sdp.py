@@ -313,6 +313,7 @@ class TestFactorization:
         assert len(calls) == 3
         assert sol.iterations == 3
         assert sol.status == "max_iter"
+        assert sol.stop_reason == "breakdown"
         assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
 
     def test_planted_instance_needs_no_perturbation(self, rng):
@@ -407,6 +408,13 @@ class TestSolver:
             assert sol.status == "optimal"
             assert sol.primal_objective == pytest.approx(res.type_two_error, abs=1e-7)
 
+    def test_stop_reason(self, rng):
+        prob, _ = planted_problem([3, 2, 1], 5, rng)
+        sol = sdp.solve(prob)
+        assert (sol.status, sol.stop_reason) == ("optimal", "target")
+        capped = sdp.solve(prob, max_iter=2)
+        assert (capped.status, capped.stop_reason, capped.iterations) == ("max_iter", "max_iter", 2)
+
     def test_infeasible_detection(self):
         # X >= I together with tr X <= 1/2 is infeasible.
         prog = sdp.HermitianProgram()
@@ -418,6 +426,7 @@ class TestSolver:
         prog.add_constraint({x: np.eye(2)}, 0.5, sense="<=")
         sol, _ = prog.solve()
         assert sol.status == "infeasible"
+        assert sol.stop_reason == "certificate"
 
     def test_unbounded_detection(self):
         # min -tr X with only tr-free constraints is unbounded below.
