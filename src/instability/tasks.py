@@ -379,7 +379,6 @@ def compose_effect(
 # ---------------------------------------------------------------------------
 
 YIELD_DIM_BUDGET = 64
-COST_DIM_BUDGET = 256
 
 
 def regularize_sweep(
@@ -387,54 +386,48 @@ def regularize_sweep(
 ) -> list[dict]:
     """Per-copy rates over n = 1..n_max tensor powers.
 
-    yield_rate uses the restricted hypothesis-testing SDP (skipped above the
-    dimension budget 64); cost_hi_rate is the exact-cost rate from the
-    max-relative entropy (eigenvalue only, budget 256); cost_lo_rate is the
-    smoothed lower bound (SDP budget).  The Umegaki rate is the common
-    asymptotic target of both.
+    cost_hi_rate is the exact-cost rate D_max(rho^{(x)n} || Delta^{(x)n}
+    rho^{(x)n}) / n.  Since Delta^{(x)n}(rho^{(x)n}) = (Delta rho)^{(x)n} and
+    D_max is additive, it equals D_max(rho || Delta rho) for every n and is
+    computed once.  yield_rate (the restricted hypothesis-testing SDP) and
+    cost_lo_rate (the smoothed lower bound) are solved while d^n is within
+    the SDP budget 64; past it they hold None.  The Umegaki rate is the
+    common asymptotic target.
 
     For a qubit dephaser in any basis (two one-dimensional blocks) the two
     SDP rows solve permutation-invariant programs over the n//2 + 1
     Schur-Weyl blocks of rho^{(x)n}, each at most n + 1 wide, with rho in
     the dephaser's basis; every other channel builds rho^{(x)n} and
-    Delta^{(x)n} and solves the programs on them.  Both are extended only
-    while d^n is within the exact-cost budget; past it a row holds only the
-    Umegaki target.
+    Delta^{(x)n}, only within the SDP budget, and solves the programs on
+    them.
     """
     rho = np.asarray(rho, dtype=complex)
     target = umegaki_free(rho, channel).value  # validates rho
+    cost_hi = d_max(rho, herm(channel.apply(rho)))
     qubit = channel.to_block_frame(rho) if _is_qubit_dephaser(channel) else None
     rows = []
     rho_n, channel_n = rho, channel
     for n in range(1, n_max + 1):
         dim_n = channel.dim**n
-        if 1 < n and dim_n <= COST_DIM_BUDGET:
-            rho_n, channel_n = np.kron(rho_n, rho), tensor_channels(channel_n, channel)
         row = {
             "n": n,
             "yield_rate": None,
             "cost_lo_rate": None,
-            "cost_hi_rate": None,
+            "cost_hi_rate": cost_hi,
             "umegaki": target,
         }
-        if dim_n <= YIELD_DIM_BUDGET:
-            if qubit is None:
-                row["yield_rate"] = restricted_ht(rho_n, channel_n, eps, **solver_kw).value / n
-                row["cost_lo_rate"] = (
-                    dmax_smoothed_free(rho_n, channel_n, eps, **solver_kw).value / n
-                )
-            else:
-                blocks = qubit_power_blocks(qubit, n)
-                row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps, **solver_kw) / n
-                row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps, **solver_kw) / n
-        else:
+        if dim_n > YIELD_DIM_BUDGET:
             log.info("n=%d: dimension %d exceeds the SDP budget %d, yield rows skipped",
                      n, dim_n, YIELD_DIM_BUDGET)
-        if dim_n <= COST_DIM_BUDGET:
-            row["cost_hi_rate"] = d_max(rho_n, herm(channel_n.apply(rho_n))) / n
+        elif qubit is not None:
+            blocks = qubit_power_blocks(qubit, n)
+            row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps, **solver_kw) / n
+            row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps, **solver_kw) / n
         else:
-            log.info("n=%d: dimension %d exceeds the exact-cost budget %d, row skipped",
-                     n, dim_n, COST_DIM_BUDGET)
+            if n > 1:
+                rho_n, channel_n = np.kron(rho_n, rho), tensor_channels(channel_n, channel)
+            row["yield_rate"] = restricted_ht(rho_n, channel_n, eps, **solver_kw).value / n
+            row["cost_lo_rate"] = dmax_smoothed_free(rho_n, channel_n, eps, **solver_kw).value / n
         rows.append(row)
     return rows
 

@@ -10,17 +10,10 @@ from instability.sampling import (
     random_hermitian,
     random_unitary,
 )
+from instability.tasks import matrix_units
 from tests.conftest import random_channel
 
 GAMMA = np.diag([1 / 3, 2 / 3]).astype(complex)
-
-
-def matrix_units(d):
-    for j in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[j, k] = 1.0
-            yield e
 
 
 class TestStandardChannels:
@@ -83,13 +76,6 @@ class TestStandardChannels:
 
 
 class TestChannelAxioms:
-    def test_idempotence_on_matrix_units(self, rng):
-        for _ in range(10):
-            d = int(rng.integers(2, 6))
-            c = random_channel(d, rng)
-            for e in matrix_units(d):
-                assert trace_norm(c.apply(c.apply(e)) - c.apply(e)) <= 1e-10
-
     def test_trace_preserving(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 6))
@@ -113,18 +99,6 @@ class TestChannelAxioms:
             c = random_channel(d, rng)
             assert np.abs(c.apply_dual(np.eye(d)) - np.eye(d)).max() <= 1e-12
 
-    def test_dual_bimodularity(self, rng):
-        for _ in range(100):
-            d = int(rng.integers(2, 5))
-            c = random_channel(d, rng)
-            y = random_hermitian(d, rng)
-            x1 = c.apply_dual(random_hermitian(d, rng))
-            x2 = c.apply_dual(random_hermitian(d, rng))
-            assert (
-                trace_norm(c.apply_dual(x1 @ y @ x2) - x1 @ c.apply_dual(y) @ x2)
-                <= 1e-9
-            )
-
     def test_dual_image_is_an_algebra(self, rng):
         # products of dual-fixed observables stay dual-fixed
         for _ in range(50):
@@ -134,13 +108,6 @@ class TestChannelAxioms:
             y = c.apply_dual(random_hermitian(d, rng))
             prod = x @ y
             assert trace_norm(c.apply_dual(prod) - prod) <= 1e-9
-
-    def test_dual_choi_psd(self, rng):
-        for _ in range(10):
-            d = int(rng.integers(2, 5))
-            c = random_channel(d, rng)
-            w = np.linalg.eigvalsh(herm(c.choi(dual=True)))
-            assert w[0] >= -1e-9
 
     def test_fixed_state_full_rank(self, rng):
         for _ in range(10):
@@ -192,22 +159,6 @@ class TestTwist:
             x = random_hermitian(d, rng)
             r = float(rng.uniform(-1.5, 1.5))
             assert np.abs(c.twist(c.twist(x, r), -r) - x).max() <= 1e-9
-
-    def test_twist_relates_tp_expectation_and_dual(self, rng):
-        for _ in range(10):
-            d = int(rng.integers(2, 5))
-            c = random_channel(d, rng)
-            for e in matrix_units(d):
-                assert (
-                    trace_norm(c.twist(c.apply_tp_expectation(e), 1.0) - c.apply(e))
-                    <= 1e-9
-                )
-                assert (
-                    trace_norm(
-                        c.apply_dual(e) - c.apply_tp_expectation(c.twist(e, 1.0))
-                    )
-                    <= 1e-9
-                )
 
     def test_twist_product_identities(self, rng):
         # For operators fixed by the channel or its dual, powers of the twist

@@ -283,6 +283,10 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "2/2 suites passed" in out
 
+    def test_verify_unknown_suite_exit_2(self, capsys):
+        assert main(["verify", "--suites", "nope"]) == 2
+        assert "known:" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_parse_error(self, workdir, capsys):

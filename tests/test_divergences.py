@@ -5,7 +5,6 @@ from instability import channels as ch
 from instability import divergences as dv
 from instability.errors import ValidationError
 from instability.sampling import random_density, random_full_rank_density
-from tests.conftest import random_channel
 
 PLUS = ch.plus_state(2)
 UNIFORM2 = np.eye(2, dtype=complex) / 2
@@ -114,48 +113,6 @@ class TestMinMax:
         m = dv.d_max(rho, sig)
         assert np.linalg.eigvalsh(2.0**m * sig - rho)[0] >= -1e-10
         assert np.linalg.eigvalsh(2.0 ** (m - 0.01) * sig - rho)[0] < 0
-
-
-class TestHierarchyAndAdditivity:
-    def test_ordering(self, rng):
-        for _ in range(100):
-            d = int(rng.integers(2, 6))
-            rho = random_full_rank_density(d, rng)
-            sig = random_full_rank_density(d, rng)
-            a, b, c = dv.d_min(rho, sig), dv.umegaki(rho, sig), dv.d_max(rho, sig)
-            assert a <= b + 1e-8 and b <= c + 1e-8
-
-    def test_additivity(self, rng):
-        fns = [
-            dv.umegaki,
-            dv.d_min,
-            dv.d_max,
-            lambda a, b: dv.d_alpha_z(a, b, alpha=0.6, z=0.8),
-            lambda a, b: dv.d_alpha_z(a, b, alpha=1.4, z=1.1),
-        ]
-        for _ in range(30):
-            r1, r2 = random_full_rank_density(2, rng), random_full_rank_density(2, rng)
-            s1, s2 = random_full_rank_density(2, rng), random_full_rank_density(2, rng)
-            for f in fns:
-                joint = f(np.kron(r1, r2), np.kron(s1, s2))
-                assert joint == pytest.approx(f(r1, s1) + f(r2, s2), abs=1e-8)
-
-    def test_dpi_under_destruction(self, rng):
-        fns = [
-            dv.umegaki,
-            dv.d_min,
-            dv.d_max,
-            lambda a, b: dv.d_alpha_z(a, b, alpha=0.5, z=1.0),
-            lambda a, b: dv.d_alpha_z(a, b, alpha=1.5, z=1.5),
-            lambda a, b: dv.d_hypothesis(a, b, 0.1),
-        ]
-        for _ in range(500):
-            d = int(rng.integers(2, 5))
-            c = random_channel(d, rng)
-            rho = random_full_rank_density(d, rng)
-            sig = random_full_rank_density(d, rng)
-            f = fns[int(rng.integers(len(fns)))]
-            assert f(c.apply(rho), c.apply(sig)) <= f(rho, sig) + 1e-8
 
 
 class TestHypothesisTesting:

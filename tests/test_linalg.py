@@ -26,16 +26,6 @@ class TestEigh:
             col = col / col[0]
             assert np.allclose(col, [1, sign])
 
-    def test_reconstruction_property(self, rng):
-        for _ in range(1000):
-            d = int(rng.integers(2, 17))
-            h = random_hermitian(d, rng)
-            w, v = la.eigh(h)
-            scale = max(np.abs(w).max(), 1e-300)
-            assert la.spectral_norm((v * w) @ v.conj().T - h) <= 1e-10 * d * scale
-            assert la.spectral_norm(v.conj().T @ v - np.eye(d)) <= 1e-10 * d
-            assert np.all(np.diff(w) >= -1e-14 * scale)
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             la.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -53,15 +43,6 @@ class TestMatPow:
         rho = random_density(3, rng)
         root = la.mat_pow(rho, 1.0 / 3.0)
         assert np.abs(root @ root @ root - rho).max() <= 1e-9
-
-    def test_semigroup(self, rng):
-        for _ in range(50):
-            p = random_full_rank_density(4, rng, 0.1)
-            a, b = rng.uniform(0.1, 2.0, size=2)
-            assert (
-                np.abs(la.mat_pow(p, a + b) - la.mat_pow(p, a) @ la.mat_pow(p, b)).max()
-                <= 1e-9
-            )
 
     def test_zero_power_is_support_projector(self):
         proj = la.mat_pow(np.diag([0.5, 0.0, 0.5]).astype(complex), 0.0)
@@ -142,14 +123,6 @@ class TestSchattenNorm:
     def test_quasi_norm(self):
         # (1^{1/2} + 1^{1/2})^2 = 4
         assert la.schatten_norm(np.eye(2, dtype=complex), 0.5) == pytest.approx(4.0)
-
-    def test_order_monotonicity(self, rng):
-        for _ in range(100):
-            x = random_hermitian(int(rng.integers(2, 8)), rng)
-            n1 = la.schatten_norm(x, 1)
-            n2 = la.schatten_norm(x, 2)
-            ninf = la.schatten_norm(x, np.inf)
-            assert n1 >= n2 - 1e-12 and n2 >= ninf - 1e-12
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValidationError):

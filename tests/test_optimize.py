@@ -72,17 +72,6 @@ class TestFixedPoint:
             assert res.residual <= 1e-9
             assert trace_norm(c.apply(res.sigma_star) - res.sigma_star) <= 1e-9
 
-    def test_matches_closed_form(self, rng):
-        for _ in range(20):
-            d = int(rng.integers(2, 7))
-            c = random_channel(d, rng)
-            rho = random_full_rank_density(d, rng)
-            alpha = float(rng.choice([0.3, 0.5, 0.9, 1.3, 1.8]))
-            cf = op.petz_free(rho, alpha, c)
-            spec = op.TraceFunctionalSpec(mat_pow(rho, alpha), 1 - alpha, 1.0, c)
-            fp = op.optimize_trace_functional(spec, method="fixed_point")
-            assert np.log2(fp.value) / (alpha - 1) == pytest.approx(cf.value, abs=1e-8)
-
     def test_z_not_one_against_grid(self, rng):
         for _ in range(5):
             c = ch.dephaser(2)

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from instability import channels as ch
+from instability import divergences as dv
 from instability import optimize as op
 from instability import sdp
 from instability import tasks as tk
@@ -279,6 +282,15 @@ class TestEffectConstructions:
             tk.compose_effect(np.eye(2, dtype=complex), lam, 0.05, DEPH2, ch.depolarizer(2))
 
 
+COST_CHANNELS = {
+    "dephaser(2)": DEPH2,
+    "dephaser(3)": ch.dephaser(3),
+    "tpce": ch.tpce([(1, 2), (1, 1)]),
+    "cond_depolarizer(2,2)": ch.cond_depolarizer(2, 2),
+    "replacer": ch.replacer(random_full_rank_density(2, np.random.default_rng(5), 0.3)),
+}
+
+
 class TestRegularize:
     def test_currency_rows_constant(self):
         cur = tk.currency(1.5)
@@ -321,11 +333,9 @@ class TestRegularize:
         rows = tk.regularize_sweep(
             random_density(5, np.random.default_rng(0)), ch.dephaser(5), 0.05, 4
         )
-        # 5^3 = 125 > 64: no SDP rows from n = 3; 5^4 = 625 > 256: no exact
-        # cost row at n = 4
-        assert rows[2]["yield_rate"] is None
-        assert rows[2]["cost_hi_rate"] is not None
-        assert rows[3]["cost_hi_rate"] is None
+        # 5^3 = 125 > 64: no SDP rows from n = 3; the exact cost needs no power
+        assert rows[2]["yield_rate"] is None and rows[2]["cost_lo_rate"] is None
+        assert rows[3]["cost_hi_rate"] == rows[0]["cost_hi_rate"]
 
     def test_csv_shape(self):
         rows = tk.regularize_sweep(PLUS, DEPH2, 0.0, 2)
@@ -334,7 +344,7 @@ class TestRegularize:
         assert lines[0] == "n,yield_rate,cost_lo_rate,cost_hi_rate,umegaki"
         assert len(lines) == 3
 
-    def test_powers_stop_at_the_cost_budget(self, monkeypatch):
+    def test_powers_stop_at_the_yield_budget(self, monkeypatch):
         dims = []
         real = tk.tensor_channels
 
@@ -345,9 +355,29 @@ class TestRegularize:
         monkeypatch.setattr(tk, "tensor_channels", spy)
         rho = random_density(2, np.random.default_rng(3))
         rows = tk.regularize_sweep(rho, DEPH2, 0.05, 12)
-        assert dims == [2**n for n in range(2, 9)]
+        assert dims == []  # the Schur-Weyl programs need no tensor power
         assert rows[:8] == tk.regularize_sweep(rho, DEPH2, 0.05, 8)
-        assert all(r["cost_hi_rate"] is None and r["umegaki"] == rows[0]["umegaki"] for r in rows[8:])
+        assert all(r["cost_hi_rate"] == rows[0]["cost_hi_rate"] for r in rows)
+        assert all(r["yield_rate"] is None and r["umegaki"] == rows[0]["umegaki"] for r in rows[6:])
+        # Any other qubit channel builds its powers up to the SDP budget only.
+        solved = SimpleNamespace(value=0.0)
+        monkeypatch.setattr(tk, "restricted_ht", lambda *args, **kw: solved)
+        monkeypatch.setattr(tk, "dmax_smoothed_free", lambda *args, **kw: solved)
+        tk.regularize_sweep(rho, ch.depolarizer(2), 0.05, 9)
+        assert dims == [2**n for n in range(2, 7)]
+
+    @pytest.mark.parametrize("which", list(COST_CHANNELS))
+    def test_cost_row_matches_the_explicit_power(self, which, monkeypatch):
+        channel = COST_CHANNELS[which]
+        rho = random_density(channel.dim, np.random.default_rng(7))
+        monkeypatch.setattr(tk, "YIELD_DIM_BUDGET", 0)  # cost rows only
+        rows = tk.regularize_sweep(rho, channel, 0.05, 4)
+        rho_n, channel_n = rho, channel
+        for n, row in enumerate(rows, start=1):
+            if n > 1:
+                rho_n, channel_n = np.kron(rho_n, rho), ch.tensor_channels(channel_n, channel)
+            explicit = dv.d_max(rho_n, herm(channel_n.apply(rho_n))) / n
+            assert row["cost_hi_rate"] == pytest.approx(explicit, abs=1e-12)
 
 
 _SWEEP_RNG = np.random.default_rng(909)
@@ -435,13 +465,6 @@ class TestCovariance:
             d = int(rng.integers(2, 4))
             c = random_channel(d, rng)
             assert tk.covariance_check(c.apply, c, c) <= 1e-10
-
-    def test_free_unitaries(self, rng):
-        for seed in range(10):
-            d = int(rng.integers(2, 4))
-            c = random_channel(d, rng)
-            u = ch.random_free_unitary(c, seed)
-            assert tk.covariance_check(lambda e: u @ e @ u.conj().T, c, c) <= 1e-10
 
     def test_cross_mechanism_constant(self, rng):
         gamma = random_full_rank_density(2, rng, 0.2)
