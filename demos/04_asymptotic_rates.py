@@ -23,7 +23,6 @@ print(sweep_csv(rows))
 
 diag = sweep_diagnostics(rows, eps)
 print(f"asymptotic target D(rho || Delta(rho)) = {diag['target']:.6f}")
-print("cost-rate gap nonincreasing:", diag["cost_gap_nonincreasing"])
 print("yield rates below the converse bound:", diag["yield_below_target"])
 print("lower bound consistent:", diag["lower_bound_consistent"])
 print()

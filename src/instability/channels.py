@@ -231,29 +231,50 @@ class DestructionChannel:
             g.scatter(out, _kron(g.taus, beta))
         return self.from_block_frame(out)
 
-    def free_power(self, betas, r: float) -> np.ndarray:
-        """sigma^r in the block frame for sigma = (+) tau_i (x) beta_i, with
-        the conventions of ``mat_pow``: the eigenvalues of sigma are the
-        products t_a b_k of those of tau_i and beta_i, tested for positivity
-        and cut at rank_tol(dim, lambda_max(sigma)) before the power."""
-        eigs = [np.linalg.eigh(beta) for beta in betas]
-        prods = [
-            (g.fixed_eig[0] / g.d_a)[:, :, None] * b[:, None, :]
-            for g, (b, _) in zip(self._groups, eigs)
-        ]
-        lo = min(p.min() for p in prods)
-        hi = max(p.max() for p in prods)
-        check_psd_spectrum(lo, hi, what="free state")
+    def free_eig(self, betas) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The eigendecomposition of sigma = (+) tau_i (x) beta_i in the block
+        frame, one (eigenvalues (n, s), eigenvectors (n, s, s)) pair per
+        group: the products t_a b_k and u_a (x) w_k of those of tau_i and
+        beta_i, from one batched eigh of the factors."""
+        out = []
+        for g, beta in zip(self._groups, betas):
+            b, w = np.linalg.eigh(beta)
+            n, s = g.index.shape
+            p = ((g.fixed_eig[0] / g.d_a)[:, :, None] * b[:, None, :]).reshape(n, s)
+            out.append((p, _kron(g.fixed_eig[1], w).reshape(n, s, s)))
+        return out
+
+    def free_eig_dense(self, eig) -> tuple[np.ndarray, np.ndarray]:
+        """A ``free_eig`` decomposition as one eigenvalue vector and one
+        block-diagonal unitary, both in the block frame."""
+        w = np.zeros(self.dim)
+        v = np.zeros((self.dim, self.dim), dtype=complex)
+        for g, (p, k) in zip(self._groups, eig):
+            w[g.index] = p
+            g.scatter(v, k)
+        return w, v
+
+    def free_power(self, eig, r: float) -> np.ndarray:
+        """sigma^r in the block frame from its ``free_eig`` decomposition,
+        with the conventions of ``mat_pow``: the eigenvalues t_a b_k are
+        tested for positivity and cut at rank_tol(dim, lambda_max(sigma))
+        before the power."""
+        hi = max(p.max() for p, _ in eig)
+        check_psd_spectrum(min(p.min() for p, _ in eig), hi, what="free state")
         cut = rank_tol(self.dim, hi)
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, (_, w), p in zip(self._groups, eigs, prods):
+        for g, (p, k) in zip(self._groups, eig):
             pw = np.zeros_like(p)
             live = p > cut
             pw[live] = p[live] ** float(r)
-            n, s = g.index.shape
-            k = _kron(g.fixed_eig[1], w).reshape(n, s, s)
-            g.scatter(out, herm((k * pw.reshape(n, 1, s)) @ k.conj().swapaxes(-1, -2)))
+            g.scatter(out, herm((k * pw[:, None, :]) @ k.conj().swapaxes(-1, -2)))
         return out
+
+    def dual_marginals(self, xb: np.ndarray) -> list[np.ndarray]:
+        """The B-components tr_A[(tau_i (x) I) X_i] of Delta^*(X), for ``xb``
+        in the block frame, as factor stacks: the batched
+        ``dual_block_reduction``."""
+        return [np.einsum("nae,nebad->nbd", g.taus, g.gather(xb)) for g in self._groups]
 
     # -- fixed data ------------------------------------------------------
 

@@ -13,7 +13,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -81,6 +80,7 @@ def cmd_monotone(args) -> int:
             "z": args.z,
             "lambda": args.lam,
             "value": res.value,
+            "interval": res.interval,
             "residual": res.residual,
             "method": res.method,
             "iterations": res.iterations,
@@ -156,6 +156,8 @@ def cmd_sweep(args) -> int:
         )
     payloads = [(rho, channel, a, z, x) for a, z, x in points]
     if args.workers > 1 and len(payloads) > 8:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, payloads, chunksize=8))
     else:

@@ -6,15 +6,22 @@ optimizer satisfies the implicit equation
 
     sigma_* proportional to Delta((sigma_*^{r/2} X sigma_*^{r/2})^z)
 
-which is solved by a damped fixed-point iteration, with closed forms at
-z = 1 (and hence for the whole Petz family) and a grid fallback for
-families within the grid budget.  F is concave for r in [0, 1] (maximized)
-and convex for r in [-1, 0] (minimized).
+which is solved by an Anderson-accelerated fixed-point iteration, with
+closed forms at z = 1 (and hence for the whole Petz family) and a grid
+fallback for families within the grid budget.  F is concave for r in
+[0, 1] (maximized) and convex for r in [-1, 0] (minimized).
 
 Every free state is (+) tau_i (x) beta_i in the channel's block frame, so
 the iteration runs there on the small factors beta_i alone, with one
 eigendecomposition of the d x d core per evaluated step, and every result
-holds its optimizer by those factors (``OptimizerResult.betas``).
+holds its optimizer by those factors (``OptimizerResult.betas``).  Each
+step mixes the last ANDERSON_DEPTH + 1 factor stacks and their targets
+(Walker & Ni, SIAM J. Numer. Anal. 49, 2011); a mixed step that leaves
+the full-rank free states or makes F worse is replaced by the damped step
+toward the target.  The loop stops on the fixed-point residual.  At the
+returned point the Frank-Wolfe gap max_s tr[grad F (s - sigma)] over free
+states s (Jaggi, ICML 2013) bounds the distance of F to its optimum, so
+every result carries an interval that contains the exact optimum.
 """
 
 from __future__ import annotations
@@ -37,12 +44,14 @@ from .linalg import (
     herm,
     mat_pow,
     pow_from_eigh,
+    rank_tol,
     schatten_norm,
     support_projector,
     trace_norm,
 )
 
-FIXED_POINT_STEP_TOL = 1e-11
+FIXED_POINT_STEP_TOL = 1e-11  # the residual at which the iteration stops
+ANDERSON_DEPTH = 4
 FIXED_POINT_MAX_ITER = 10_000
 FIXED_POINT_RESIDUAL_TOL = 1e-9
 ETA_FLOOR = 1.0 / 64.0
@@ -76,7 +85,7 @@ class TraceFunctionalSpec:
             raise ValidationError("payload X must be nonzero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizerResult:
     """Outcome of a free-state optimization.
 
@@ -86,7 +95,11 @@ class OptimizerResult:
     assembles the matrix when it is read.  ``value`` is F(sigma_star) for
     the raw trace-functional entry points and the divergence in bits for
     the monotone wrappers; ``residual`` is the trace-norm defect of the
-    implicit fixed-point equation at sigma_star.
+    implicit fixed-point equation at sigma_star.  ``gap`` is the
+    Frank-Wolfe gap of F at sigma_star (0.0 for the exact closed forms,
+    +inf where it is unbounded), and ``interval`` contains the exact
+    optimum in the units of ``value``, of which ``value`` is one end: the
+    upper end in bits for the monotones, which are infima over free states.
     """
 
     betas: tuple[np.ndarray, ...]
@@ -95,6 +108,12 @@ class OptimizerResult:
     residual: float
     iterations: int
     method: str
+    gap: float = 0.0
+    interval: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.interval is None:
+            object.__setattr__(self, "interval", (self.value, self.value))
 
     @property
     def sigma_star(self) -> np.ndarray:
@@ -127,6 +146,90 @@ def _factor_distance(a, b) -> float:
     return float(
         sum(np.abs(np.linalg.eigvalsh(ai - bi)).sum() for ai, bi in zip(a, b))
     )
+
+
+def _flat(betas) -> np.ndarray:
+    """Factor stacks as one real vector, the concatenated float views."""
+    return np.concatenate([b.view(np.float64).ravel() for b in betas])
+
+
+def _unflat(vec: np.ndarray, like) -> tuple[np.ndarray, ...]:
+    """The factor stacks shaped like ``like`` from a ``_flat`` vector."""
+    out, k = [], 0
+    for b in like:
+        out.append(vec[k : k + 2 * b.size].view(complex).reshape(b.shape))
+        k += 2 * b.size
+    return tuple(out)
+
+
+def _anderson(history, like) -> tuple[np.ndarray, ...] | None:
+    """Type-II Anderson mixing of the (beta, T(beta)) pairs in ``history``,
+    oldest first, as ``_flat`` vectors: the affine combination of the
+    targets whose coefficients make the same combination of the residuals
+    T(beta) - beta least-squares smallest, as factor stacks shaped like
+    ``like`` and scaled to unit trace (None if the trace is not positive).
+    Real coefficients on exactly Hermitian stacks give exactly Hermitian
+    stacks; the scaling undoes the trace drift of large coefficients, which
+    F, homogeneous of degree r z, would read as a change of value."""
+    xs, gs = (np.array(a) for a in zip(*history))
+    fs = gs - xs
+    gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+    step = _unflat(gs[-1] - np.diff(gs, axis=0).T @ gamma, like)
+    tr = sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in step)
+    return tuple(b / tr for b in step) if tr > 0 else None
+
+
+def _interior(eig, dim: int) -> bool:
+    """Whether every eigenvalue of a ``free_eig`` decomposition is above the rank cut."""
+    return min(p.min() for p, _ in eig) > rank_tol(dim, max(p.max() for p, _ in eig))
+
+
+def _gradient(spec, xb: np.ndarray, eig, core) -> np.ndarray | None:
+    """grad F at sigma in the block frame, from the ``free_eig``
+    decomposition of sigma and the eigendecomposition of its core.
+
+    With sigma = V diag(l) V^dag and G = core^z,
+
+        grad F = z V [f_r^[1](l_a, l_b) (l_a l_b)^{-r/2} (V^dag G V)_ab] V^dag
+
+    where f_r^[1] is the divided difference of t -> t^r.  Eigenvalues of
+    sigma below the rank cut are zeros.  Where X has weight on that kernel
+    F is +inf there (r < 0) or grows from it at an infinite rate, and the
+    answer is None; otherwise F does not see the kernel to first order.
+    """
+    channel, r, z = spec.channel, spec.r, spec.z
+    lam, v = channel.free_eig_dense(eig)
+    live = lam > rank_tol(channel.dim, lam.max())
+    if not live.all():
+        vk = v[:, ~live]
+        if np.trace(vk.conj().T @ xb @ vk).real > rank_tol(channel.dim, np.trace(xb).real):
+            return None
+    lp = np.where(live, lam, 1.0)
+    log_ratio = np.log(lp[:, None] / lp[None, :])
+    with np.errstate(invalid="ignore"):
+        ratio = np.expm1(r * log_ratio) / np.expm1(log_ratio)
+    f1 = np.where(log_ratio == 0.0, r, ratio) * lp[None, :] ** (r - 1.0)
+    weights = z * f1 * np.outer(lp, lp) ** (-r / 2.0) * np.outer(live, live)
+    g = v.conj().T @ pow_from_eigh(*core, z) @ v
+    return herm(v @ (weights * g) @ v.conj().T)
+
+
+def _frank_wolfe_gap(spec, xb: np.ndarray, value: float, eig, core) -> float:
+    """max over free states s of tr[grad F (s - sigma)] for r >= 0, and of
+    tr[grad F (sigma - s)] for r < 0: the top (bottom) eigenvalue of a
+    B-component of Delta^*(grad F) against tr[grad F sigma] = r z F, Euler's
+    identity for F homogeneous of degree r z.  +inf where ``_gradient`` is
+    None; roundoff below 0 reads 0."""
+    grad = _gradient(spec, xb, eig, core)
+    if grad is None:
+        return float("inf")
+    r, z = spec.r, spec.z
+    spectra = [np.linalg.eigvalsh(m) for m in spec.channel.dual_marginals(grad)]
+    if r >= 0.0:
+        gap = max(e[:, -1].max() for e in spectra) - r * z * value
+    else:
+        gap = r * z * value - min(e[:, 0].min() for e in spectra)
+    return max(float(gap), 0.0)
 
 
 def _functional_value(sigma: np.ndarray, x: np.ndarray, r: float, z: float) -> float:
@@ -165,12 +268,14 @@ def optimize_trace_functional(
 ) -> OptimizerResult:
     """Optimize F over the free states of the channel.
 
-    ``method`` is "auto" (closed form when z = 1, otherwise the damped
-    fixed-point iteration), "fixed_point", or "closed_form".  ``init``, a
-    free state, starts the iteration (ValidationError if it is not free).
-    When the fixed point misses ``residual_tol`` the grid oracle answers
-    instead, or, for a family beyond GRID_PARAMETER_BUDGET, SolverError is
-    raised.
+    ``method`` is "auto" (closed form when z = 1, otherwise the
+    accelerated fixed-point iteration), "fixed_point", or "closed_form".
+    ``init``, a free state, starts the iteration (ValidationError if it is
+    not free), which stops once the fixed-point residual is below
+    ``step_tol`` or after ``max_iter`` evaluated steps.  When the fixed
+    point misses ``residual_tol`` the grid oracle answers instead, or, for a
+    family beyond GRID_PARAMETER_BUDGET, SolverError is raised.  Both
+    answers carry their Frank-Wolfe gap and interval.
     """
     if method not in ("auto", "fixed_point", "closed_form"):
         raise ValidationError(f"unknown method {method!r}")
@@ -194,15 +299,20 @@ def optimize_trace_functional(
     # The iteration runs in the block frame on the factors beta_i of
     # sigma = (+) tau_i (x) beta_i.  Each evaluated step takes one eigh of
     # the core sigma^{r/2} X sigma^{r/2}: its eigenvalues give F, and, for
-    # an accepted step, its eigenvectors give G = core^z and so the next
-    # target, the normalized B-marginals of G.  A rejected step (eta
-    # halved) keeps the target.
+    # an accepted step, its eigenvectors give G = core^z and so the target
+    # T(beta), the normalized B-marginals of G.  Once two (beta, T(beta))
+    # pairs are known the step is their Anderson mixing; a mixed step with
+    # an eigenvalue of sigma at the rank cut is dropped unevaluated, and one
+    # that makes F worse counts as an iteration.  Either clears the history
+    # and the damped step follows: a rejected damped step (eta halved)
+    # keeps the target.
     maximize = spec.r >= 0.0
     xb = channel.to_block_frame(spec.x)
 
-    def evaluate(betas):
-        """(F, eigendecomposition of the core) at the free state of these factors."""
-        half = channel.free_power(betas, spec.r / 2.0)
+    def evaluate(eig):
+        """(F, eigendecomposition of the core) at the free state of this
+        ``free_eig`` decomposition."""
+        half = channel.free_power(eig, spec.r / 2.0)
         w, v = np.linalg.eigh(herm(half @ xb @ half))
         check_psd_spectrum(w[0], w[-1], what="core")
         return float(np.sum(np.clip(w, 0.0, None) ** spec.z)), (w, v)
@@ -214,29 +324,48 @@ def optimize_trace_functional(
             raise SolverError("iteration map produced a zero-trace operator")
         return [m / tr for m in g]
 
+    def certified(betas, eig, value, core, residual, iterations, method):
+        gap = _frank_wolfe_gap(spec, xb, value, eig, core)
+        interval = (value, value + gap) if maximize else (value - gap, value)
+        return OptimizerResult(
+            betas, channel, value, residual, iterations, method, gap, interval
+        )
+
     betas = _free_factors(_default_init(spec) if init is None else init, channel)
-    f_cur, core = evaluate(betas)
-    tgt = None
+    eig = channel.free_eig(betas)
+    f_cur, core = evaluate(eig)
+    tgt = target(core)
+    residual = _factor_distance(betas, tgt)
+    history = [(_flat(betas), _flat(tgt))]
     eta = 1.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if tgt is None:
-            tgt = target(core)
-        step = tuple((1.0 - eta) * b + eta * t for b, t in zip(betas, tgt))
-        f_new, step_core = evaluate(step)
+    while residual >= step_tol and iterations < max_iter:
+        mixed = len(history) > 1
+        if mixed:
+            step = _anderson(history, betas)
+        else:
+            step = tuple((1.0 - eta) * b + eta * t for b, t in zip(betas, tgt))
+        step_eig = None if step is None else channel.free_eig(step)
+        if mixed and (step_eig is None or not _interior(step_eig, channel.dim)):
+            history = history[-1:]
+            continue
+        iterations += 1
+        f_new, step_core = evaluate(step_eig)
         worse = f_new < f_cur - 1e-15 * (1 + abs(f_cur)) if maximize else (
             f_new > f_cur + 1e-15 * (1 + abs(f_cur))
         )
+        if worse and mixed:
+            history = history[-1:]
+            continue
         if worse and eta > ETA_FLOOR:
             eta = max(eta / 2.0, ETA_FLOOR)
             continue
-        delta = _factor_distance(step, betas)
-        betas, f_cur, core, tgt = step, f_new, step_core, None
-        if delta < step_tol:
-            break
-    residual = _factor_distance(betas, target(core))
+        betas, eig, f_cur, core = step, step_eig, f_new, step_core
+        tgt = target(core)
+        residual = _factor_distance(betas, tgt)
+        history = [*history, (_flat(betas), _flat(tgt))][-ANDERSON_DEPTH - 1 :]
     if residual <= residual_tol:
-        return OptimizerResult(betas, channel, f_cur, residual, iterations, "fixed_point")
+        return certified(betas, eig, f_cur, core, residual, iterations, "fixed_point")
     # Non-convergence: fall back to the exhaustive grid when it is small;
     # beyond the grid budget this is a solver failure, not a budget refusal.
     if free_parameter_count(channel) > GRID_PARAMETER_BUDGET:
@@ -245,10 +374,13 @@ def optimize_trace_functional(
             f"after {iterations} iterations"
         )
     sigma_g, value_g = grid_oracle(spec, resolution=grid_resolution)
-    return OptimizerResult(
-        _factors(sigma_g, channel),
-        channel,
+    betas_g = _factors(sigma_g, channel)
+    eig_g = channel.free_eig(betas_g)
+    return certified(
+        betas_g,
+        eig_g,
         value_g,
+        evaluate(eig_g)[1],
         fixed_point_residual(sigma_g, spec),
         iterations,
         "grid_fallback",
@@ -349,7 +481,7 @@ def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult
         )
     base = z1_closed_form(mat_pow(rho, alpha), 1.0 - alpha, channel)
     bits = float(np.log2(base.value) / (alpha - 1.0))
-    return replace(base, value=bits, method="closed_form_petz")
+    return replace(base, value=bits, method="closed_form_petz", interval=(bits, bits))
 
 
 def d_alpha_z_free(rho, alpha: float, z: float, channel: DestructionChannel, **kw) -> OptimizerResult:
@@ -400,11 +532,15 @@ def m_lambda(
             (1.0 - INIT_MIX) * delta_rho + INIT_MIX * channel.fixed_state()
         )
     base = optimize_trace_functional(spec, init=init, **solver_kw)
-    if base.value <= 0:
-        bits = float("inf")
-    else:
-        bits = float(np.log2(base.value) / (alpha - 1.0))
-    return replace(base, value=bits)
+
+    def bits(f):
+        return float(np.log2(f) / (alpha - 1.0)) if f > 0 else float("inf")
+
+    # bits(F) is monotone in F, so it maps the interval of F onto one in bits.
+    f_lo, f_hi = base.interval
+    lo = -float("inf") if f_lo <= 0 else min(bits(f_lo), bits(f_hi))
+    value = bits(base.value)
+    return replace(base, value=value, interval=(lo, value))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +556,9 @@ def grid_oracle(
     """Exhaustive evaluation of F over the free-state grid.
 
     Refuses when the family has more than GRID_PARAMETER_BUDGET scalar
-    parameters; independent of the fixed-point and closed-form paths.
+    parameters; independent of the fixed-point and closed-form paths.  For
+    r < 0, F is +inf on a singular free state, so grid points with an
+    eigenvalue at or below the rank cut are skipped.
     """
     n_par = free_parameter_count(spec.channel)
     if n_par > GRID_PARAMETER_BUDGET:
@@ -430,7 +568,13 @@ def grid_oracle(
     maximize = spec.r >= 0.0
     best_sigma, best_val = None, -np.inf if maximize else np.inf
     for sigma in enumerate_free_grid(spec.channel, resolution):
+        if not maximize:
+            w = np.linalg.eigvalsh(sigma)
+            if w[0] <= rank_tol(spec.channel.dim, w[-1]):
+                continue
         val = _functional_value(sigma, spec.x, spec.r, spec.z)
         if (val > best_val) if maximize else (val < best_val):
             best_sigma, best_val = sigma, val
+    if best_sigma is None:
+        raise SolverError(f"no full-rank free state on the grid at resolution {resolution}")
     return best_sigma, float(best_val)

@@ -446,24 +446,19 @@ def sweep_csv(rows: list[dict]) -> str:
 def sweep_diagnostics(rows: list[dict], eps: float, tol: float = 1e-6) -> dict:
     """Monotone-trend checks on a regularization sweep at error eps.
 
-    The exact-cost rate is additive, so its distance to the Umegaki target
-    must be nonincreasing; the smoothed lower-bound rate cannot exceed the
-    exact-cost rate.  An eps-yield may exceed the Umegaki rate D, but never
-    the converse bound D_H^eps <= (n D + h2(eps)) / (1 - eps) of Wang and
-    Renner (PRL 108, 200501, 2012): yield_below_target checks each yield rate
-    against (n D + h2(eps)) / (n (1 - eps)).
+    The smoothed lower-bound rate cannot exceed the exact-cost rate.  An
+    eps-yield may exceed the Umegaki rate D, but never the converse bound
+    D_H^eps <= (n D + h2(eps)) / (1 - eps) of Wang and Renner (PRL 108,
+    200501, 2012): yield_below_target checks each yield rate against
+    (n D + h2(eps)) / (n (1 - eps)).
     """
     target = rows[0]["umegaki"] if rows else 0.0
-    cost_gaps = [abs(r["cost_hi_rate"] - target) for r in rows if r["cost_hi_rate"] is not None]
     lo_ok = all(
         r["cost_lo_rate"] <= r["cost_hi_rate"] + tol
         for r in rows
         if r["cost_lo_rate"] is not None and r["cost_hi_rate"] is not None
     )
     return {
-        "cost_gap_nonincreasing": all(
-            cost_gaps[i + 1] <= cost_gaps[i] + tol for i in range(len(cost_gaps) - 1)
-        ),
         "yield_below_target": all(
             r["yield_rate"] <= _yield_rate_bound(target, r["n"], eps) + tol
             for r in rows

@@ -75,6 +75,16 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_monotone_emits_interval(self, workdir, capsys):
+        # The fixed point's certified interval ends at its value; a closed
+        # form's interval is the one point.
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        for z, width in (("1.2", 1e-9), ("1", 0.0)):
+            assert main(["monotone", *io_args, "--alpha", "1.5", "--z", z, "--lambda", "0.5"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            lo, hi = data["interval"]
+            assert hi == data["value"] and 0.0 <= hi - lo <= width
+
     def test_yield_and_cost(self, workdir, capsys):
         assert main(
             ["yield", "--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]

@@ -243,6 +243,75 @@ class TestBlockFrameFixedPoint:
             assert np.abs(res.sigma_star - dense).max() <= 1e-12, name
 
 
+def dpi_draw(rng):
+    """(alpha, z) in the data-processing region with z != 1, and lambda < 1."""
+    alpha = float(rng.choice([0.3, 0.5, 0.7, 0.9, 1.2, 1.5, 1.8, 2.0]))
+    if alpha < 1:
+        z = float(rng.uniform(max(alpha, 1 - alpha), 1.5))
+    else:
+        z = float(rng.uniform(max(alpha / 2, alpha - 1), alpha))
+    return alpha, z, float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+
+
+def draw_channel(k, rng):
+    """Channel k of a rotation through the block-structured families."""
+    gamma = random_full_rank_density(2, rng, 0.2)
+    return [
+        lambda: ch.dephaser(3, basis=random_unitary(3, rng)),
+        lambda: ch.tpce([(2, 2), (1, 3)]),
+        lambda: ch.cond_replacer(gamma, 2),
+        lambda: ch.cond_depolarizer(2, 2),
+        lambda: ch.tensor_channels(ch.dephaser(2), ch.cond_replacer(gamma, 1)),
+    ][k % 5]()
+
+
+def damped_m_lambda(monkeypatch, rho, alpha, z, lam, channel):
+    """m_lambda with the damped reference loop in place of the optimizer."""
+
+    def damped(spec, *, init):
+        sigma, value, residual, iterations = reference_fixed_point(spec, init)
+        return op.OptimizerResult(
+            op._factors(sigma, spec.channel), spec.channel, value, residual, iterations, "damped"
+        )
+
+    with monkeypatch.context() as m:
+        m.setattr(op, "optimize_trace_functional", damped)
+        return op.m_lambda(rho, alpha, z, lam, channel)
+
+
+class TestAndersonFixedPoint:
+    def test_matches_damped_reference(self, rng, monkeypatch):
+        # 40 draws from the data-processing region, one in four on a
+        # rank-deficient state (at alpha > 1, where the damped loop converges).
+        for k in range(40):
+            c = draw_channel(k, rng)
+            alpha, z, lam = dpi_draw(rng)
+            if k % 4 == 3:
+                rho = random_density(c.dim, rng, rank=c.dim // 2)
+                alpha = float(rng.choice([1.2, 1.5, 1.8]))
+                z = float(rng.uniform(max(alpha / 2, alpha - 1), alpha))
+            else:
+                rho = random_full_rank_density(c.dim, rng)
+            what = f"draw {k}: {alpha}, {z}, {lam}"
+            ref = damped_m_lambda(monkeypatch, rho, alpha, z, lam, c)
+            res = op.m_lambda(rho, alpha, z, lam, c, method="fixed_point")
+            assert res.method == "fixed_point" and ref.residual <= 1e-9, what
+            assert abs(res.value - ref.value) <= 1e-12, what
+            assert res.residual <= op.FIXED_POINT_STEP_TOL, what
+
+    def test_alpha_two_converges_and_is_certified(self):
+        # On these draws the damped loop takes a median of 343 (d = 8) and
+        # 488 (d = 16) iterations, and one of the 60 misses 3000.
+        rng = np.random.default_rng(7)
+        for d in (8, 16):
+            c = ch.tpce([(2, d // 4), (2, d // 4)])
+            for _ in range(30):
+                res = op.m_lambda(random_full_rank_density(d, rng, 0.05), 2.0, 1.5, 0.0, c)
+                assert res.method == "fixed_point" and res.iterations <= 100
+                lo, hi = res.interval
+                assert hi == res.value and 0.0 <= hi - lo <= 1e-9
+
+
 class TestPetzFree:
     def test_plus_half_alpha(self):
         res = op.petz_free(PLUS, 0.5, DEPH2)
@@ -402,6 +471,20 @@ class TestGridOracle:
         cf = op.z1_closed_form(rho, 0.5, DEPH2)
         _, value = op.grid_oracle(spec, resolution=101)
         assert value <= cf.value + 1e-9
+
+    def test_negative_r_skips_singular_free_states(self):
+        # F is +inf on a singular free state for r < 0; the pseudo-power
+        # gave the grid -8.06 bits at the boundary, far below the optimum.
+        rho = random_full_rank_density(2, np.random.default_rng(5))
+        res = op.m_lambda(rho, 1.2, 0.75, 0.0, DEPH2, max_iter=1)
+        exact = op.m_lambda(rho, 1.2, 0.75, 0.0, DEPH2)
+        assert res.method == "grid_fallback" and exact.method == "fixed_point"
+        assert res.interval[0] <= exact.value <= res.value <= exact.value + 1e-3
+        spec = op.TraceFunctionalSpec(mat_pow(rho, 1.2 / 0.75), -0.2 / 0.75, 0.75, DEPH2)
+        fp = op.optimize_trace_functional(spec)
+        for resolution, tol in ((21, 8.4e-5), (101, 1.1e-6)):
+            _, value = op.grid_oracle(spec, resolution=resolution)
+            assert fp.value - 1e-9 <= value <= fp.value + tol
 
     def test_budget_guard(self, rng):
         big = ch.tensor_channels(ch.cond_depolarizer(2, 2), ch.cond_depolarizer(2, 2))

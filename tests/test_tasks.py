@@ -309,7 +309,6 @@ class TestRegularize:
         rho = 0.6 * PLUS + 0.4 * np.eye(2) / 2
         rows = tk.regularize_sweep(rho, DEPH2, 0.05, 4)
         diag = tk.sweep_diagnostics(rows, 0.05)
-        assert diag["cost_gap_nonincreasing"]
         assert diag["yield_below_target"]
         assert diag["lower_bound_consistent"]
 
