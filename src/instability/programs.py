@@ -37,7 +37,7 @@ import numpy as np
 from .channels import DestructionChannel, hermitian_basis
 from .divergences import neyman_pearson
 from .errors import SolverError, ValidationError
-from .linalg import check_density, herm, rank_tol
+from .linalg import check_density, herm, pow_from_eigh, rank_tol
 from .sdp import HermitianProgram, SdpSolution
 
 DEFAULT_SOLVER_KW = dict(feas_tol=1e-8, gap_tol=1e-7, max_iter=200)
@@ -255,10 +255,17 @@ def _ht_free_sdp(
 
 @dataclass(frozen=True)
 class SmoothedDmaxResult:
+    """The value, its smoothed state and free witness, and the path taken.
+
+    `method` is "sdp" (interior point) or "closed_form" (a pure state at
+    eps = 0), which carries `_degenerate_solution()`.
+    """
+
     value: float            # bits
     tau: np.ndarray         # the smoothed state inside the eps-ball
     omega: np.ndarray       # free-cone operator with omega >= tau
     solution: SdpSolution
+    method: str = "sdp"
 
 
 def dmax_smoothed_free(
@@ -268,10 +275,42 @@ def dmax_smoothed_free(
 
     Minimizes log2 tr[omega] over free-cone omega >= tau where tau ranges
     over the trace-distance eps-ball around rho (P >= tau - rho, P >= 0,
-    tr P <= eps witnesses the ball membership).
+    tr P <= eps witnesses the ball membership).  A pure state at eps = 0 is
+    answered by the closed form of the module docstring.
     """
     eps = _check_eps(eps)
     rho = check_density(rho, channel.dim)
+    if eps <= 0.0:
+        w, v = np.linalg.eigh(rho)
+        if np.count_nonzero(w > rank_tol(channel.dim, w[-1])) == 1:
+            return _pure_dmax(rho, np.sqrt(w[-1]) * v[:, -1], channel)
+    return _dmax_smoothed_sdp(rho, channel, eps, **solver_kw)
+
+
+def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDmaxResult:
+    """D_max(psi psi^dagger || free) = 2 log2 S, S = sum_i tr sqrt(C_i), with
+    the optimizer omega = S (+) tau_i (x) (C_i^T)^{1/2}."""
+    phi = channel.basis.conj().T @ psi
+    cuts = np.cumsum([b.dim for b in channel.blocks])[:-1]
+    total, roots = 0.0, []
+    for b, part in zip(channel.blocks, np.split(phi, cuts)):
+        # tau^{-1/2} Psi = U s V^dagger: tr sqrt(C) = sum s, (C^T)^{1/2} = conj(V s V^dagger)
+        root = pow_from_eigh(*np.linalg.eigh(b.tau), -0.5)
+        _, s, vh = np.linalg.svd(root @ part.reshape(b.d_a, b.d_b), full_matrices=False)
+        total += float(s.sum())
+        roots.append((vh.T * s) @ vh.conj())
+    omega = channel.block_diagonal(
+        [np.kron(b.tau, total * r) for b, r in zip(channel.blocks, roots)]
+    )
+    return SmoothedDmaxResult(
+        2.0 * float(np.log2(total)), rho, omega, _degenerate_solution(), "closed_form"
+    )
+
+
+def _dmax_smoothed_sdp(
+    rho, channel: DestructionChannel, eps: float, **solver_kw
+) -> SmoothedDmaxResult:
+    """dmax_smoothed_free by interior point, for a validated state."""
     d = channel.dim
     kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     prog = HermitianProgram()

@@ -262,7 +262,7 @@ def one_shot_cost_eps(
         "cost_interval",
         (lower, upper),
         eps,
-        {"tau": best, "smoothed_tau": tau_m},
+        {"tau": best, "smoothed_tau": tau_m, "method": lower_res.method},
         {
             "sdp_gap": lower_res.solution.gap,
             "ball_distance": trace_distance(best, rho),

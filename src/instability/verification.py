@@ -19,6 +19,7 @@ import numpy as np
 from . import channels as ch
 from . import divergences as dv
 from . import optimize as op
+from . import programs as pr
 from . import tasks as tk
 from .errors import ValidationError
 from .linalg import eigh, herm, mat_pow, schatten_norm, spectral_norm, trace_norm
@@ -27,6 +28,7 @@ from .sampling import (
     random_effect,
     random_full_rank_density,
     random_hermitian,
+    random_pure,
     rng_from,
 )
 
@@ -320,6 +322,30 @@ def check_covariance_suite(seed) -> CheckResult:
     return CheckResult("covariant channel generators", worst <= 1e-10, worst, 1e-10)
 
 
+def check_pure_dmax(seed) -> CheckResult:
+    """The eps = 0 closed form for pure states against the interior-point
+    body to 1e-7 bits; its witness (omega >= rho, omega free, log2 tr omega
+    the value) holds to 1e-12 tr omega, scaled onto 1e-7."""
+    rng = rng_from(seed)
+    worst = 0.0
+    for _ in range(10):
+        d = int(rng.integers(2, 6))
+        c = random_channel(d, rng)
+        rho = random_pure(d, rng)
+        res = pr.dmax_smoothed_free(rho, c, 0.0)
+        if res.method != "closed_form":
+            return CheckResult("pure-state D_max closed form", False, np.inf, 1e-7)
+        size = float(np.trace(res.omega).real)
+        worst = max(
+            worst,
+            abs(res.value - pr._dmax_smoothed_sdp(rho, c, 0.0).value),
+            1e5 * -float(np.linalg.eigvalsh(herm(res.omega - rho))[0]) / size,
+            1e5 * spectral_norm(c.apply(res.omega) - res.omega) / size,
+            1e5 * abs(np.log2(size) - res.value),
+        )
+    return CheckResult("pure-state D_max closed form", worst <= 1e-7, worst, 1e-7)
+
+
 ALL_CHECKS: dict[str, Callable] = {
     "linalg": check_eigh_reconstruction,
     "mat_pow": check_mat_pow_semigroup,
@@ -336,6 +362,7 @@ ALL_CHECKS: dict[str, Callable] = {
     "effects": check_effect_constructions,
     "tasks": check_task_consistency,
     "covariance": check_covariance_suite,
+    "dmax_pure": check_pure_dmax,
 }
 
 

@@ -112,6 +112,7 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         lo, hi = data["value"]
         assert lo <= hi <= lo + np.log2(20) + 1e-6
+        assert data["witness"]["method"] == "sdp"
 
     def test_crossed_cost_bounds_exit_3(self, workdir, monkeypatch, capsys):
         free = np.diag([0.3, 0.7]).astype(complex)

@@ -244,20 +244,93 @@ class TestExactPath:
         assert worst <= 1e-8
 
 
+def pure_state(psi):
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+
+
+def assert_pure_witness(res, rho, channel):
+    """omega >= rho, omega free and log2 tr omega the value, each to 1e-12
+    of tr omega."""
+    size = np.trace(res.omega).real
+    assert np.linalg.eigvalsh(herm(res.omega - rho))[0] >= -1e-12 * size
+    assert spectral_norm(channel.apply(res.omega) - res.omega) <= 1e-12 * size
+    assert np.log2(size) == pytest.approx(res.value, abs=1e-12)
+
+
 class TestSmoothedDmax:
     def test_eps_zero_replacer(self, rng):
         for _ in range(5):
             rho = random_density(2, rng)
-            res = pr.dmax_smoothed_free(rho, ch.replacer(GAMMA), 0.0)
-            assert res.value == pytest.approx(dv.d_max(rho, GAMMA), abs=1e-7)
+            for body in (pr.dmax_smoothed_free, pr._dmax_smoothed_sdp):
+                res = body(rho, ch.replacer(GAMMA), 0.0)
+                assert res.value == pytest.approx(dv.d_max(rho, GAMMA), abs=1e-7)
 
     def test_eps_zero_dephaser_grid(self, rng):
         for _ in range(3):
             rho = random_density(2, rng)
-            res = pr.dmax_smoothed_free(rho, DEPH2, 0.0)
             grid = ch.enumerate_free_grid(DEPH2, 2001)
             oracle = min(dv.d_max(rho, s) for s in grid)
-            assert res.value == pytest.approx(oracle, abs=1e-3)
+            for body in (pr.dmax_smoothed_free, pr._dmax_smoothed_sdp):
+                res = body(rho, DEPH2, 0.0)
+                assert res.value == pytest.approx(oracle, abs=1e-3)
+
+    def test_pure_closed_form_matches_sdp(self, rng):
+        channels = [
+            ch.dephaser(4),
+            ch.dephaser(4, random_unitary(4, rng)),
+            ch.tpce([(2, 1), (1, 2)]),
+            ch.cond_replacer(random_full_rank_density(2, rng, 0.3), 2),
+            ch.cond_depolarizer(2, 2),
+            ch.replacer(random_full_rank_density(3, rng, 0.3)),
+            ch.tensor_channels(ch.dephaser(2), ch.tpce([(1, 2), (1, 1)])),
+        ]
+        worst = 0.0
+        for channel in channels:
+            for _ in range(3):
+                rho = random_density(channel.dim, rng, rank=1)
+                res = pr.dmax_smoothed_free(rho, channel, 0.0)
+                assert res.method == "closed_form"
+                assert np.array_equal(res.tau, rho)
+                assert_pure_witness(res, rho, channel)
+                worst = max(worst, abs(res.value - pr._dmax_smoothed_sdp(rho, channel, 0.0).value))
+        assert worst <= 1e-7
+
+    def test_pure_known_forms(self, rng):
+        for _ in range(5):
+            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            psi /= np.linalg.norm(psi)
+            rho = pure_state(psi)
+            # Dephaser: the l1-norm of coherence, log2 (sum_i |psi_i|)^2.
+            res = pr.dmax_smoothed_free(rho, ch.dephaser(4), 0.0)
+            assert res.value == pytest.approx(2 * np.log2(np.abs(psi).sum()), abs=1e-12)
+            # Replacer: D_max(psi psi^dagger || gamma) = log2 psi^dagger gamma^{-1} psi.
+            gamma = random_full_rank_density(4, rng, 0.3)
+            res = pr.dmax_smoothed_free(rho, ch.replacer(gamma), 0.0)
+            exact = np.log2(np.vdot(psi, np.linalg.solve(gamma, psi)).real)
+            assert res.value == pytest.approx(exact, abs=1e-12)
+
+    def test_pure_degenerate_inputs(self, rng):
+        res = pr.dmax_smoothed_free(ch.basis_state(4, 2), ch.dephaser(4), 0.0)
+        assert res.method == "closed_form" and res.value == 0.0
+        # No weight in the (1, 2) block: the (2, 1) block alone, tau = I/2.
+        channel = ch.tpce([(2, 1), (1, 2)])
+        rho = pure_state(np.concatenate([rng.normal(size=2) + 1j * rng.normal(size=2), [0, 0]]))
+        res = pr.dmax_smoothed_free(rho, channel, 0.0)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert_pure_witness(res, rho, channel)
+        # A near-singular tau: on this draw the interior-point body stops at max_iter.
+        channel = ch.cond_replacer(np.diag([1 - 1e-6, 1e-6]), 2)
+        rho = random_density(4, rng, rank=1)
+        res = pr.dmax_smoothed_free(rho, channel, 0.0)
+        assert res.method == "closed_form" and np.isfinite(res.value)
+        assert_pure_witness(res, rho, channel)
+
+    def test_mixed_and_smoothed_states_take_the_sdp(self, rng):
+        channel = ch.dephaser(3)
+        pure = random_density(3, rng, rank=1)
+        for rho, eps in ((random_density(3, rng, rank=2), 0.0), (pure, 0.1)):
+            assert pr.dmax_smoothed_free(rho, channel, eps).method == "sdp"
 
     def test_nonincreasing_in_eps(self, rng):
         rho = random_density(3, rng)
