@@ -338,14 +338,15 @@ class DestructionChannel:
                 c[j * d : (j + 1) * d, k * d : (k + 1) * d] = act(e)
         return c
 
-    def kraus(self, tol: float = 1e-12) -> list[np.ndarray]:
-        """Kraus operators recovered from the Choi matrix."""
+    def kraus(self) -> list[np.ndarray]:
+        """Kraus operators recovered from the Choi matrix, dropping
+        eigenvalues at or below 1e-12 of the largest."""
         c = herm(self.choi())
         w, v = np.linalg.eigh(c)
         d = self.dim
         ops = []
         for lam, vec in zip(w, v.T):
-            if lam > tol * max(w[-1], 1e-300):
+            if lam > 1e-12 * max(w[-1], 1e-300):
                 # Choi block (j, k) is C(|j><k|): the eigenvector component
                 # at index j*d + a is the (a, j) entry of the Kraus operator.
                 ops.append(np.sqrt(lam) * vec.reshape(d, d).T)

@@ -63,17 +63,7 @@ def _emit_json(data, output: str | None):
 def cmd_monotone(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
-    if args.alpha == 1.0:
-        res = op.umegaki_free(rho, channel)
-    else:
-        res = op.m_lambda(
-            rho,
-            args.alpha,
-            args.z,
-            args.lam,
-            channel,
-            grid_resolution=args.resolution,
-        )
+    res = op.m_lambda(rho, args.alpha, args.z, args.lam, channel)
     _emit_json(
         {
             "alpha": args.alpha,
@@ -222,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument(
-        "--resolution", type=int, default=21,
-        help="free-state grid resolution for the fallback oracle",
-    )
     p.set_defaults(func=cmd_monotone)
 
     p = sub.add_parser("yield", help="one-shot distillable currency")

@@ -72,10 +72,9 @@ def quasi_entropy(rho: np.ndarray, s: np.ndarray, alpha: float, z: float) -> flo
     return float(np.sum(w**z))
 
 
-def d_alpha_z(rho, s, params: RenyiParams | None = None, *, alpha=None, z=None) -> float:
+def d_alpha_z(rho, s, *, alpha: float, z: float) -> float:
     """alpha-z Renyi divergence in bits; +inf on support violations."""
-    if params is None:
-        params = RenyiParams(float(alpha), float(z))
+    params = RenyiParams(float(alpha), float(z))
     rho = check_density(rho)
     s = check_psd(s, rho.shape[0], what="second argument")
     if float(np.trace(s).real) <= 0:

@@ -18,10 +18,13 @@ holds its optimizer by those factors (``OptimizerResult.betas``).  Each
 step mixes the last ANDERSON_DEPTH + 1 factor stacks and their targets
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011); a mixed step that leaves
 the full-rank free states or makes F worse is replaced by the damped step
-toward the target.  The loop stops on the fixed-point residual.  At the
-returned point the Frank-Wolfe gap max_s tr[grad F (s - sigma)] over free
-states s (Jaggi, ICML 2013) bounds the distance of F to its optimum, so
-every result carries an interval that contains the exact optimum.
+toward the target.  The loop stops once the fixed-point residual is below
+FIXED_POINT_STEP_TOL and accepts a point within FIXED_POINT_RESIDUAL_TOL;
+these are constants, and a caller sets only the starting point, the
+iteration cap and the method.  At the returned point the Frank-Wolfe gap
+max_s tr[grad F (s - sigma)] over free states s (Jaggi, ICML 2013) bounds
+the distance of F to its optimum, so every result carries an interval
+that contains the exact optimum.
 """
 
 from __future__ import annotations
@@ -260,11 +263,8 @@ def optimize_trace_functional(
     spec: TraceFunctionalSpec,
     *,
     init: np.ndarray | None = None,
-    step_tol: float = FIXED_POINT_STEP_TOL,
     max_iter: int = FIXED_POINT_MAX_ITER,
-    residual_tol: float = FIXED_POINT_RESIDUAL_TOL,
     method: str = "auto",
-    grid_resolution: int = 21,
 ) -> OptimizerResult:
     """Optimize F over the free states of the channel.
 
@@ -272,10 +272,11 @@ def optimize_trace_functional(
     accelerated fixed-point iteration), "fixed_point", or "closed_form".
     ``init``, a free state, starts the iteration (ValidationError if it is
     not free), which stops once the fixed-point residual is below
-    ``step_tol`` or after ``max_iter`` evaluated steps.  When the fixed
-    point misses ``residual_tol`` the grid oracle answers instead, or, for a
-    family beyond GRID_PARAMETER_BUDGET, SolverError is raised.  Both
-    answers carry their Frank-Wolfe gap and interval.
+    FIXED_POINT_STEP_TOL or after ``max_iter`` evaluated steps.  When the
+    fixed point misses FIXED_POINT_RESIDUAL_TOL the grid oracle answers at
+    its default resolution instead, or, for a family beyond
+    GRID_PARAMETER_BUDGET, SolverError is raised.  Both answers carry their
+    Frank-Wolfe gap and interval.
     """
     if method not in ("auto", "fixed_point", "closed_form"):
         raise ValidationError(f"unknown method {method!r}")
@@ -339,7 +340,7 @@ def optimize_trace_functional(
     history = [(_flat(betas), _flat(tgt))]
     eta = 1.0
     iterations = 0
-    while residual >= step_tol and iterations < max_iter:
+    while residual >= FIXED_POINT_STEP_TOL and iterations < max_iter:
         mixed = len(history) > 1
         if mixed:
             step = _anderson(history, betas)
@@ -364,16 +365,16 @@ def optimize_trace_functional(
         tgt = target(core)
         residual = _factor_distance(betas, tgt)
         history = [*history, (_flat(betas), _flat(tgt))][-ANDERSON_DEPTH - 1 :]
-    if residual <= residual_tol:
+    if residual <= FIXED_POINT_RESIDUAL_TOL:
         return certified(betas, eig, f_cur, core, residual, iterations, "fixed_point")
     # Non-convergence: fall back to the exhaustive grid when it is small;
     # beyond the grid budget this is a solver failure, not a budget refusal.
     if free_parameter_count(channel) > GRID_PARAMETER_BUDGET:
         raise SolverError(
-            f"fixed point did not converge: residual {residual:.3e} > {residual_tol:.0e} "
-            f"after {iterations} iterations"
+            f"fixed point did not converge: residual {residual:.3e} > "
+            f"{FIXED_POINT_RESIDUAL_TOL:.0e} after {iterations} iterations"
         )
-    sigma_g, value_g = grid_oracle(spec, resolution=grid_resolution)
+    sigma_g, value_g = grid_oracle(spec)
     betas_g = _factors(sigma_g, channel)
     eig_g = channel.free_eig(betas_g)
     return certified(
@@ -484,9 +485,9 @@ def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult
     return replace(base, value=bits, method="closed_form_petz", interval=(bits, bits))
 
 
-def d_alpha_z_free(rho, alpha: float, z: float, channel: DestructionChannel, **kw) -> OptimizerResult:
+def d_alpha_z_free(rho, alpha: float, z: float, channel: DestructionChannel) -> OptimizerResult:
     """alpha-z divergence to the free set (bits)."""
-    return m_lambda(rho, alpha, z, 0.0, channel, **kw)
+    return m_lambda(rho, alpha, z, 0.0, channel)
 
 
 def m_lambda(
@@ -495,7 +496,10 @@ def m_lambda(
     z: float,
     lam: float,
     channel: DestructionChannel,
-    **solver_kw,
+    *,
+    init: np.ndarray | None = None,
+    max_iter: int = FIXED_POINT_MAX_ITER,
+    method: str = "auto",
 ) -> OptimizerResult:
     """The additive three-parameter monotone family (bits).
 
@@ -505,8 +509,10 @@ def m_lambda(
 
     which interpolates between the optimized divergence (lam = 0) and the
     divergence to Delta(rho) (lam = 1, where no optimization is needed).
+    ``init`` (default: Delta(rho) mixed with the fixed state), ``max_iter``
+    and ``method`` go to :func:`optimize_trace_functional`.
     """
-    params = RenyiParams(alpha, z)
+    RenyiParams(alpha, z)  # validates (alpha, z)
     if not (0.0 <= lam <= 1.0):
         raise ValidationError(f"lambda={lam} outside [0, 1]")
     rho = check_density(rho, channel.dim)
@@ -526,12 +532,11 @@ def m_lambda(
         bits = float(np.log2(q) / (alpha - 1.0)) if q > 0 else float("inf")
         return OptimizerResult(betas, channel, bits, 0.0, 0, "endpoint")
     spec = TraceFunctionalSpec(x, r, z, channel)
-    init = solver_kw.pop("init", None)
     if init is None:
         init = herm(
             (1.0 - INIT_MIX) * delta_rho + INIT_MIX * channel.fixed_state()
         )
-    base = optimize_trace_functional(spec, init=init, **solver_kw)
+    base = optimize_trace_functional(spec, init=init, max_iter=max_iter, method=method)
 
     def bits(f):
         return float(np.log2(f) / (alpha - 1.0)) if f > 0 else float("inf")

@@ -9,7 +9,9 @@
 All equality constraints involving Delta^* are expressed in an orthonormal
 Hermitian basis of the fixed-point algebra, which keeps the row space
 full rank; membership of an algebra element in the PSD cone is imposed
-blockwise on its B-factor components.
+blockwise on its B-factor components.  Every program is solved at
+:func:`~instability.sdp.solve`'s default acceptance thresholds, which no
+caller here overrides.
 
 When the fixed algebra is one-dimensional (one block with d_B = 1: a
 replacer by gamma, the depolarizer and any tensor product of them, such as
@@ -37,10 +39,8 @@ import numpy as np
 from .channels import DestructionChannel, hermitian_basis
 from .divergences import neyman_pearson
 from .errors import SolverError, ValidationError
-from .linalg import check_density, herm, pow_from_eigh, rank_tol
+from .linalg import check_density, herm, pow_from_eigh, rank_tol, support_projector
 from .sdp import HermitianProgram, SdpSolution
-
-DEFAULT_SOLVER_KW = dict(feas_tol=1e-8, gap_tol=1e-7, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,7 @@ def _polish_to_scaled_identity(
     return polished, c
 
 
-def restricted_ht(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> HypothesisTestingResult:
+def restricted_ht(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """min c over effects with Delta^*(Gamma) = c I and tr[rho Gamma] >= 1 - eps.
 
     Returns the exponent -log2 c together with the witnessing effect, which
@@ -115,7 +113,7 @@ def restricted_ht(
         return _eps_one_result(channel.dim)
     if channel.algebra_dim() == 1:
         return _neyman_pearson_result(rho, channel, eps)
-    return _restricted_ht_sdp(rho, channel, eps, **solver_kw)
+    return _restricted_ht_sdp(rho, channel, eps)
 
 
 def _eps_one_result(d: int) -> HypothesisTestingResult:
@@ -135,9 +133,7 @@ def _neyman_pearson_result(
     return _ht_result(test.gamma, channel, _degenerate_solution(), "neyman_pearson")
 
 
-def _restricted_ht_sdp(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> HypothesisTestingResult:
+def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """restricted_ht by interior point, for a validated state and eps < 1.
 
     The test is Gamma = P + Q G Q^dagger with 0 <= G <= I.  At eps = 0 it
@@ -147,7 +143,6 @@ def _restricted_ht_sdp(
     eps > 0, P = 0, Q = I and tr[rho G] >= 1 - eps is a row.
     """
     d = channel.dim
-    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     if eps <= 0.0:
         p, q = _perfect_face(rho, rank_tol(d, np.linalg.eigvalsh(rho)[-1]))
     else:
@@ -169,7 +164,7 @@ def _restricted_ht_sdp(
         )
     if eps > 0.0:
         prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
-    sol, vals = prog.solve(**kw)
+    sol, vals = prog.solve()
     _require_solved(sol, "restricted hypothesis test")
     return _ht_result(p + q @ vals[g.index] @ q.conj().T, channel, sol)
 
@@ -184,9 +179,7 @@ def _ht_result(
     return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
 
 
-def ht_free(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> HypothesisTestingResult:
+def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """Hypothesis testing against the free set:
     min c s.t. 0 <= Gamma <= I, tr[rho Gamma] >= 1 - eps, Delta^*(Gamma) <= c I.
 
@@ -201,25 +194,17 @@ def ht_free(
     if eps >= 1.0:
         return _eps_one_result(channel.dim)
     if eps <= 0.0:
-        from .linalg import support_projector
-
-        gamma = support_projector(rho)
-        c_star = float(np.linalg.eigvalsh(herm(channel.apply_dual(gamma)))[-1])
-        value = -float(np.log2(c_star)) if c_star > 0 else float("inf")
-        return HypothesisTestingResult(
-            value, c_star, gamma, _degenerate_solution(), "closed_form"
+        return _free_test_result(
+            support_projector(rho), channel, _degenerate_solution(), "closed_form"
         )
     if channel.algebra_dim() == 1:
         return _neyman_pearson_result(rho, channel, eps)
-    return _ht_free_sdp(rho, channel, eps, **solver_kw)
+    return _ht_free_sdp(rho, channel, eps)
 
 
-def _ht_free_sdp(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> HypothesisTestingResult:
+def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """ht_free by interior point, for a validated state and 0 < eps < 1."""
     d = channel.dim
-    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     prog = HermitianProgram()
     g = prog.add_hermitian(d)
     s = prog.add_hermitian(d)
@@ -243,14 +228,19 @@ def _ht_free_sdp(
                 0.0,
             )
     prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
-    sol, vals = prog.solve(**kw)
+    sol, vals = prog.solve()
     _require_solved(sol, "free hypothesis test")
-    gamma = _clip_effect(vals[g.index])
-    dual = herm(channel.apply_dual(gamma))
-    c_star = float(np.linalg.eigvalsh(dual)[-1])
+    return _free_test_result(_clip_effect(vals[g.index]), channel, sol)
+
+
+def _free_test_result(
+    gamma, channel: DestructionChannel, sol: SdpSolution, method: str = "sdp"
+) -> HypothesisTestingResult:
+    """The effect with c* = lambda_max(Delta^*(Gamma)) and the value -log2 c*."""
+    c_star = float(np.linalg.eigvalsh(herm(channel.apply_dual(gamma)))[-1])
     if c_star <= 0:
-        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol)
-    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol)
+        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol, method)
+    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
 
 
 @dataclass(frozen=True)
@@ -268,9 +258,7 @@ class SmoothedDmaxResult:
     method: str = "sdp"
 
 
-def dmax_smoothed_free(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> SmoothedDmaxResult:
+def dmax_smoothed_free(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
     """Smoothed max-relative entropy to the free set.
 
     Minimizes log2 tr[omega] over free-cone omega >= tau where tau ranges
@@ -284,7 +272,7 @@ def dmax_smoothed_free(
         w, v = np.linalg.eigh(rho)
         if np.count_nonzero(w > rank_tol(channel.dim, w[-1])) == 1:
             return _pure_dmax(rho, np.sqrt(w[-1]) * v[:, -1], channel)
-    return _dmax_smoothed_sdp(rho, channel, eps, **solver_kw)
+    return _dmax_smoothed_sdp(rho, channel, eps)
 
 
 def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDmaxResult:
@@ -307,12 +295,9 @@ def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDma
     )
 
 
-def _dmax_smoothed_sdp(
-    rho, channel: DestructionChannel, eps: float, **solver_kw
-) -> SmoothedDmaxResult:
+def _dmax_smoothed_sdp(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
     """dmax_smoothed_free by interior point, for a validated state."""
     d = channel.dim
-    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     prog = HermitianProgram()
     rr = prog.add_hermitian(d)         # rr = omega - tau >= 0
     betas = [prog.add_hermitian(b.d_b) for b in channel.blocks]
@@ -340,7 +325,7 @@ def _dmax_smoothed_sdp(
         # omega(beta) - tau - rr = 0
         prog.add_constraint({t: -basis, rr: -basis, **reductions}, np.zeros(d * d))
         prog.add_constraint({t: np.eye(d)}, 1.0)
-    sol, vals = prog.solve(**kw)
+    sol, vals = prog.solve()
     _require_solved(sol, "smoothed max-relative entropy")
     tau = rho if t is None else herm(vals[t.index])
     omega = channel.block_diagonal(
@@ -442,7 +427,7 @@ def _perfect_face(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return v[:, live] @ v[:, live].conj().T, v[:, ~live]
 
 
-def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
+def _symmetric_restricted_ht(blocks, n: int, eps: float) -> float:
     """restricted_ht(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the blocks
     of :func:`qubit_power_blocks`.
 
@@ -455,7 +440,6 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
     eps = _check_eps(eps)
     if eps >= 1.0:
         return float("inf")
-    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     if eps <= 0.0:
         top = max(np.linalg.eigvalsh(r)[-1] for _, _, r in blocks)
         faces = [_perfect_face(r, rank_tol(2**n, top)) for _, _, r in blocks]
@@ -481,7 +465,7 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
         prog.add_constraint(weight_terms, rhs)
         if eps > 0.0:
             prog.add_constraint(pass_terms, 1.0 - eps, sense=">=")
-        sol, vals = prog.solve(**kw)
+        sol, vals = prog.solve()
         _require_solved(sol, "restricted hypothesis test")
         gammas = [
             p if g is None else p + q @ vals[g.index] @ q.conj().T
@@ -495,7 +479,7 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float, **solver_kw) -> float:
     return -float(np.log2(c_star)) if c_star > 0 else float("inf")
 
 
-def _symmetric_dmax_free(blocks, n: int, eps: float, **solver_kw) -> float:
+def _symmetric_dmax_free(blocks, n: int, eps: float) -> float:
     """dmax_smoothed_free(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the
     blocks of :func:`qubit_power_blocks`.
 
@@ -506,7 +490,6 @@ def _symmetric_dmax_free(blocks, n: int, eps: float, **solver_kw) -> float:
     `dmax_smoothed_free`.
     """
     eps = _check_eps(eps)
-    kw = {**DEFAULT_SOLVER_KW, **solver_kw}
     prog = HermitianProgram()
     f = [prog.add_scalar() for _ in range(n + 1)]
     for k, fk in enumerate(f):
@@ -528,6 +511,6 @@ def _symmetric_dmax_free(blocks, n: int, eps: float, **solver_kw) -> float:
     if eps > 0.0:
         prog.add_constraint(p_terms, eps, sense="<=")
         prog.add_constraint(t_terms, 1.0)
-    sol, _ = prog.solve(**kw)
+    sol, _ = prog.solve()
     _require_solved(sol, "smoothed max-relative entropy")
     return float(np.log2(max(sol.primal_objective, 1e-300)))

@@ -17,10 +17,10 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_hermitian(dim: int, rng, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng) -> np.ndarray:
     r = rng_from(rng)
     g = r.normal(size=(dim, dim)) + 1j * r.normal(size=(dim, dim))
-    return herm(g) * scale
+    return herm(g)
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:

@@ -969,9 +969,11 @@ class HermitianProgram:
             start += k
         return SdpProblem(dims, c, a, b, flags)
 
-    def solve(self, **kw):
+    def solve(self):
+        """Build and solve at `solve`'s default acceptance thresholds; returns
+        the solution and each variable's value by its index."""
         problem = self.build()
-        sol = solve(problem, **kw)
+        sol = solve(problem)
         values = {}
         for v, seg in zip(self._vars, problem.segments):
             if v.scalar:
@@ -979,7 +981,3 @@ class HermitianProgram:
             else:
                 values[v.index] = hmat(sol.x[seg], v.dim)
         return sol, values
-
-    @staticmethod
-    def value(values: dict, var: _Var):
-        return values[var.index]

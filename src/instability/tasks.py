@@ -142,9 +142,9 @@ def preparation_action(out0: np.ndarray, out1: np.ndarray) -> Callable[[np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def one_shot_yield(rho, channel: DestructionChannel, eps: float, **solver_kw) -> TaskReport:
+def one_shot_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
     """Distillable currency at error eps, with the measurement witness."""
-    res = restricted_ht(rho, channel, eps, **solver_kw)
+    res = restricted_ht(rho, channel, eps)
     m = res.value
     if not np.isfinite(m) or m <= 1e-9:
         # Nothing distillable beyond solver noise (or degenerate eps):
@@ -213,9 +213,7 @@ def one_shot_cost_exact(rho, channel: DestructionChannel) -> TaskReport:
     )
 
 
-def one_shot_cost_eps(
-    rho, channel: DestructionChannel, eps: float, delta: float, **solver_kw
-) -> TaskReport:
+def one_shot_cost_eps(rho, channel: DestructionChannel, eps: float, delta: float) -> TaskReport:
     """Certified interval for the eps-dilution cost.
 
     Lower bound: the smoothed max-relative entropy to the free set at eps.
@@ -228,11 +226,11 @@ def one_shot_cost_eps(
     if not (0.0 < delta < eps):
         raise ValidationError("need 0 < delta < eps")
     rho = np.asarray(rho, dtype=complex)
-    lower_res = dmax_smoothed_free(rho, channel, eps, **solver_kw)
+    lower_res = dmax_smoothed_free(rho, channel, eps)
     lower = lower_res.value
 
     candidates: list[np.ndarray] = [rho]
-    inner = dmax_smoothed_free(rho, channel, eps - delta, **solver_kw)
+    inner = dmax_smoothed_free(rho, channel, eps - delta)
     tau_m = herm(inner.tau)
     tau_m = _project_to_state(tau_m)
     tr_om = float(np.trace(inner.omega).real)
@@ -282,18 +280,18 @@ def _project_to_state(m: np.ndarray) -> np.ndarray:
     return herm((v * (w / total)) @ v.conj().T)
 
 
-def battery_yield(rho, channel: DestructionChannel, eps: float, **solver_kw) -> TaskReport:
+def battery_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
     """Battery-assisted yield: equals the free hypothesis-testing divergence.
 
     Cross-checked against the one-extra-currency-bit protocol,
     yield(rho (x) phi_1) - 1, and witnessed by the composite effect built
     from the optimal free test.
     """
-    res = ht_free(rho, channel, eps, **solver_kw)
+    res = ht_free(rho, channel, eps)
     phi1 = currency(1.0)
     joint = tensor_channels(channel, phi1.channel)
     joint_state = np.kron(np.asarray(rho, dtype=complex), phi1.state)
-    protocol = restricted_ht(joint_state, joint, eps, **solver_kw)
+    protocol = restricted_ht(joint_state, joint, eps)
     identity_residual = abs(res.value - (protocol.value - 1.0))
 
     witness = {"effect": res.gamma, "method": res.method}
@@ -381,9 +379,7 @@ def compose_effect(
 YIELD_DIM_BUDGET = 64
 
 
-def regularize_sweep(
-    rho, channel: DestructionChannel, eps: float, n_max: int, **solver_kw
-) -> list[dict]:
+def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -> list[dict]:
     """Per-copy rates over n = 1..n_max tensor powers.
 
     cost_hi_rate is the exact-cost rate D_max(rho^{(x)n} || Delta^{(x)n}
@@ -421,13 +417,13 @@ def regularize_sweep(
                      n, dim_n, YIELD_DIM_BUDGET)
         elif qubit is not None:
             blocks = qubit_power_blocks(qubit, n)
-            row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps, **solver_kw) / n
-            row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps, **solver_kw) / n
+            row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps) / n
+            row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps) / n
         else:
             if n > 1:
                 rho_n, channel_n = np.kron(rho_n, rho), tensor_channels(channel_n, channel)
-            row["yield_rate"] = restricted_ht(rho_n, channel_n, eps, **solver_kw).value / n
-            row["cost_lo_rate"] = dmax_smoothed_free(rho_n, channel_n, eps, **solver_kw).value / n
+            row["yield_rate"] = restricted_ht(rho_n, channel_n, eps).value / n
+            row["cost_lo_rate"] = dmax_smoothed_free(rho_n, channel_n, eps).value / n
         rows.append(row)
     return rows
 
@@ -443,15 +439,16 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_diagnostics(rows: list[dict], eps: float, tol: float = 1e-6) -> dict:
+def sweep_diagnostics(rows: list[dict], eps: float) -> dict:
     """Monotone-trend checks on a regularization sweep at error eps.
 
     The smoothed lower-bound rate cannot exceed the exact-cost rate.  An
     eps-yield may exceed the Umegaki rate D, but never the converse bound
     D_H^eps <= (n D + h2(eps)) / (1 - eps) of Wang and Renner (PRL 108,
     200501, 2012): yield_below_target checks each yield rate against
-    (n D + h2(eps)) / (n (1 - eps)).
+    (n D + h2(eps)) / (n (1 - eps)).  Both checks allow 1e-6 for solver noise.
     """
+    tol = 1e-6
     target = rows[0]["umegaki"] if rows else 0.0
     lo_ok = all(
         r["cost_lo_rate"] <= r["cost_hi_rate"] + tol

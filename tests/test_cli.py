@@ -315,6 +315,13 @@ class TestExitCodes:
             ["yield", "--state", str(bad), "--channel", str(workdir / "dephaser2.json")]
         ) == 2
 
+    def test_alpha_one_is_validated(self, workdir, capsys):
+        # alpha = 1 collapses onto the Umegaki monotone only after the inputs
+        # pass the same checks as every other alpha.
+        io_args = ["--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]
+        for bad in (["--lambda", "1.5"], ["--z", "-1"]):
+            assert main(["monotone", *io_args, "--alpha", "1", *bad]) == 2, bad
+
     def test_budget_error(self, workdir, capsys):
         alphas = ",".join(str(0.3 + 0.001 * k) for k in range(150))
         zs = ",".join(str(1.0 + 0.01 * k) for k in range(10))

@@ -268,7 +268,7 @@ def draw_channel(k, rng):
 def damped_m_lambda(monkeypatch, rho, alpha, z, lam, channel):
     """m_lambda with the damped reference loop in place of the optimizer."""
 
-    def damped(spec, *, init):
+    def damped(spec, *, init, max_iter, method):
         sigma, value, residual, iterations = reference_fixed_point(spec, init)
         return op.OptimizerResult(
             op._factors(sigma, spec.channel), spec.channel, value, residual, iterations, "damped"

@@ -440,7 +440,7 @@ def built_problem(monkeypatch, run):
     """The SdpProblem a program builds, taken at HermitianProgram.solve."""
     seen = []
 
-    def capture(self, **kw):
+    def capture(self):
         seen.append(self.build())
         raise _Built
 
@@ -654,7 +654,36 @@ class TestRealifiedOracle:
             assert sum(real.block_dims) == sum(
                 n * (2 if h else 1) for n, h in zip(problem.block_dims, problem.hermitian)
             )
-            native = sdp.solve(problem, **pr.DEFAULT_SOLVER_KW)
-            oracle = sdp.solve(real, **pr.DEFAULT_SOLVER_KW)
+            native = sdp.solve(problem)
+            oracle = sdp.solve(real)
             assert native.status == oracle.status == "optimal"
             assert abs(native.primal_objective - oracle.primal_objective) <= 1e-9
+
+
+class TestSolverDefaults:
+    def test_every_program_solves_at_the_solver_defaults(self, monkeypatch):
+        """No program overrides sdp.solve's acceptance thresholds: each
+        interior-point path calls it with no keywords."""
+        channel = assembly_channels()["dephaser"]
+        rho, face = assembly_states()
+        blocks = pr.qubit_power_blocks(random_full_rank_density(2, np.random.default_rng(5)), 3)
+        runs = {
+            "restricted eps>0": lambda: pr.restricted_ht(rho, channel, 0.1),
+            "restricted face": lambda: pr.restricted_ht(face, channel, 0.0),
+            "ht_free": lambda: pr.ht_free(rho, channel, 0.1),
+            "dmax eps=0": lambda: pr.dmax_smoothed_free(rho, channel, 0.0),
+            "dmax eps>0": lambda: pr.dmax_smoothed_free(rho, channel, 0.05),
+            "reduced restricted": lambda: pr._symmetric_restricted_ht(blocks, 3, 0.05),
+            "reduced dmax": lambda: pr._symmetric_dmax_free(blocks, 3, 0.05),
+        }
+        solve = sdp.solve
+        for name, run in runs.items():
+            calls = []
+
+            def record(problem, **kw):
+                calls.append(kw)
+                return solve(problem, **kw)
+
+            monkeypatch.setattr(sdp, "solve", record)
+            run()
+            assert calls and all(kw == {} for kw in calls), (name, calls)
