@@ -93,6 +93,8 @@ def cmd_yield(args) -> int:
 def cmd_cost(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
+    if not 0.0 <= args.eps <= 1.0:
+        raise ValidationError(f"epsilon {args.eps} outside [0, 1]")
     if args.eps > 0:
         if args.delta is None:
             raise ValidationError("eps > 0 cost needs --delta in (0, eps)")
@@ -133,12 +135,19 @@ def _sweep_point(payload):
     return (alpha, z, lam, res.value, res.residual, res.method, res.iterations)
 
 
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+
+
 def cmd_sweep(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    zs = [float(z) for z in args.zs.split(",")]
-    lams = [float(x) for x in args.lambdas.split(",")]
+    alphas = _parse_floats(args.alphas, "--alphas")
+    zs = _parse_floats(args.zs, "--zs")
+    lams = _parse_floats(args.lambdas, "--lambdas")
     points = [(a, z, x) for a in alphas for z in zs for x in lams]
     if len(points) > SWEEP_EVAL_BUDGET:
         raise BudgetError(
@@ -178,7 +187,7 @@ def cmd_verify(args) -> int:
     from .verification import run_checks
 
     names = args.suites.split(",") if args.suites else None
-    results = run_checks(args.seed, names, workers=args.workers)
+    results = run_checks(args.seed, names)
     passed = sum(r.passed for r in results)
     for r in results:
         marker = "PASS" if r.passed else "FAIL"
@@ -247,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property-verification suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suites", default=None, help="comma-separated suite names")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,6 +6,14 @@
   eigenvalue of Delta^*(Gamma);
 * smoothed max-relative entropy to the free cone over a trace-distance ball.
 
+Two interior-point bodies build them: :func:`_restricted_test` for both
+tests and :func:`_smoothed_dmax` for the smoothed max-relative entropy.
+Each takes the state as weighted blocks (m_l, R_l), meaning
+(+) R_l (x) I_{m_l}; a state given as a matrix is one block of weight 1.
+The test body takes the rows of Delta^*(Gamma) = c I, with PSD slacks for
+the free test's Delta^*(Gamma) + Z = c I; the D_max body takes the free
+cone's variables and their coefficients in each block.
+
 All equality constraints involving Delta^* are expressed in an orthonormal
 Hermitian basis of the fixed-point algebra, which keeps the row space
 full rank; membership of an algebra element in the PSD cone is imposed
@@ -22,11 +30,11 @@ and they are answered by the exact Neyman-Pearson scan of
 solve.  `HypothesisTestingResult.method` says which path ran.
 
 On n copies of a qubit under the dephaser (in any basis),
-`_symmetric_restricted_ht` and `_symmetric_dmax_free` solve the restricted
-test and the smoothed max-relative entropy over the n//2 + 1 Schur-Weyl
-blocks of rho^{(x)n} from :func:`qubit_power_blocks`, each at most n + 1
-wide, instead of over 2^n x 2^n variables; `tasks.regularize_sweep` uses
-them, and the programs on the explicit tensor power are their oracle.
+`_symmetric_restricted_ht` and `_symmetric_dmax_free` run the same two
+bodies on one more block list: the n//2 + 1 Schur-Weyl blocks of
+rho^{(x)n} from :func:`qubit_power_blocks`, each at most n + 1 wide,
+instead of 2^n x 2^n variables.  `tasks.regularize_sweep` uses them, and
+the programs on the explicit tensor power are their oracle.
 """
 
 from __future__ import annotations
@@ -64,13 +72,6 @@ def _check_eps(eps: float) -> float:
     if not (0.0 <= eps <= 1.0):
         raise ValidationError(f"epsilon {eps} outside [0, 1]")
     return float(eps)
-
-
-def _add_box_rows(prog: HermitianProgram, g, s, dim: int) -> None:
-    """G + S = I in the Hermitian basis, one family of rows: with G, S >= 0
-    this is 0 <= G <= I."""
-    basis = hermitian_basis(dim)
-    prog.add_constraint({g: basis, s: basis}, np.trace(basis, axis1=1, axis2=2).real)
 
 
 def _require_solved(sol: SdpSolution, what: str) -> None:
@@ -134,39 +135,67 @@ def _neyman_pearson_result(
 
 
 def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
-    """restricted_ht by interior point, for a validated state and eps < 1.
+    """restricted_ht by interior point, for a validated state and eps < 1:
+    :func:`_restricted_test` on one block, with one row per algebra basis
+    element e (<Delta(e), Gamma> = c tr[e])."""
+    basis = channel.algebra_basis()
+    rows = np.stack([channel.apply(e) for e in basis])
+    unit = [float(np.real(np.trace(e))) for e in basis]
+    (gamma,), sol = _restricted_test([(1.0, rho)], [rows], unit, eps)
+    if sol is None:  # full rank at eps = 0: Gamma = I, and Delta^*(I) = I
+        return _ht_result(gamma, channel, _degenerate_solution(), "closed_form")
+    return _ht_result(gamma, channel, sol)
 
-    The test is Gamma = P + Q G Q^dagger with 0 <= G <= I.  At eps = 0 it
-    lies on the face of perfect tests: P is the support projector of rho and
-    Q an isometry onto its kernel, so the program in G alone has no variable
-    pinned at the cone boundary (a full-rank rho leaves only Gamma = I).  At
-    eps > 0, P = 0, Q = I and tr[rho G] >= 1 - eps is a row.
+
+def _restricted_test(blocks, rows, unit, eps: float, slack=()):
+    """min c over tests (+) X_l (x) I_{m_l}, 0 <= X_l <= I, of the state
+    (+) R_l (x) I_{m_l} given as the weighted `blocks` (m_l, R_l), eps < 1.
+
+    Row j of the Delta^* family reads sum_l <rows[l][j], X_l> +
+    sum_i <slack[i][j], Z_i> = c unit[j], with a PSD Z_i per (J, d_i, d_i)
+    stack in `slack`; the pass row is sum_l m_l tr[R_l X_l] >= 1 - eps.  At
+    eps = 0 each X_l = P_l + Q_l G_l Q_l^dagger lies on the face of perfect
+    tests (P_l the support projector of R_l, Q_l an isometry onto its
+    kernel, at one rank tolerance for the whole state), so no variable is
+    pinned at the cone boundary.  Returns the X_l and the solution, None
+    when every block is full rank at eps = 0 (every X_l = I).
     """
-    d = channel.dim
     if eps <= 0.0:
-        p, q = _perfect_face(rho, rank_tol(d, np.linalg.eigvalsh(rho)[-1]))
+        top = max(np.linalg.eigvalsh(r)[-1] for _, r in blocks)
+        tol = rank_tol(sum(m * len(r) for m, r in blocks), top)
+        faces = [_perfect_face(r, tol) for _, r in blocks]
     else:
-        p, q = np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex)
-    k = q.shape[1]
-    if k == 0:  # full rank: Gamma = I, and Delta^*(I) = I
-        return _ht_result(p, channel, _degenerate_solution(), "closed_form")
+        faces = [(np.zeros_like(r), np.eye(len(r), dtype=complex)) for _, r in blocks]
+    if not any(q.shape[1] for _, q in faces):
+        return [p for p, _ in faces], None
     prog = HermitianProgram()
-    g = prog.add_hermitian(k)
-    s = prog.add_hermitian(k)
+    boxes = [
+        (prog.add_hermitian(q.shape[1]), prog.add_hermitian(q.shape[1])) if q.shape[1] else None
+        for _, q in faces
+    ]
     c = prog.add_scalar()
+    zs = [prog.add_hermitian(co.shape[-1]) for co in slack]
     prog.add_objective(c, 1.0)
-    _add_box_rows(prog, g, s, k)
-    for e in channel.algebra_basis():
-        de = channel.apply(e)
-        prog.add_constraint(
-            {g: q.conj().T @ de @ q, c: -float(np.real(np.trace(e)))},
-            -float(np.real(np.trace(de @ p))),
-        )
+    family = {c: -np.asarray(unit, dtype=float), **dict(zip(zs, slack))}
+    rhs, passing = 0.0, {}
+    for (m, r), (p, q), box, row in zip(blocks, faces, boxes, rows):
+        rhs = rhs - np.trace(row @ p, axis1=1, axis2=2).real
+        if box is not None:
+            g, s = box
+            basis = hermitian_basis(q.shape[1])  # G + S = I: 0 <= G <= I
+            prog.add_constraint({g: basis, s: basis}, np.trace(basis, axis1=1, axis2=2).real)
+            family[g] = q.conj().T @ row @ q
+            passing[g] = m * (q.conj().T @ r @ q)
+    prog.add_constraint(family, rhs)
     if eps > 0.0:
-        prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
+        prog.add_constraint(passing, 1.0 - eps, sense=">=")
     sol, vals = prog.solve()
-    _require_solved(sol, "restricted hypothesis test")
-    return _ht_result(p + q @ vals[g.index] @ q.conj().T, channel, sol)
+    _require_solved(sol, "free hypothesis test" if slack else "restricted hypothesis test")
+    tests = [
+        p if box is None else p + q @ vals[box[0].index] @ q.conj().T
+        for (p, q), box in zip(faces, boxes)
+    ]
+    return tests, sol
 
 
 def _ht_result(
@@ -203,34 +232,23 @@ def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingRe
 
 
 def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
-    """ht_free by interior point, for a validated state and 0 < eps < 1."""
-    d = channel.dim
-    prog = HermitianProgram()
-    g = prog.add_hermitian(d)
-    s = prog.add_hermitian(d)
-    c = prog.add_scalar()
-    z_blocks = [prog.add_hermitian(b.d_b) for b in channel.blocks]
-    prog.add_objective(c, 1.0)
-    _add_box_rows(prog, g, s, d)
-    # c I - Delta^*(Gamma) = Z in algebra coordinates, Z >= 0 blockwise.
+    """ht_free by interior point, for a validated state and 0 < eps < 1:
+    :func:`_restricted_test` on one block with c I - Delta^*(Gamma) = Z in
+    algebra coordinates, Z >= 0 blockwise.  The row of h in block i is
+    <Delta(e), Gamma> + <d_a h, Z_i> = c d_a tr[h], e = I_{d_a} (x) h."""
+    total = sum(b.d_b**2 for b in channel.blocks)
+    rows, unit, slack = [], [], []
     for i, b in enumerate(channel.blocks):
-        for h in hermitian_basis(b.d_b):
+        basis = hermitian_basis(b.d_b)
+        slack.append(np.zeros((total, b.d_b, b.d_b), dtype=complex))
+        slack[-1][len(rows) : len(rows) + len(basis)] = b.d_a * basis
+        for h in basis:
             parts = [None] * len(channel.blocks)
             parts[i] = np.kron(np.eye(b.d_a), h)
-            e = channel.block_diagonal(parts)
-            # <e, Delta^*(Gamma)> = <Delta(e), Gamma>; <e, I> = d_a tr[h]
-            prog.add_constraint(
-                {
-                    g: channel.apply(e),
-                    c: -float(b.d_a * np.real(np.trace(h))),
-                    z_blocks[i]: b.d_a * h,
-                },
-                0.0,
-            )
-    prog.add_constraint({g: rho}, 1.0 - eps, sense=">=")
-    sol, vals = prog.solve()
-    _require_solved(sol, "free hypothesis test")
-    return _free_test_result(_clip_effect(vals[g.index]), channel, sol)
+            rows.append(channel.apply(channel.block_diagonal(parts)))
+            unit.append(float(b.d_a * np.real(np.trace(h))))
+    (gamma,), sol = _restricted_test([(1.0, rho)], [np.stack(rows)], unit, eps, slack)
+    return _free_test_result(_clip_effect(gamma), channel, sol)
 
 
 def _free_test_result(
@@ -296,43 +314,62 @@ def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDma
 
 
 def _dmax_smoothed_sdp(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
-    """dmax_smoothed_free by interior point, for a validated state."""
-    d = channel.dim
+    """dmax_smoothed_free by interior point, for a validated state:
+    :func:`_smoothed_dmax` on one block with the free cone
+    omega = (+) tau_i (x) beta_i, whose beta_i coefficient of <h, omega> is
+    the dual block reduction of h."""
+    basis = hermitian_basis(channel.dim)
+    omega = {i: channel.dual_block_reduction(basis, i) for i in range(len(channel.blocks))}
+    free = [(b.d_b, np.eye(b.d_b)) for b in channel.blocks]
+    value, sol, betas, (tau,) = _smoothed_dmax([(1.0, rho)], free, [omega], eps)
+    omega = channel.block_diagonal(
+        [np.kron(b.tau, herm(beta)) for b, beta in zip(channel.blocks, betas)]
+    )
+    return SmoothedDmaxResult(value, tau, omega, sol)
+
+
+def _smoothed_dmax(blocks, free, omega, eps: float):
+    """min log2 tr[omega] over free-cone omega >= tau_l in each block, tau in
+    the eps-ball of the state (+) R_l (x) I_{m_l} given as the weighted
+    `blocks` (m_l, R_l).
+
+    `free` holds (dimension, objective coefficient) per free variable, 0
+    meaning a nonnegative scalar; `omega[l]` maps a free variable's index to
+    its coefficients in <h, omega_l> over hermitian_basis(len(R_l)).  At
+    eps > 0 block l has tau_l, the ball witness P_l and Q_l = P_l - tau_l +
+    R_l, and the rows sum m_l tr P_l <= eps and sum m_l tr tau_l = 1.  At
+    eps = 0 the ball collapses to {R_l}; dropping its blocks avoids
+    variables pinned at the cone boundary.  Returns the value in bits, the
+    solution, the free variables' values and each tau_l.
+    """
     prog = HermitianProgram()
-    rr = prog.add_hermitian(d)         # rr = omega - tau >= 0
-    betas = [prog.add_hermitian(b.d_b) for b in channel.blocks]
-    for i, b in enumerate(channel.blocks):
-        prog.add_objective(betas[i], np.eye(b.d_b))  # tr[omega] = sum tr[beta_i]
-    basis = hermitian_basis(d)
-    overlaps = (basis.reshape(d * d, -1).conj() @ rho.reshape(-1)).real  # Re tr[h^dagger rho]
-    # The beta_i coefficient of <h, omega> for omega = (+) tau_i (x) beta_i
-    # is the dual block reduction of h.
-    reductions = {
-        beta: channel.dual_block_reduction(basis, i) for i, beta in enumerate(betas)
-    }
-    if eps <= 0.0:
-        # The ball collapses to {rho}; dropping the ball blocks avoids
-        # variables pinned at the cone boundary (degenerate for the solver).
-        t = None
-        prog.add_constraint({rr: -basis, **reductions}, overlaps)
-    else:
-        t = prog.add_hermitian(d)      # tau
-        p = prog.add_hermitian(d)      # ball witness
-        q = prog.add_hermitian(d)      # q = p - tau + rho >= 0
-        # Rows in this order give each block one contiguous range of rows.
-        prog.add_constraint({p: np.eye(d)}, eps, sense="<=")
+    rrs = [prog.add_hermitian(len(r)) for _, r in blocks]  # omega_l - tau_l >= 0
+    fvars = [prog.add_scalar() if dim == 0 else prog.add_hermitian(dim) for dim, _ in free]
+    for v, (_, coeff) in zip(fvars, free):
+        prog.add_objective(v, coeff)
+    if eps > 0.0:
+        balls = [tuple(prog.add_hermitian(len(r)) for _ in range(3)) for _, r in blocks]
+        prog.add_constraint(
+            {p: m * np.eye(len(r)) for (m, r), (_, p, _) in zip(blocks, balls)}, eps, sense="<="
+        )
+    for ell, ((_, r), rr) in enumerate(zip(blocks, rrs)):
+        dim = len(r)
+        basis = hermitian_basis(dim)
+        overlaps = (basis.reshape(dim * dim, -1).conj() @ r.reshape(-1)).real  # Re tr[h^dagger r]
+        terms = {fvars[i]: co for i, co in omega[ell].items()}
+        if eps <= 0.0:
+            prog.add_constraint({rr: -basis, **terms}, overlaps)
+            continue
+        t, p, q = balls[ell]
         prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
-        # omega(beta) - tau - rr = 0
-        prog.add_constraint({t: -basis, rr: -basis, **reductions}, np.zeros(d * d))
-        prog.add_constraint({t: np.eye(d)}, 1.0)
+        prog.add_constraint({t: -basis, rr: -basis, **terms}, np.zeros(dim * dim))
+    if eps > 0.0:
+        prog.add_constraint({t: m * np.eye(len(r)) for (m, r), (t, _, _) in zip(blocks, balls)}, 1.0)
     sol, vals = prog.solve()
     _require_solved(sol, "smoothed max-relative entropy")
-    tau = rho if t is None else herm(vals[t.index])
-    omega = channel.block_diagonal(
-        [np.kron(b.tau, herm(vals[beta.index])) for b, beta in zip(channel.blocks, betas)]
-    )
-    total = max(sol.primal_objective, 1e-300)
-    return SmoothedDmaxResult(float(np.log2(total)), tau, omega, sol)
+    taus = [r for _, r in blocks] if eps <= 0.0 else [herm(vals[t.index]) for t, _, _ in balls]
+    value = float(np.log2(max(sol.primal_objective, 1e-300)))
+    return value, sol, [vals[v.index] for v in fvars], taus
 
 
 def _degenerate_solution() -> SdpSolution:
@@ -429,51 +466,20 @@ def _perfect_face(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _symmetric_restricted_ht(blocks, n: int, eps: float) -> float:
     """restricted_ht(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the blocks
-    of :func:`qubit_power_blocks`.
-
-    The test is (+) X_l (x) I with 0 <= X_l <= I, Delta^*(Gamma) = c I is
-    one row per Hamming weight (the mean of Gamma's diagonal there is c),
-    and the value is -log2 of tr[clip(Gamma)] / 2^n, as in `_ht_result`.
-    At eps = 0 each X_l is P_l + Q_l G_l Q_l^dagger on the face of perfect
-    tests, as in `_restricted_ht_sdp`; at eps = 1 the value is infinite.
+    of :func:`qubit_power_blocks`: :func:`_restricted_test` with one row per
+    Hamming weight (the mean of Gamma's diagonal there is c).  The value is
+    -log2 of tr[clip(Gamma)] / 2^n, as in `_ht_result`; at eps = 1 it is
+    infinite.
     """
     eps = _check_eps(eps)
     if eps >= 1.0:
         return float("inf")
-    if eps <= 0.0:
-        top = max(np.linalg.eigvalsh(r)[-1] for _, _, r in blocks)
-        faces = [_perfect_face(r, rank_tol(2**n, top)) for _, _, r in blocks]
-    else:
-        faces = [(np.zeros_like(r), np.eye(len(r))) for _, _, r in blocks]
-    gammas = [p for p, _ in faces]
-    if any(q.shape[1] for _, q in faces):
-        mean = [1.0 / comb(n, k) for k in range(n + 1)]
-        prog = HermitianProgram()
-        c = prog.add_scalar()
-        prog.add_objective(c, 1.0)
-        weight_terms, rhs, pass_terms, free = {c: -np.ones(n + 1)}, np.zeros(n + 1), {}, []
-        for (ell, mult, r), (p, q) in zip(blocks, faces):
-            rows = _weight_rows(n, ell, np.multiply(mult, mean))
-            rhs -= rows.diagonal(axis1=1, axis2=2) @ np.diagonal(p).real
-            k = q.shape[1]
-            g = prog.add_hermitian(k) if k else None
-            free.append(g)
-            if g is not None:
-                _add_box_rows(prog, g, prog.add_hermitian(k), k)
-                weight_terms[g] = q.conj().T @ rows @ q
-                pass_terms[g] = mult * (q.conj().T @ r @ q)
-        prog.add_constraint(weight_terms, rhs)
-        if eps > 0.0:
-            prog.add_constraint(pass_terms, 1.0 - eps, sense=">=")
-        sol, vals = prog.solve()
-        _require_solved(sol, "restricted hypothesis test")
-        gammas = [
-            p if g is None else p + q @ vals[g.index] @ q.conj().T
-            for (p, q), g in zip(faces, free)
-        ]
+    mean = [1.0 / comb(n, k) for k in range(n + 1)]
+    rows = [_weight_rows(n, ell, np.multiply(mult, mean)) for ell, mult, _ in blocks]
+    tests, _ = _restricted_test([(m, r) for _, m, r in blocks], rows, np.ones(n + 1), eps)
     total = sum(
-        mult * float(np.clip(np.linalg.eigvalsh(herm(gm)), 0.0, 1.0).sum())
-        for (_, mult, _), gm in zip(blocks, gammas)
+        mult * float(np.clip(np.linalg.eigvalsh(herm(x)), 0.0, 1.0).sum())
+        for (_, mult, _), x in zip(blocks, tests)
     )
     c_star = total / 2**n
     return -float(np.log2(c_star)) if c_star > 0 else float("inf")
@@ -481,36 +487,15 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float) -> float:
 
 def _symmetric_dmax_free(blocks, n: int, eps: float) -> float:
     """dmax_smoothed_free(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the
-    blocks of :func:`qubit_power_blocks`.
-
-    The free omega is sum_k f_k Pi_k with f_k >= 0, diag(f_l..f_{n-l}) in
-    block l, and tr[omega] = sum_k C(n, k) f_k.  Each block has its own
-    tau, ball witness P, Q = P - tau + R and omega - tau; the two trace rows
-    weigh block l by m_l.  At eps = 0 the ball collapses to rho, as in
-    `dmax_smoothed_free`.
+    blocks of :func:`qubit_power_blocks`: :func:`_smoothed_dmax` with the
+    free omega = sum_k f_k Pi_k, f_k >= 0, which is diag(f_l..f_{n-l}) in
+    block l and has tr[omega] = sum_k C(n, k) f_k.
     """
     eps = _check_eps(eps)
-    prog = HermitianProgram()
-    f = [prog.add_scalar() for _ in range(n + 1)]
-    for k, fk in enumerate(f):
-        prog.add_objective(fk, comb(n, k))
-    p_terms, t_terms = {}, {}
-    for ell, mult, r in blocks:
-        dim = len(r)
-        basis = hermitian_basis(dim)
-        overlaps = (basis.reshape(dim * dim, -1).conj() @ r.reshape(-1)).real
-        omega = {f[ell + a]: basis[:, a, a].real for a in range(dim)}
-        rr = prog.add_hermitian(dim)  # omega - tau >= 0
-        if eps <= 0.0:
-            prog.add_constraint({rr: -basis, **omega}, overlaps)
-            continue
-        t, p, q = (prog.add_hermitian(dim) for _ in range(3))
-        prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
-        prog.add_constraint({t: -basis, rr: -basis, **omega}, np.zeros(dim * dim))
-        p_terms[p] = t_terms[t] = mult * np.eye(dim)
-    if eps > 0.0:
-        prog.add_constraint(p_terms, eps, sense="<=")
-        prog.add_constraint(t_terms, 1.0)
-    sol, _ = prog.solve()
-    _require_solved(sol, "smoothed max-relative entropy")
-    return float(np.log2(max(sol.primal_objective, 1e-300)))
+    free = [(0, comb(n, k)) for k in range(n + 1)]
+    omega = [
+        {ell + a: hermitian_basis(len(r))[:, a, a].real for a in range(len(r))}
+        for ell, _, r in blocks
+    ]
+    value, _, _, _ = _smoothed_dmax([(m, r) for _, m, r in blocks], free, omega, eps)
+    return value

@@ -10,7 +10,7 @@ preparation channel; both witnesses are produced and re-verified here.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .channels import DestructionChannel, basis_state, replacer, tensor_channels
 from .divergences import d_max
 from .errors import SolverError, ValidationError
-from .linalg import check_effect, herm, spectral_norm, trace_distance, trace_norm
+from .linalg import check_effect, herm, spectral_norm, trace_distance
 from .optimize import d_min_free, umegaki_free
 from .programs import (
     _is_qubit_dephaser,
@@ -66,22 +66,9 @@ class TaskReport:
     residuals: dict
 
     def as_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                from .serialize import matrix_to_json
-
-                return matrix_to_json(v)
-            if isinstance(v, float) and np.isinf(v):
-                return "inf"
-            return v
-
-        return {
-            "quantity": self.quantity,
-            "value": list(self.value) if isinstance(self.value, tuple) else clean(self.value),
-            "epsilon": self.epsilon,
-            "witness": {k: clean(v) for k, v in self.witness.items()},
-            "residuals": {k: clean(v) for k, v in self.residuals.items()},
-        }
+        """The fields as they are; :func:`~instability.serialize.dump_json`
+        encodes arrays, infinities and tuples."""
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +92,15 @@ def covariance_check(
     """Max over matrix units of ||N(Delta_in(E)) - Delta_out(N(E))||_1.
 
     Because both sides are linear in E, a small residual on the full matrix
-    unit basis certifies covariance of the channel everywhere.
+    unit basis certifies covariance of the channel everywhere.  The
+    differences are not Hermitian, so the trace norm is the sum of singular
+    values.
     """
     worst = 0.0
     for e in matrix_units(ch_in.dim):
         lhs = action(ch_in.apply(e))
         rhs = ch_out.apply(action(e))
-        worst = max(worst, trace_norm(lhs - rhs))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, "nuc")))
     return worst
 
 
@@ -397,6 +386,8 @@ def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -
     Delta^{(x)n}, only within the SDP budget, and solves the programs on
     them.
     """
+    if n_max < 1:
+        raise ValidationError(f"n_max {n_max} must be at least 1")
     rho = np.asarray(rho, dtype=complex)
     target = umegaki_free(rho, channel).value  # validates rho
     cost_hi = d_max(rho, herm(channel.apply(rho)))

@@ -322,6 +322,24 @@ class TestExitCodes:
         for bad in (["--lambda", "1.5"], ["--z", "-1"]):
             assert main(["monotone", *io_args, "--alpha", "1", *bad]) == 2, bad
 
+    def test_negative_cost_eps_is_validated(self, workdir, capsys):
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        for command in ("cost", "yield", "battery"):
+            assert main([command, *io_args, "--eps", "-0.5"]) == 2, command
+
+    def test_regularize_needs_one_copy(self, workdir, capsys):
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        for nmax in ("0", "-3"):
+            assert main(["regularize", *io_args, "--nmax", nmax]) == 2, nmax
+
+    def test_unparsable_grid_is_a_parse_error(self, workdir, capsys):
+        io_args = ["--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]
+        for grid in (["--alphas", "0.5,abc", "--zs", "1"], ["--alphas", "", "--zs", "1"],
+                     ["--alphas", "0.5", "--zs", "1", "--lambdas", "0,,1"]):
+            capsys.readouterr()
+            assert main(["sweep", *io_args, *grid]) == 1, grid
+            assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
     def test_budget_error(self, workdir, capsys):
         alphas = ",".join(str(0.3 + 0.001 * k) for k in range(150))
         zs = ",".join(str(1.0 + 0.01 * k) for k in range(10))

@@ -563,6 +563,28 @@ class TestAssembly:
             for field in ("A", "b", "c"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
 
+    def test_reduced_programs_at_one_copy_match_the_tensor_programs(self, monkeypatch):
+        # At n = 1 the Schur-Weyl blocks are rho itself, so each reduced
+        # program must build the tensor path's problem on dephaser(2); only
+        # `hermitian` may differ (1x1 beta_i against scalar f_k).
+        channel = ch.dephaser(2)
+        rng = np.random.default_rng(13)
+        pure = check_density(random_density(2, rng, rank=1))
+        mixed = check_density(random_density(2, rng))
+        cases = [
+            (lambda r, e: pr._symmetric_restricted_ht(pr.qubit_power_blocks(r, 1), 1, e),
+             pr._restricted_ht_sdp, [(mixed, 0.05), (pure, 0.05), (pure, 0.0)]),
+            (lambda r, e: pr._symmetric_dmax_free(pr.qubit_power_blocks(r, 1), 1, e),
+             pr._dmax_smoothed_sdp, [(mixed, 0.0), (mixed, 0.05), (pure, 0.0), (pure, 0.05)]),
+        ]
+        for reduced, tensor, inputs in cases:
+            for rho, eps in inputs:
+                got = built_problem(monkeypatch, lambda: reduced(rho, eps))
+                want = built_problem(monkeypatch, lambda: tensor(rho, channel, eps))
+                assert got.block_dims == want.block_dims, (tensor.__name__, eps)
+                for field in ("A", "b", "c"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
     def test_basis_reduced_once_per_block(self, monkeypatch):
         channel = ch.dephaser(16)
         calls = []

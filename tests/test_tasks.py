@@ -481,6 +481,18 @@ class TestCovariance:
         action = lambda e: perm @ e @ perm.T
         assert tk.covariance_check(action, joint, swapped) <= 1e-12
 
+    def test_non_covariant_residual_is_measured(self):
+        # The differences over matrix units are not Hermitian; the residual
+        # is their largest singular-value sum, not a validation error.
+        u = random_unitary(2, np.random.default_rng(0))
+        action = lambda e: u @ e @ u.conj().T
+        worst = max(
+            np.linalg.svd(action(DEPH2.apply(e)) - DEPH2.apply(action(e)), compute_uv=False).sum()
+            for e in tk.matrix_units(2)
+        )
+        assert tk.covariance_check(action, DEPH2, DEPH2) == pytest.approx(worst, rel=1e-12)
+        assert worst == pytest.approx(0.6625, abs=5e-5)
+
     def test_partial_trace_is_covariant(self, rng):
         from instability.linalg import partial_trace
 
