@@ -33,8 +33,9 @@ LOG2 = np.log(2.0)
 
 
 def in_dpi_region(alpha: float, z: float) -> bool:
-    """Membership in the alpha-z region where data processing holds."""
-    if alpha <= 0 or z <= 0:
+    """Membership in the alpha-z region where data processing holds; alpha
+    and z must be finite."""
+    if not (np.isfinite(alpha) and np.isfinite(z)) or alpha <= 0 or z <= 0:
         return False
     if alpha < 1:
         return z >= max(alpha, 1.0 - alpha)

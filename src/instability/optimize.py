@@ -269,7 +269,7 @@ def optimize_trace_functional(
     """Optimize F over the free states of the channel.
 
     ``method`` is "auto" (closed form when z = 1, otherwise the
-    accelerated fixed-point iteration), "fixed_point", or "closed_form".
+    accelerated fixed-point iteration) or "fixed_point".
     ``init``, a free state, starts the iteration (ValidationError if it is
     not free), which stops once the fixed-point residual is below
     FIXED_POINT_STEP_TOL or after ``max_iter`` evaluated steps.  When the
@@ -278,10 +278,10 @@ def optimize_trace_functional(
     GRID_PARAMETER_BUDGET, SolverError is raised.  Both answers carry their
     Frank-Wolfe gap and interval.
     """
-    if method not in ("auto", "fixed_point", "closed_form"):
+    if method not in ("auto", "fixed_point"):
         raise ValidationError(f"unknown method {method!r}")
     channel = spec.channel
-    if method != "fixed_point":
+    if method == "auto":
         if channel.algebra_dim() == 1:  # the fixed state is the only free state
             sigma = channel.fixed_state()
             return OptimizerResult(
@@ -294,8 +294,6 @@ def optimize_trace_functional(
             )
         if spec.z == 1.0 and spec.r < 1.0:
             return z1_closed_form(spec.x, spec.r, channel)
-        if method == "closed_form":
-            raise ValidationError("no closed form available for z != 1")
 
     # The iteration runs in the block frame on the factors beta_i of
     # sigma = (+) tau_i (x) beta_i.  Each evaluated step takes one eigh of

@@ -35,12 +35,13 @@ row of a 16x16 Hermitian block at d = 16), so after presolve A is held as
 one sparse matrix over the float view of the raveled stacks (dense when it
 is small enough that a dense product beats the sparse dispatch) and A x,
 A^T y are one product each.  The Schur complement M_jl = sum_k
-Re tr(A_jk W_k A_lk W_k) is built only over the rows that touch each
-block, in the manner of SDPA's sparse Schur formulas (Fujisawa, Kojima &
-Nakata, Math. Prog. 79, 1997); it is dense and is Cholesky-factored once
-per iteration through LAPACK; a block whose rows form one contiguous range
-adds its term through a slice.  The corrector's Schur solve takes one step
-of iterative refinement against A Q_W A^T.
+Re tr(A_jk W_k A_lk W_k) is a sum of terms over the rows each touches, in
+the manner of SDPA's sparse Schur formulas (Fujisawa, Kojima & Nakata,
+Math. Prog. 79, 1997): one per matrix block, and one diagonal term
+sum_k a_jk a_lk w_k^2 for the real 1x1 stack, as SDPT3 treats its linear
+block (Tutuncu, Toh & Todd, Math. Prog. 95, 2003).  M is dense and is
+Cholesky-factored once per iteration through LAPACK, and the corrector's
+Schur solve takes one step of iterative refinement against A Q_W A^T.
 
 Presolve drops dependent rows by a pivoted QR of the border rows only: a
 row with a private column (no other row is nonzero there) cannot be
@@ -358,73 +359,74 @@ def _entries(j, q, v, co: _Coords):
     )
 
 
-class _SchurGroup:
-    """Blocks of one kind and size whose Schur terms are formed in one update.
+def _row_index(rows: np.ndarray):
+    """Index of schur[rows, rows]: a basic slice, a view, when the rows form
+    one contiguous range (the task programs emit each block's rows as one),
+    else np.ix_."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        return (slice(rows[0], rows[-1] + 1),) * 2
+    return np.ix_(rows, rows)
 
-    The pairs (j, k) with row j touching block k hold the coefficient
-    matrix A_jk in `a_stack`, with row r of pair p at row r * pairs + p, so
-    that a_stack @ [W_k] gives every A_jk W_k with the pairs in the middle
-    axis; `a_vec` holds the same rows in svec or hvec coordinates, rescaled
-    so that a_vec @ T, with T the coordinate parts of the W_k A_lk W_k as
-    its columns, gives Re tr(A_j W A_l W) over the touched rows.
+
+class _SchurGroup:
+    """The Schur term of one matrix block over the rows that touch it.
+
+    With k touched rows, row r of the j-th one's coefficient matrix A_j sits
+    at row r * k + j of `a_stack`, so that a_stack @ W gives every A_j W;
+    `a_vec` holds the same rows in svec or hvec coordinates, rescaled so
+    that a_vec @ T, with T the coordinate parts of the W A_l W as its
+    columns, gives Re tr(A_j W A_l W).
     """
 
-    def __init__(self, n: int, hermitian: bool, entries: list):
+    def __init__(self, n: int, hermitian: bool, j, q, v):
         co = _coords(n, hermitian)
-        g, nq = len(entries), co.rows.size
-        key = np.sort(np.concatenate(
-            [np.unique(j) * g + k for k, (j, _, _) in enumerate(entries)]
-        ))
-        pair_row, self.pair_block = np.divmod(key, g)
-        self.rows = np.unique(pair_row)
-        self.n, self.g = n, g
+        self.rows = np.unique(j)
+        self.n, k = n, self.rows.size
         # T's rows are read from the float view of the W A W stack.
         self.tri_r, self.tri_c = co.rows, (2 if hermitian else 1) * co.cols + co.part
-        stack_r, stack_c, stack_v, vec_r, vec_c, vec_v = ([] for _ in range(6))
-        for k, (j, q, v) in enumerate(entries):
-            fj, r, c, part, fv = _entries(j, q, v, co)
-            stack_r.append(r * key.size + np.searchsorted(key, fj * g + k))
-            stack_c.append(k * n + c)
-            stack_v.append(np.where(part == 1, 1j * fv, fv) if hermitian else fv)
-            # Re tr(A T) = vec(A) . vec(T), and vec(T) is the coordinate
-            # parts of T times the scale.
-            vec_r.append(np.searchsorted(self.rows, j))
-            vec_c.append(k * nq + q)
-            vec_v.append(v * co.scale[q])
-        cat = np.concatenate
-        self.a_stack = _matrix(cat(stack_r), cat(stack_c), cat(stack_v), (key.size * n, g * n))
-        self.a_vec = _matrix(cat(vec_r), cat(vec_c), cat(vec_v), (self.rows.size, g * nq))
-        # With one block the pairs are the touched rows in order; with more,
-        # pair (j, k) fills column j of block k's rows of T.
-        if g > 1:
-            col = np.searchsorted(self.rows, pair_row) + self.pair_block * nq * self.rows.size
-            self.scatter = (col[:, None] + np.arange(nq) * self.rows.size).ravel()
-            self.nq = nq
-        # Contiguous rows (the task programs emit each block's rows as one
-        # range) add through a basic slice, a view; others through np.ix_.
-        rows = self.rows
-        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
-            self.index = (slice(rows[0], rows[-1] + 1),) * 2
-        else:
-            self.index = np.ix_(rows, rows)
+        fj, r, c, part, fv = _entries(j, q, v, co)
+        stack_v = np.where(part == 1, 1j * fv, fv) if hermitian else fv
+        self.a_stack = _matrix(r * k + np.searchsorted(self.rows, fj), c, stack_v, (k * n, n))
+        # Re tr(A T) = vec(A) . vec(T), and vec(T) is the coordinate parts of
+        # T times the scale.
+        self.a_vec = _matrix(
+            np.searchsorted(self.rows, j), q, v * co.scale[q], (k, co.rows.size)
+        )
+        self.index = _row_index(self.rows)
 
     def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
-        """schur[rows, rows] += Re tr(A_j W A_l W) summed over the group's
-        blocks, whose scalings are the (g, n, n) stack `w`."""
+        """schur[rows, rows] += Re tr(A_j W A_l W) for the block's scaling W."""
         n = self.n
-        aw = self.a_stack @ w.reshape(-1, n)  # rows (c, p): (A_p W)[c, :]
-        if self.g == 1:
-            # One product W [A_p W]_p, laid out (a, p, b), and a gather of
-            # its coordinate parts as columns: no transpose of the result.
-            waw = (w[0] @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
-            t = waw[self.tri_r, :, self.tri_c]
+        aw = self.a_stack @ w  # rows (c, j): (A_j W)[c, :]
+        # One product W [A_j W]_j, laid out (a, j, b), and a gather of its
+        # coordinate parts as columns: no transpose of the result.
+        waw = (w @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
+        schur[self.index] += self.a_vec @ waw[self.tri_r, :, self.tri_c]
+
+
+class _ScalarSchur:
+    """The Schur term of the real 1x1 stack (the scalar slacks and the 1x1
+    Hermitian variables), one product over the rows that touch it; the
+    coefficients a_jk are one (rows, g) matrix, sparse when it is large."""
+
+    def __init__(self, entries: list):
+        j = np.concatenate([j for j, _, _ in entries])
+        k = np.repeat(np.arange(len(entries)), [j.size for j, _, _ in entries])
+        self.rows = np.unique(j)
+        self.a = _matrix(
+            np.searchsorted(self.rows, j), k,
+            np.concatenate([v for _, _, v in entries]), (self.rows.size, len(entries)),
+        )
+        self.index = _row_index(self.rows)
+
+    def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
+        """schur[rows, rows] += sum_k a_jk a_lk w_k^2 for the (g, 1, 1) stack `w`."""
+        if isinstance(self.a, np.ndarray):
+            aw = self.a * w.reshape(-1)
+            schur[self.index] += aw @ aw.T
         else:
-            aw = aw.reshape(n, -1, n).transpose(1, 0, 2)
-            waw = np.matmul(w[self.pair_block], aw).view(float)
-            t = np.zeros(self.g * self.nq * self.rows.size)
-            t[self.scatter] = waw[:, self.tri_r, self.tri_c].ravel()
-            t = t.reshape(-1, self.rows.size)
-        schur[self.index] += self.a_vec @ t
+            aw = self.a.multiply(w.reshape(-1))
+            schur[self.index] += (aw @ aw.T).toarray()
 
 
 class _Constraints:
@@ -438,10 +440,9 @@ class _Constraints:
     the raveled stacks in one vector (`split` gives the stack views), and
     the coefficient matrices are stored in the coordinates of that vector,
     where Re tr(K X) is the dot product of the float views of K and X, so
-    A x is one product and A^T y comes back as Hermitian stacks.  Same-kind,
-    same-size blocks share a Schur update, except that each block as wide
-    as the widest keeps its own, which bounds every temporary of the build
-    by one block's touched rows times n^2.
+    A x is one product and A^T y comes back as Hermitian stacks.  Each
+    matrix block has its own Schur term, whose temporaries are its touched
+    rows times n^2, and the real 1x1 stack has one diagonal term.
     """
 
     def __init__(self, a_vec: np.ndarray, dims: list[int], hermitian=None):
@@ -495,18 +496,15 @@ class _Constraints:
         self.flat, self.mirror, self.sign, self.scale = (
             cat(x) for x in (flat, mirror, signs, scales)
         )
-        widest = max(dims, default=0)
+        # (stack, member or slice of the stack, term): each term adds the
+        # Schur contribution of the scalings w_stacks[stack][part].
         self.groups = []
         for i, ((cplx, n), ks) in enumerate(zip(keys, self.members)):
-            parts = (
-                [(slice(p, p + 1), [k]) for p, k in enumerate(ks)]
-                if n == widest
-                else [(slice(None), ks)]
-            )
-            for part, ks_part in parts:
-                group = _SchurGroup(n, cplx, [entries[k] for k in ks_part])
-                if group.rows.size:
-                    self.groups.append((i, part, group))
+            if cplx or n > 1:
+                terms = [(p, _SchurGroup(n, cplx, *entries[k])) for p, k in enumerate(ks)]
+            else:
+                terms = [(slice(None), _ScalarSchur([entries[k] for k in ks]))]
+            self.groups += [(i, part, term) for part, term in terms if term.rows.size]
 
     def split(self, v: np.ndarray) -> list:
         """The (g, n, n) stack views of a point's float vector."""

@@ -21,6 +21,7 @@ from .errors import SolverError, ValidationError
 from .linalg import check_effect, herm, spectral_norm, trace_distance
 from .optimize import d_min_free, umegaki_free
 from .programs import (
+    _check_eps,
     _is_qubit_dephaser,
     _symmetric_dmax_free,
     _symmetric_restricted_ht,
@@ -281,7 +282,9 @@ def battery_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
     joint = tensor_channels(channel, phi1.channel)
     joint_state = np.kron(np.asarray(rho, dtype=complex), phi1.state)
     protocol = restricted_ht(joint_state, joint, eps)
-    identity_residual = abs(res.value - (protocol.value - 1.0))
+    # At eps = 1 both values are +inf, and the identity holds.
+    expected = protocol.value - 1.0
+    identity_residual = 0.0 if res.value == expected else abs(res.value - expected)
 
     witness = {"effect": res.gamma, "method": res.method}
     residuals = {
@@ -388,6 +391,7 @@ def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -
     """
     if n_max < 1:
         raise ValidationError(f"n_max {n_max} must be at least 1")
+    eps = _check_eps(eps)
     rho = np.asarray(rho, dtype=complex)
     target = umegaki_free(rho, channel).value  # validates rho
     cost_hi = d_max(rho, herm(channel.apply(rho)))

@@ -8,6 +8,7 @@ from instability import serialize as sz
 from instability import tasks as tk
 from instability.cli import main
 from instability.errors import ParseError
+from instability.sampling import random_density
 from tests.conftest import raised_lower_bound
 
 
@@ -331,6 +332,39 @@ class TestExitCodes:
         io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
         for nmax in ("0", "-3"):
             assert main(["regularize", *io_args, "--nmax", nmax]) == 2, nmax
+
+    def test_infinite_z_is_outside_the_dpi_region(self, workdir, capsys):
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        assert main(["monotone", *io_args, "--alpha", "0.5", "--z", "inf"]) == 2
+        capsys.readouterr()
+        assert main(["sweep", *io_args, "--alphas", "0.5", "--zs", "1,inf", "--workers", "1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[2].split(",")[:2] == ["0.5", "inf"] and rows[2].split(",")[5] == "outside_dpi"
+
+    def test_regularize_eps_is_validated_without_sdp_rows(self, tmp_path, capsys):
+        # At d = 65 no row reaches a program.
+        rho = random_density(65, np.random.default_rng(0))
+        sz.dump_json(sz.state_to_json(rho), str(tmp_path / "rho65.json"))
+        (tmp_path / "deph65.json").write_text(json.dumps({"kind": "dephaser", "dim": 65}))
+        io_args = ["--state", str(tmp_path / "rho65.json"), "--channel", str(tmp_path / "deph65.json")]
+        assert main(["regularize", *io_args, "--eps", "-1", "--nmax", "2"]) == 2
+
+    def test_task_outputs_are_strict_json(self, workdir, capsys):
+        # No NaN or Infinity token, at eps = 0, inside (0, 1) and at 1.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        for command in ("yield", "battery", "cost"):
+            for eps in ("0", "0.1", "1"):
+                delta = ["--delta", "0.05"] if command == "cost" and eps != "0" else []
+                capsys.readouterr()
+                assert main([command, *io_args, "--eps", eps, *delta]) == 0, (command, eps)
+                data = json.loads(capsys.readouterr().out, parse_constant=reject)
+            if command == "battery":
+                # `data` is the eps = 1 output, where both sides of the
+                # identity are +inf.
+                assert data["residuals"]["battery_identity"] == 0.0
 
     def test_unparsable_grid_is_a_parse_error(self, workdir, capsys):
         io_args = ["--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]

@@ -26,6 +26,14 @@ class TestDpiRegion:
         with pytest.raises(ValidationError):
             dv.RenyiParams(0.5, 0.2)
 
+    def test_non_finite_parameters_are_outside(self):
+        inf = float("inf")
+        for alpha, z in ((0.5, inf), (inf, inf), (inf, 1.0), (0.5, float("nan"))):
+            assert not dv.in_dpi_region(alpha, z)
+        for alpha, z in ((0.5, inf), (inf, inf)):
+            with pytest.raises(ValidationError, match="data-processing region"):
+                dv.d_alpha_z(random_density(2, np.random.default_rng(0)), UNIFORM2, alpha=alpha, z=z)
+
 
 class TestAlphaZ:
     def test_identical_arguments(self, rng):

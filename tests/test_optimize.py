@@ -451,6 +451,10 @@ class TestMLambda:
         with pytest.raises(ValidationError):
             op.m_lambda(random_density(2, rng), 0.5, 1.0, 1.5, DEPH2)
 
+    def test_rejects_infinite_z(self, rng):
+        with pytest.raises(ValidationError, match="data-processing region"):
+            op.m_lambda(random_density(2, rng), 0.5, float("inf"), 0.0, DEPH2)
+
 
 class TestGridOracle:
     def test_replacer_single_evaluation(self, rng):

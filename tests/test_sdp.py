@@ -105,9 +105,9 @@ class TestSchur:
             self.check(prob.A, dims, rng)
 
     def test_mixed_sizes_and_untouched_block(self, rng):
-        # Two scalars, two 2x2 blocks (each pair shares an update), a 3x3
-        # block and two blocks as wide as the widest; block 4 is touched by
-        # no row, and every row is sparse.
+        # Two scalars (the diagonal term), two 2x2 blocks, a 3x3 block and
+        # two blocks as wide as the widest, each with its own term; block 4
+        # is touched by no row, and every row is sparse.
         dims = [1, 1, 2, 2, 3, 5, 5]
         total = sum(sdp.svec_dim(n) for n in dims)
         a = np.zeros((9, total))
@@ -128,7 +128,7 @@ class TestSchur:
         self.check(problem.A, problem.block_dims, rng, problem.hermitian)
 
     def test_hermitian_blocks(self, rng):
-        # Two 3x3 Hermitian blocks share an update, a real 3x3 block has its
+        # Two 3x3 Hermitian blocks form one stack, a real 3x3 block has its
         # own stack, a 1x1 Hermitian block joins the real scalars, and the
         # two 5x5 Hermitian blocks are as wide as the widest; rows are dense.
         dims = [3, 1, 3, 5, 1, 3, 5, 2]
@@ -140,6 +140,28 @@ class TestSchur:
             (2, 1, True), (3, 2, True), (5, 2, True), (1, 2, False), (3, 1, False),
         ]
         assert [w.ravel().tolist() for w in cons.weights][3] == [2.0, 1.0]
+
+    def test_many_scalars_and_repeated_narrow_blocks(self, rng):
+        # 180 scalars and three 1x1 Hermitian blocks share the diagonal
+        # term, whose coefficients are wide enough to be held sparse; three
+        # 2x2 Hermitian and two 3x3 real blocks, narrower than the 5x5
+        # Hermitian one, each have a term of their own.
+        dims = [1] * 180 + [1, 1, 1, 2, 2, 2, 3, 3, 5]
+        flags = [False] * 180 + [True] * 6 + [False, False, True]
+        total = sum(coord_dim(n, h) for n, h in zip(dims, flags))
+        a = np.zeros((200, total))
+        for j in range(200):
+            cols = rng.choice(total, size=4, replace=False)
+            a[j, cols] = rng.normal(size=4)
+        a[np.arange(200), np.arange(200) % 180] = 1.0  # every scalar is touched
+        self.check(a, dims, rng, flags)
+        cons = sdp._Constraints(a, dims, flags)
+        own = [cons.members[i][part] for i, part, _ in cons.groups]
+        scalars = [k for k, n in enumerate(dims) if n == 1]
+        assert own.count(scalars) == 1
+        assert sorted(k for k in own if k != scalars) == [k for k, n in enumerate(dims) if n > 1]
+        (term,) = [t for _, _, t in cons.groups if isinstance(t, sdp._ScalarSchur)]
+        assert not isinstance(term.a, np.ndarray)
 
     def test_contiguous_and_scattered_row_subsets(self, rng):
         # Block 0 is touched by rows 2-5 only, a contiguous strict subset

@@ -442,6 +442,11 @@ class TestRegularizeReduced:
         assert {name for name, _ in calls} == {"_symmetric_restricted_ht", "_symmetric_dmax_free"}
         assert widths == {n: n + 1 for n in range(1, 6)}
 
+    def test_eps_is_validated_without_sdp_rows(self):
+        # At d = 65 no row reaches a program, so the sweep checks eps itself.
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            tk.regularize_sweep(random_density(65, np.random.default_rng(0)), ch.dephaser(65), -1.0, 2)
+
     @pytest.mark.parametrize("which", ["currency", "dephaser(5)"])
     def test_other_channels_reach_the_tensor_programs(self, which, monkeypatch):
         calls = []
