@@ -270,11 +270,24 @@ class DestructionChannel:
             g.scatter(out, herm((k * pw[:, None, :]) @ k.conj().swapaxes(-1, -2)))
         return out
 
-    def dual_marginals(self, xb: np.ndarray) -> list[np.ndarray]:
+    def dual_marginals(self, xb: np.ndarray, ops=None) -> list[np.ndarray]:
         """The B-components tr_A[(tau_i (x) I) X_i] of Delta^*(X), for ``xb``
         in the block frame, as factor stacks: the batched
-        ``dual_block_reduction``."""
-        return [np.einsum("nae,nebad->nbd", g.taus, g.gather(xb)) for g in self._groups]
+        ``dual_block_reduction``.  ``ops``, one (n, d_a, d_a) stack per
+        group (such as ``tau_power(r)``), takes the place of the tau_i."""
+        ops = [g.taus for g in self._groups] if ops is None else ops
+        return [np.einsum("nae,nebad->nbd", a, g.gather(xb)) for g, a in zip(self._groups, ops)]
+
+    def tau_power(self, r: float) -> list[np.ndarray]:
+        """tau_i^r, one (n, d_a, d_a) stack per group, from the stored
+        eigendecomposition of d_a tau_i."""
+        return [pow_from_eigh(g.fixed_eig[0] / g.d_a, g.fixed_eig[1], r) for g in self._groups]
+
+    def block_components(self, psi: np.ndarray) -> list[np.ndarray]:
+        """The block-i components of a vector in the block frame, each
+        reshaped to d_a x d_b, one (n, d_a, d_b) stack per group."""
+        phi = psi if self._identity_basis else self.basis.conj().T @ psi
+        return [phi[g.index].reshape(-1, g.d_a, g.d_b) for g in self._groups]
 
     # -- fixed data ------------------------------------------------------
 

@@ -146,22 +146,25 @@ class HypothesisTest:
     threshold: float  # Lagrange multiplier lambda at the optimum
 
 
-def _positive_part_data(rho, sigma, lam, *, ker_rtol=0.0):
-    m = herm(lam * rho - sigma)
-    w, v = np.linalg.eigh(m)
-    scale = max(np.abs(w).max(initial=0.0), 1e-300)
-    pos = w > ker_rtol * scale
-    ker = np.abs(w) <= ker_rtol * scale
-    return w, v, pos, ker
+def _scan_point(rho, sigma, lam: float, target: float):
+    """(lam, pass - target, w, v) with (w, v) the eigendecomposition of
+    lam rho - sigma and pass = tr[rho P], P the projector onto its strictly
+    positive eigenspace."""
+    w, v = np.linalg.eigh(herm(lam * rho - sigma))
+    vp = v[:, w > 0.0]
+    return lam, float(np.real(np.trace(vp.conj().T @ rho @ vp))) - target, w, v
 
 
-def _type_one_pass(rho, sigma, lam) -> float:
-    # Strict threshold: the bisection then converges onto the true
-    # eigenvalue crossing, and the final (wider) kernel window below safely
-    # contains it.
-    _, v, pos, _ = _positive_part_data(rho, sigma, lam)
-    vp = v[:, pos]
-    return float(np.real(np.trace(vp.conj().T @ rho @ vp)))
+def _secant_values(lo, hi) -> tuple[float, float]:
+    """The values at the two ends of a scan bracket that the secant step
+    interpolates: the eigenvalue of lam rho - sigma that turns positive in
+    the bracket when there is one (the largest such crossing), otherwise
+    pass - target."""
+    n_hi = np.count_nonzero(hi[2] > 0.0)
+    if lo[2] is not None and n_hi > np.count_nonzero(lo[2] > 0.0):
+        k = len(hi[2]) - n_hi
+        return lo[2][k], hi[2][k]
+    return lo[1], hi[1]
 
 
 def neyman_pearson(rho, sigma, eps: float) -> HypothesisTest:
@@ -171,13 +174,33 @@ def neyman_pearson(rho, sigma, eps: float) -> HypothesisTest:
     eigenspace of lambda*rho - sigma, plus a fraction of its kernel".  The
     passing probability tr[rho Gamma(lambda)] is nondecreasing in lambda
     (it is the derivative of the concave Lagrange dual), so the right
-    lambda is found by bisection; jumps at eigenvalue crossings are handled
-    through the kernel fraction.
+    lambda is found by a bracketing search; jumps at eigenvalue crossings
+    are handled through the kernel fraction.
     """
     rho = check_density(rho)
     sigma = check_psd(sigma, rho.shape[0], what="second argument")
     if not (0.0 <= eps <= 1.0):
         raise ValidationError(f"epsilon {eps} outside [0, 1]")
+    return _neyman_pearson_scan(rho, sigma, eps)
+
+
+def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypothesisTest:
+    """:func:`neyman_pearson` for a validated state, PSD sigma and eps in
+    [0, 1], without validation.
+
+    After lambda is bracketed (lambda = 1, 4, 16, ...), the bracket
+    [lo, hi] with pass(lo) < 1 - eps <= pass(hi) shrinks by the Illinois
+    variant of regula falsi, with a bisection step after any step that did
+    not halve it, until its width is at most 1e-15 max(hi, 1).  pass is a
+    step function at the eigenvalue crossings of lam rho - sigma, where a
+    secant on it gains nothing over bisection; so while the bracket holds a
+    crossing the secant runs on the crossing eigenvalue (smooth and
+    nondecreasing in lam), and otherwise on pass - (1 - eps).  Each step
+    moves at least 0.4e-15 max(hi, 1), so a converged end closes the
+    bracket.  The strict threshold on the positive part makes the search
+    converge onto the true eigenvalue crossing, and the kernel window of
+    the final step (1e-10 of the largest |eigenvalue|) contains it.
+    """
     d = rho.shape[0]
     if eps >= 1.0:
         return HypothesisTest(float("inf"), 0.0, np.zeros((d, d), dtype=complex), 0.0)
@@ -189,24 +212,39 @@ def neyman_pearson(rho, sigma, eps: float) -> HypothesisTest:
         value = -float(np.log2(beta)) if beta > 0 else float("inf")
         return HypothesisTest(value, beta, gamma, float("inf"))
 
-    lo, hi = 0.0, 1.0
+    lo = (0.0, -target, None, None)  # -sigma has no strictly positive part
+    lam = 1.0
     for _ in range(200):
-        if _type_one_pass(rho, sigma, hi) >= target:
+        hi = _scan_point(rho, sigma, lam, target)
+        if hi[1] >= 0.0:
             break
-        hi *= 4.0
+        lo, lam = hi, 4.0 * lam
     else:
         raise ValidationError("failed to bracket the Neyman-Pearson threshold")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if _type_one_pass(rho, sigma, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(hi, 1.0):
+    weight = [1.0, 1.0]  # Illinois weights of the lo and hi values
+    secant, moved = True, None
+    for _ in range(240):
+        width = hi[0] - lo[0]
+        if width <= 1e-15 * max(hi[0], 1.0):
             break
+        mid = lo[0] + 0.5 * width
+        if secant:
+            a, b = _secant_values(lo, hi)
+            a, b = weight[0] * a, weight[1] * b
+            tol = 0.4e-15 * max(hi[0], 1.0)  # a step of at least this closes the bracket
+            mid = min(max(hi[0] - b * width / (b - a), lo[0] + tol), hi[0] - tol)
+        point = _scan_point(rho, sigma, mid, target)
+        side = int(point[1] >= 0.0)
+        lo, hi = (lo, point) if side else (point, hi)
+        weight[side] = 1.0
+        if moved == side:
+            weight[1 - side] *= 0.5
+        moved = side
+        secant = hi[0] - lo[0] <= 0.5 * width
 
-    _, v, pos, ker = _positive_part_data(rho, sigma, hi, ker_rtol=1e-10)
-    vp, vk = v[:, pos], v[:, ker]
+    lam, _, w, v = hi
+    scale = max(np.abs(w).max(initial=0.0), 1e-300)
+    vp, vk = v[:, w > 1e-10 * scale], v[:, np.abs(w) <= 1e-10 * scale]
     proj_pos = vp @ vp.conj().T
     proj_ker = vk @ vk.conj().T
     a_pos = float(np.trace(rho @ proj_pos).real)
@@ -219,7 +257,7 @@ def neyman_pearson(rho, sigma, eps: float) -> HypothesisTest:
     beta = float(np.trace(sigma @ gamma).real)
     beta = max(beta, 0.0)
     value = -float(np.log2(beta)) if beta > 0 else float("inf")
-    return HypothesisTest(value, beta, gamma, hi)
+    return HypothesisTest(value, beta, gamma, lam)
 
 
 def d_hypothesis(rho, sigma, eps: float) -> float:

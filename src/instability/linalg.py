@@ -63,12 +63,24 @@ def check_hermitian(h, dim: int | None = None, *, what: str = "operator") -> np.
 def check_density(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within 1e-10."""
     m = check_hermitian(rho, dim, what="state")
-    w = np.linalg.eigvalsh(m)
+    _check_state_spectrum(m, np.linalg.eigvalsh(m))
+    return m
+
+
+def density_eigh(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``check_density`` by one eigh: the validated state with the ascending
+    eigenvalues and eigenvectors its test read."""
+    m = check_hermitian(rho, dim, what="state")
+    w, v = np.linalg.eigh(m)
+    _check_state_spectrum(m, w)
+    return m, w, v
+
+
+def _check_state_spectrum(m: np.ndarray, w: np.ndarray) -> None:
     check_psd_spectrum(w[0], w[-1], what="state")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > DENSITY_TOL:
         raise ValidationError(f"state trace {tr} differs from 1 beyond tolerance")
-    return m
 
 
 def check_psd(p, dim: int | None = None, *, what: str = "operator") -> np.ndarray:
@@ -126,13 +138,15 @@ def mat_pow(p: np.ndarray, r: float) -> np.ndarray:
     return pow_from_eigh(w, v, r)
 
 
-def pow_from_eigh(w: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
+def pow_from_eigh(w: np.ndarray, v: np.ndarray, r: float, cut=None) -> np.ndarray:
     """``mat_pow`` from a trusted eigendecomposition ``(w, v)`` of a PSD operator.
 
     Works on stacks (``w`` of shape (..., n), ``v`` of shape (..., n, n)),
-    with the rank cut taken per matrix; no validation.
+    with the rank cut taken per matrix unless ``cut`` gives one for all of
+    them (for the blocks of one block-diagonal operator); no validation.
     """
-    cut = w.shape[-1] * RANK_RTOL * np.abs(w[..., -1:])  # rank_tol, per matrix
+    if cut is None:
+        cut = w.shape[-1] * RANK_RTOL * np.abs(w[..., -1:])  # rank_tol, per matrix
     pw = np.zeros_like(w)
     live = w > cut
     pw[live] = w[live] ** float(r)

@@ -44,12 +44,11 @@ from .linalg import (
     check_density,
     check_psd,
     check_psd_spectrum,
+    density_eigh,
     herm,
     mat_pow,
     pow_from_eigh,
     rank_tol,
-    schatten_norm,
-    support_projector,
     trace_norm,
 )
 
@@ -60,6 +59,7 @@ FIXED_POINT_RESIDUAL_TOL = 1e-9
 ETA_FLOOR = 1.0 / 64.0
 INIT_MIX = 1e-3
 FREE_TOL = 1e-9
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def check_functional_region(r: float, z: float) -> None:
@@ -151,6 +151,21 @@ def _factor_distance(a, b) -> float:
     )
 
 
+def _factor_trace(betas) -> float:
+    """The total trace of factor stacks, which is tr[(+) tau_i (x) beta_i]."""
+    return float(sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in betas))
+
+
+def _target(channel: DestructionChannel, g: np.ndarray) -> list[np.ndarray]:
+    """The factors of the normalized Delta(G), for G in the block frame: the
+    fixed-point map's image."""
+    m = channel.block_marginals(g)
+    tr = _factor_trace(m)
+    if tr <= 0:
+        raise SolverError("iteration map produced a zero-trace operator")
+    return [b / tr for b in m]
+
+
 def _flat(betas) -> np.ndarray:
     """Factor stacks as one real vector, the concatenated float views."""
     return np.concatenate([b.view(np.float64).ravel() for b in betas])
@@ -178,7 +193,7 @@ def _anderson(history, like) -> tuple[np.ndarray, ...] | None:
     fs = gs - xs
     gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
     step = _unflat(gs[-1] - np.diff(gs, axis=0).T @ gamma, like)
-    tr = sum(np.trace(b, axis1=1, axis2=2).real.sum() for b in step)
+    tr = _factor_trace(step)
     return tuple(b / tr for b in step) if tr > 0 else None
 
 
@@ -281,19 +296,36 @@ def optimize_trace_functional(
     if method not in ("auto", "fixed_point"):
         raise ValidationError(f"unknown method {method!r}")
     channel = spec.channel
+    maximize = spec.r >= 0.0
+    xb = channel.to_block_frame(spec.x)
+
+    def evaluate(eig):
+        """(F, eigendecomposition of the core) at the free state of this
+        ``free_eig`` decomposition.  SolverError, before the power, where
+        F = tr[core^z] passes the float range."""
+        half = channel.free_power(eig, spec.r / 2.0)
+        w, v = np.linalg.eigh(herm(half @ xb @ half))
+        check_psd_spectrum(w[0], w[-1], what="core")
+        if w[-1] > 1.0 and spec.z * np.log(w[-1]) > LOG_FLOAT_MAX:
+            raise SolverError(
+                f"F = tr[core^z] overflows: z log lambda_max(core) = "
+                f"{spec.z * np.log(w[-1]):.4g} exceeds the float range ({LOG_FLOAT_MAX:.4g})"
+            )
+        return float(np.sum(np.clip(w, 0.0, None) ** spec.z)), (w, v)
+
+    def target(core):
+        return _target(channel, pow_from_eigh(*core, spec.z))
+
     if method == "auto":
         if channel.algebra_dim() == 1:  # the fixed state is the only free state
-            sigma = channel.fixed_state()
+            betas = _factors(channel.fixed_state(), channel)
+            value, core = evaluate(channel.free_eig(betas))
             return OptimizerResult(
-                _factors(sigma, channel),
-                channel,
-                _functional_value(sigma, spec.x, spec.r, spec.z),
-                fixed_point_residual(sigma, spec),
-                0,
+                betas, channel, value, _factor_distance(betas, target(core)), 0,
                 "closed_form_z1",
             )
         if spec.z == 1.0 and spec.r < 1.0:
-            return z1_closed_form(spec.x, spec.r, channel)
+            return _z1(spec.x, spec.r, channel)
 
     # The iteration runs in the block frame on the factors beta_i of
     # sigma = (+) tau_i (x) beta_i.  Each evaluated step takes one eigh of
@@ -305,24 +337,6 @@ def optimize_trace_functional(
     # that makes F worse counts as an iteration.  Either clears the history
     # and the damped step follows: a rejected damped step (eta halved)
     # keeps the target.
-    maximize = spec.r >= 0.0
-    xb = channel.to_block_frame(spec.x)
-
-    def evaluate(eig):
-        """(F, eigendecomposition of the core) at the free state of this
-        ``free_eig`` decomposition."""
-        half = channel.free_power(eig, spec.r / 2.0)
-        w, v = np.linalg.eigh(herm(half @ xb @ half))
-        check_psd_spectrum(w[0], w[-1], what="core")
-        return float(np.sum(np.clip(w, 0.0, None) ** spec.z)), (w, v)
-
-    def target(core):
-        g = channel.block_marginals(pow_from_eigh(*core, spec.z))
-        tr = float(sum(np.trace(m, axis1=1, axis2=2).real.sum() for m in g))
-        if tr <= 0:
-            raise SolverError("iteration map produced a zero-trace operator")
-        return [m / tr for m in g]
-
     def certified(betas, eig, value, core, residual, iterations, method):
         gap = _frank_wolfe_gap(spec, xb, value, eig, core)
         interval = (value, value + gap) if maximize else (value - gap, value)
@@ -391,29 +405,44 @@ def z1_closed_form(x, r: float, channel: DestructionChannel) -> OptimizerResult:
 
     sigma_* is proportional to T(Delta^*(T^{r-1}(X))^{1/(1-r)}) with T the
     twist by Delta(I)^{1/2}, and F(sigma_*) equals the Schatten 1/(1-r)
-    norm of Delta^*(T^{r-1}(X)).
+    norm of Delta^*(T^{r-1}(X)).  In the block frame that algebra element
+    is (+) I_A (x) B_i with B_i = d_A^{r-1} tr_A[(tau_i^r (x) I) X_i], so
+    sigma_* = (+) tau_i (x) beta_i with beta_i proportional to
+    d_A B_i^{1/(1-r)}: one batched eigh of the B_i per block group gives
+    the value and the power, and the PSD check of X is the only d x d
+    decomposition.
     """
     if r == 1.0:
         raise ValidationError("the z = 1 closed form requires r < 1")
     if not (-1.0 <= r < 1.0):
         raise ValidationError(f"r={r} outside [-1, 1)")
-    x = check_psd(x, channel.dim, what="payload X")
-    twisted = herm(channel.apply_dual(channel.twist(x, r - 1.0)))
-    value = schatten_norm(twisted, 1.0 / (1.0 - r))
-    core = channel.twist(mat_pow(twisted, 1.0 / (1.0 - r)), 1.0)
-    tr = float(np.trace(core).real)
+    return _z1(check_psd(x, channel.dim, what="payload X"), r, channel)
+
+
+def _z1(x: np.ndarray, r: float, channel: DestructionChannel) -> OptimizerResult:
+    """:func:`z1_closed_form` for a validated PSD X and r in [-1, 1).  The
+    residual is the fixed-point defect at sigma_*, from its ``free_power``
+    and the B-marginals of sigma_*^{r/2} X sigma_*^{r/2}."""
+    xb = channel.to_block_frame(x)
+    p = 1.0 / (1.0 - r)
+    taus = channel.tau_power(r)
+    mult = [t.shape[-1] for t in taus]  # d_A: each eigenvalue of B_i is d_A-fold
+    eigs = [
+        np.linalg.eigh(herm(d_a ** (r - 1.0) * b))
+        for d_a, b in zip(mult, channel.dual_marginals(xb, taus))
+    ]
+    hi = max(w[:, -1].max() for w, _ in eigs)
+    check_psd_spectrum(min(w[:, 0].min() for w, _ in eigs), hi, what="twisted payload")
+    value = float(sum(d_a * np.sum(np.abs(w) ** p) for d_a, (w, _) in zip(mult, eigs)) ** (1.0 / p))
+    cut = rank_tol(channel.dim, hi)  # mat_pow's cut on the whole algebra element
+    powers = [d_a * pow_from_eigh(w, v, p, cut) for d_a, (w, v) in zip(mult, eigs)]
+    tr = _factor_trace(powers)
     if tr <= 0:
         raise SolverError("z=1 closed form produced a zero-trace optimizer")
-    sigma = herm(core / tr)
-    spec = TraceFunctionalSpec(x, r, 1.0, channel)
-    return OptimizerResult(
-        _factors(sigma, channel),
-        channel,
-        value,
-        fixed_point_residual(sigma, spec),
-        0,
-        "closed_form_z1",
-    )
+    betas = tuple(b / tr for b in powers)
+    half = channel.free_power(channel.free_eig(betas), r / 2.0)
+    residual = _factor_distance(betas, _target(channel, herm(half @ xb @ half)))
+    return OptimizerResult(betas, channel, value, residual, 0, "closed_form_z1")
 
 
 def pythagorean_factor(sigma, sigma_star, r: float) -> float:
@@ -437,48 +466,48 @@ def umegaki_free(rho, channel: DestructionChannel) -> OptimizerResult:
 
 
 def d_min_free(rho, channel: DestructionChannel) -> float:
-    """D_min to the free set: -log2 ||Delta^*(rho^0)||_inf."""
-    rho = check_density(rho, channel.dim)
-    top = float(
-        np.linalg.eigvalsh(herm(channel.apply_dual(support_projector(rho))))[-1]
-    )
-    if top <= 0:
-        return float("inf")
-    return -float(np.log2(top))
+    """D_min to the free set: -log2 ||Delta^*(rho^0)||_inf, from the largest
+    eigenvalue of the B-components of Delta^*(rho^0) (see :func:`_d_min`)."""
+    return _d_min(rho, channel)[0]
+
+
+def _d_min(rho, channel: DestructionChannel) -> tuple[float, tuple[np.ndarray, ...]]:
+    """(D_min to the free set in bits, the factors of a free state attaining
+    sup tr[sigma rho^0]) for a state rho, validated here: rho^0 comes from
+    the eigh that validates rho, and the top eigenpair of Delta^*(rho^0)
+    from one batched eigh of the B-components per block group; the state is
+    tau_i (x) v v^dag on the block of that eigenvector."""
+    rho, w, v = density_eigh(rho, channel.dim)
+    eigs = [
+        np.linalg.eigh(herm(b))
+        for b in channel.dual_marginals(channel.to_block_frame(pow_from_eigh(w, v, 0.0)))
+    ]
+    g = max(range(len(eigs)), key=lambda j: eigs[j][0][:, -1].max())
+    k = int(np.argmax(eigs[g][0][:, -1]))
+    betas = [np.zeros_like(vecs) for _, vecs in eigs]
+    top = eigs[g][1][k, :, -1]
+    betas[g][k] = np.outer(top, top.conj())
+    overlap = float(eigs[g][0][k, -1])
+    return (-float(np.log2(overlap)) if overlap > 0 else float("inf")), tuple(betas)
 
 
 def _d_min_optimizer(rho, channel: DestructionChannel) -> np.ndarray:
     """A free state attaining sup tr[sigma rho^0] (top dual eigenvector)."""
-    proj = support_projector(rho)
-    best_val, best = -np.inf, None
-    for i, _ in enumerate(channel.blocks):
-        w_i = channel.dual_block_reduction(proj, i)
-        w, v = np.linalg.eigh(herm(w_i))
-        if w[-1] > best_val:
-            best_val, best = w[-1], (i, v[:, -1])
-    i, vec = best
-    parts = [None] * len(channel.blocks)
-    parts[i] = np.kron(channel.blocks[i].tau, np.outer(vec, vec.conj()))
-    return channel.block_diagonal(parts)
+    return channel.assemble_free(_d_min(rho, channel)[1])
 
 
 def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult:
-    """Petz divergence to the free set, alpha in [0, 2], via the closed form."""
-    rho = check_density(rho, channel.dim)
+    """Petz divergence to the free set, alpha in [0, 2], via the closed form;
+    rho^alpha comes from the eigh that validates rho."""
     if not (0.0 <= alpha <= 2.0):
         raise ValidationError(f"alpha={alpha} outside [0, 2]")
     if alpha == 1.0:
         return umegaki_free(rho, channel)
     if alpha == 0.0:
-        return OptimizerResult(
-            _factors(_d_min_optimizer(rho, channel), channel),
-            channel,
-            d_min_free(rho, channel),
-            0.0,
-            0,
-            "closed_form_petz",
-        )
-    base = z1_closed_form(mat_pow(rho, alpha), 1.0 - alpha, channel)
+        value, betas = _d_min(rho, channel)
+        return OptimizerResult(betas, channel, value, 0.0, 0, "closed_form_petz")
+    rho, w, v = density_eigh(rho, channel.dim)
+    base = _z1(pow_from_eigh(w, v, alpha), 1.0 - alpha, channel)
     bits = float(np.log2(base.value) / (alpha - 1.0))
     return replace(base, value=bits, method="closed_form_petz", interval=(bits, bits))
 

@@ -27,7 +27,9 @@ a replacer joined with a currency system), Delta^*(Gamma) = tr[gamma Gamma] I
 for every effect.  Both hypothesis tests then equal D_H^eps(rho || gamma),
 and they are answered by the exact Neyman-Pearson scan of
 :func:`~instability.divergences.neyman_pearson` instead of an interior-point
-solve.  `HypothesisTestingResult.method` says which path ran.
+solve.  `HypothesisTestingResult.method` says which path ran.  At eps = 0
+the smoothed max-relative entropy of such an algebra is D_max(rho || gamma),
+a closed form like that of a pure state on any channel.
 
 On n copies of a qubit under the dephaser (in any basis),
 `_symmetric_restricted_ht` and `_symmetric_dmax_free` run the same two
@@ -45,9 +47,9 @@ from math import comb
 import numpy as np
 
 from .channels import DestructionChannel, hermitian_basis
-from .divergences import neyman_pearson
+from .divergences import _neyman_pearson_scan
 from .errors import SolverError, ValidationError
-from .linalg import check_density, herm, pow_from_eigh, rank_tol, support_projector
+from .linalg import check_density, density_eigh, herm, rank_tol, support_projector
 from .sdp import HermitianProgram, SdpSolution
 
 
@@ -130,7 +132,7 @@ def _neyman_pearson_result(
 ) -> HypothesisTestingResult:
     """Both tests for a one-dimensional fixed algebra: the optimal test of
     rho against the fixed state, clipped and polished like a solver's."""
-    test = neyman_pearson(rho, channel.fixed_state(), eps)
+    test = _neyman_pearson_scan(rho, channel.fixed_state(), eps)
     return _ht_result(test.gamma, channel, _degenerate_solution(), "neyman_pearson")
 
 
@@ -265,8 +267,9 @@ def _free_test_result(
 class SmoothedDmaxResult:
     """The value, its smoothed state and free witness, and the path taken.
 
-    `method` is "sdp" (interior point) or "closed_form" (a pure state at
-    eps = 0), which carries `_degenerate_solution()`.
+    `method` is "sdp" (interior point) or "closed_form" (at eps = 0, a pure
+    state or a one-dimensional fixed algebra), which carries
+    `_degenerate_solution()`.
     """
 
     value: float            # bits
@@ -281,35 +284,50 @@ def dmax_smoothed_free(rho, channel: DestructionChannel, eps: float) -> Smoothed
 
     Minimizes log2 tr[omega] over free-cone omega >= tau where tau ranges
     over the trace-distance eps-ball around rho (P >= tau - rho, P >= 0,
-    tr P <= eps witnesses the ball membership).  A pure state at eps = 0 is
-    answered by the closed form of the module docstring.
+    tr P <= eps witnesses the ball membership).  At eps = 0 a pure state
+    (one eigenvalue above `rank_tol`, the test `_perfect_face` uses) and a
+    one-dimensional fixed algebra are answered in closed form, from the one
+    eigh that validates rho.
     """
     eps = _check_eps(eps)
-    rho = check_density(rho, channel.dim)
-    if eps <= 0.0:
-        w, v = np.linalg.eigh(rho)
-        if np.count_nonzero(w > rank_tol(channel.dim, w[-1])) == 1:
-            return _pure_dmax(rho, np.sqrt(w[-1]) * v[:, -1], channel)
+    if eps > 0.0:
+        return _dmax_smoothed_sdp(check_density(rho, channel.dim), channel, eps)
+    rho, w, v = density_eigh(rho, channel.dim)
+    if np.count_nonzero(w > rank_tol(channel.dim, w[-1])) == 1:
+        return _pure_dmax(rho, np.sqrt(w[-1]) * v[:, -1], channel)
+    if channel.algebra_dim() == 1:
+        return _fixed_state_dmax(rho, channel)
     return _dmax_smoothed_sdp(rho, channel, eps)
 
 
 def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDmaxResult:
     """D_max(psi psi^dagger || free) = 2 log2 S, S = sum_i tr sqrt(C_i), with
-    the optimizer omega = S (+) tau_i (x) (C_i^T)^{1/2}."""
-    phi = channel.basis.conj().T @ psi
-    cuts = np.cumsum([b.dim for b in channel.blocks])[:-1]
+    C_i = Psi_i^dagger tau_i^{-1} Psi_i for the d_A x d_B block components
+    Psi_i of psi, and the optimizer omega = S (+) tau_i (x) (C_i^T)^{1/2}.
+
+    With tau^{-1/2} Psi = U s V^dagger, tr sqrt(C) = sum s and
+    (C^T)^{1/2} = conj(V s V^dagger): per block group, one product with the
+    stored tau_i^{-1/2} and one batched SVD of the (n, d_A, d_B) stack."""
     total, roots = 0.0, []
-    for b, part in zip(channel.blocks, np.split(phi, cuts)):
-        # tau^{-1/2} Psi = U s V^dagger: tr sqrt(C) = sum s, (C^T)^{1/2} = conj(V s V^dagger)
-        root = pow_from_eigh(*np.linalg.eigh(b.tau), -0.5)
-        _, s, vh = np.linalg.svd(root @ part.reshape(b.d_a, b.d_b), full_matrices=False)
+    for root, part in zip(channel.tau_power(-0.5), channel.block_components(psi)):
+        _, s, vh = np.linalg.svd(root @ part, full_matrices=False)
         total += float(s.sum())
-        roots.append((vh.T * s) @ vh.conj())
-    omega = channel.block_diagonal(
-        [np.kron(b.tau, total * r) for b, r in zip(channel.blocks, roots)]
-    )
+        roots.append((vh.swapaxes(-1, -2) * s[:, None, :]) @ vh.conj())
+    omega = channel.assemble_free([total * r for r in roots])
     return SmoothedDmaxResult(
         2.0 * float(np.log2(total)), rho, omega, _degenerate_solution(), "closed_form"
+    )
+
+
+def _fixed_state_dmax(rho, channel: DestructionChannel) -> SmoothedDmaxResult:
+    """D_max(rho || gamma) = log2 lambda_max(gamma^{-1/2} rho gamma^{-1/2})
+    for a one-dimensional fixed algebra, whose free cone is the ray of its
+    fixed state gamma; the optimizer is omega = 2^value gamma."""
+    (root,) = channel.tau_power(-0.5)  # one block, d_B = 1: gamma in the block frame
+    lam = float(np.linalg.eigvalsh(herm(root[0] @ channel.to_block_frame(rho) @ root[0]))[-1])
+    return SmoothedDmaxResult(
+        float(np.log2(lam)), rho, lam * channel.fixed_state(), _degenerate_solution(),
+        "closed_form",
     )
 
 

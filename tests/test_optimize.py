@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -454,6 +456,19 @@ class TestMLambda:
     def test_rejects_infinite_z(self, rng):
         with pytest.raises(ValidationError, match="data-processing region"):
             op.m_lambda(random_density(2, rng), 0.5, float("inf"), 0.0, DEPH2)
+
+
+class TestOverflow:
+    def test_large_alpha_z_overflow_is_a_named_solver_error(self):
+        # F = tr[core^z] with lambda_max(core) near 1.6: 1.6^1000 fits a
+        # float, 1.6^10000 does not.
+        rho = 0.6 * ch.plus_state(2) + 0.4 * np.eye(2) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = op.m_lambda(rho, 1000.0, 1000.0, 0.0, DEPH2)
+            assert res.value == pytest.approx(0.6777496547674049, abs=1e-12)
+            with pytest.raises(SolverError, match="overflows"):
+                op.m_lambda(rho, 1e4, 1e4, 0.0, DEPH2)
 
 
 class TestGridOracle:

@@ -326,6 +326,23 @@ class TestSmoothedDmax:
         assert res.method == "closed_form" and np.isfinite(res.value)
         assert_pure_witness(res, rho, channel)
 
+    def test_one_dimensional_algebra_closed_form(self):
+        # The n-fold replacer power: the interior-point body stops at
+        # max_iter at n = 5 and sits 1.6e-8 below the exact value at n = 4.
+        gamma = random_full_rank_density(2, np.random.default_rng(4), 0.3)
+        channel = ch.replacer(gamma)
+        for n in range(1, 6):
+            if n > 1:
+                channel = ch.tensor_channels(channel, ch.replacer(gamma))
+            rho = random_density(2**n, np.random.default_rng(3))
+            res = pr.dmax_smoothed_free(rho, channel, 0.0)
+            assert res.method == "closed_form" and np.array_equal(res.tau, rho)
+            omega = 2.0**res.value * channel.fixed_state()
+            assert np.abs(res.omega - omega).max() <= 1e-12 * 2.0**res.value
+            if n <= 3:
+                assert abs(res.value - pr._dmax_smoothed_sdp(rho, channel, 0.0).value) <= 1e-7
+        assert abs(res.value - 7.954608367427186) <= 1e-12
+
     def test_mixed_and_smoothed_states_take_the_sdp(self, rng):
         channel = ch.dephaser(3)
         pure = random_density(3, rng, rank=1)
@@ -553,7 +570,7 @@ class TestAssembly:
             (lambda: pr._restricted_ht_sdp(rho, channel, 0.1), reference_restricted_ht(rho, channel, 0.1)),
             (lambda: pr._restricted_ht_sdp(face, channel, 0.0), reference_restricted_face(face, channel)),
             (lambda: pr._ht_free_sdp(rho, channel, 0.1), reference_ht_free(rho, channel, 0.1)),
-            (lambda: pr.dmax_smoothed_free(rho, channel, 0.0), reference_dmax(rho, channel, 0.0)),
+            (lambda: pr._dmax_smoothed_sdp(rho, channel, 0.0), reference_dmax(rho, channel, 0.0)),
             (lambda: pr.dmax_smoothed_free(rho, channel, 0.05), reference_dmax(rho, channel, 0.05)),
         ]
         for run, ref in cases:
@@ -666,7 +683,7 @@ class TestRealifiedOracle:
             lambda: pr._restricted_ht_sdp(rho, channel, 0.1),
             lambda: pr._restricted_ht_sdp(face, channel, 0.0),
             lambda: pr._ht_free_sdp(rho, channel, 0.1),
-            lambda: pr.dmax_smoothed_free(rho, channel, 0.0),
+            lambda: pr._dmax_smoothed_sdp(rho, channel, 0.0),
             lambda: pr.dmax_smoothed_free(rho, channel, 0.05),
         ]
         for run in runs:
