@@ -78,7 +78,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _BlockGroup:
     """The blocks of one shape (d_a, d_b), acted on together.
 
-    ``index`` holds each block's block-frame indices, one row per block;
+    ``index`` holds each block's block-frame indices, one row per block, and
+    ``diag`` the (row, column) index pair of their diagonal blocks;
     ``taus`` the stacked tau_i and ``fixed_eig`` the stacked
     eigendecomposition of d_a tau_i.
     """
@@ -86,21 +87,13 @@ class _BlockGroup:
     d_a: int
     d_b: int
     index: np.ndarray
+    diag: tuple[np.ndarray, np.ndarray]
     taus: np.ndarray
     fixed_eig: tuple[np.ndarray, np.ndarray]
 
     def gather(self, xb: np.ndarray) -> np.ndarray:
         """The diagonal blocks of ``xb``, shape (n, d_a, d_b, d_a, d_b)."""
-        i = self.index
-        return xb[i[:, :, None], i[:, None, :]].reshape(
-            -1, self.d_a, self.d_b, self.d_a, self.d_b
-        )
-
-    def scatter(self, out: np.ndarray, parts: np.ndarray) -> None:
-        """Write stacked (n, d_a, d_b, d_a, d_b) blocks into ``out``."""
-        i = self.index
-        n, s = i.shape
-        out[i[:, :, None], i[:, None, :]] = parts.reshape(n, s, s)
+        return xb[self.diag].reshape(-1, self.d_a, self.d_b, self.d_a, self.d_b)
 
 
 def _group_blocks(blocks: tuple[Block, ...]) -> tuple[_BlockGroup, ...]:
@@ -111,12 +104,10 @@ def _group_blocks(blocks: tuple[Block, ...]) -> tuple[_BlockGroup, ...]:
     groups = []
     for (d_a, d_b), ks in members.items():
         taus = np.stack([blocks[k].tau for k in ks])
+        index = offsets[ks][:, None] + np.arange(d_a * d_b)
         groups.append(
             _BlockGroup(
-                d_a,
-                d_b,
-                offsets[ks][:, None] + np.arange(d_a * d_b),
-                taus,
+                d_a, d_b, index, (index[:, :, None], index[:, None, :]), taus,
                 np.linalg.eigh(d_a * taus),
             )
         )
@@ -189,29 +180,33 @@ class DestructionChannel:
     # Each action gathers the diagonal blocks of one shape at once, acts on
     # the stack and scatters the results back; off-block entries are zero.
 
-    def _blockwise(self, x: np.ndarray, act) -> np.ndarray:
-        xb = self.to_block_frame(x)
+    def _scatter(self, parts) -> np.ndarray:
+        """The block-frame operator with one (n, s, s) stack per group (or
+        any shape that reshapes to it) on its diagonal blocks, zero off them."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g in self._groups:
-            g.scatter(out, act(g, g.gather(xb)))
-        return self.from_block_frame(out)
+        for g, part in zip(self._groups, parts):
+            n, s = g.index.shape
+            out[g.diag] = part.reshape(n, s, s)
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Schroedinger action Delta(X) = (+) tau_i (x) tr_A[X_i]."""
         return self.assemble_free(self.block_marginals(self.to_block_frame(x)))
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
-        """Heisenberg dual Delta^*(Y); a unital conditional expectation."""
-        return self._blockwise(
-            y,
-            lambda g, m: _kron(np.eye(g.d_a), np.einsum("nae,nebad->nbd", g.taus, m)),
+        """Heisenberg dual Delta^*(Y) = (+) I_A (x) tr_A[(tau_i (x) I) Y_i];
+        a unital conditional expectation."""
+        parts = self.dual_marginals(self.to_block_frame(y))
+        return self.from_block_frame(
+            self._scatter([_kron(np.eye(g.d_a), b) for g, b in zip(self._groups, parts)])
         )
 
     def apply_tp_expectation(self, x: np.ndarray) -> np.ndarray:
-        """The trace-preserving conditional expectation onto the same algebra."""
-        return self._blockwise(
-            x,
-            lambda g, m: _kron(np.eye(g.d_a) / g.d_a, np.einsum("nabad->nbd", m)),
+        """The trace-preserving conditional expectation onto the same
+        algebra, (+) I_A / d_A (x) tr_A[X_i]."""
+        parts = self.block_marginals(self.to_block_frame(x))
+        return self.from_block_frame(
+            self._scatter([_kron(np.eye(g.d_a) / g.d_a, b) for g, b in zip(self._groups, parts)])
         )
 
     # -- free states by their factors ------------------------------------
@@ -226,10 +221,9 @@ class DestructionChannel:
 
     def assemble_free(self, betas) -> np.ndarray:
         """(+) tau_i (x) beta_i in the original frame, from factor stacks."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, beta in zip(self._groups, betas):
-            g.scatter(out, _kron(g.taus, beta))
-        return self.from_block_frame(out)
+        return self.from_block_frame(
+            self._scatter([_kron(g.taus, beta) for g, beta in zip(self._groups, betas)])
+        )
 
     def free_eig(self, betas) -> list[tuple[np.ndarray, np.ndarray]]:
         """The eigendecomposition of sigma = (+) tau_i (x) beta_i in the block
@@ -248,11 +242,9 @@ class DestructionChannel:
         """A ``free_eig`` decomposition as one eigenvalue vector and one
         block-diagonal unitary, both in the block frame."""
         w = np.zeros(self.dim)
-        v = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, (p, k) in zip(self._groups, eig):
+        for g, (p, _) in zip(self._groups, eig):
             w[g.index] = p
-            g.scatter(v, k)
-        return w, v
+        return w, self._scatter([k for _, k in eig])
 
     def free_power(self, eig, r: float) -> np.ndarray:
         """sigma^r in the block frame from its ``free_eig`` decomposition,
@@ -262,13 +254,7 @@ class DestructionChannel:
         hi = max(p.max() for p, _ in eig)
         check_psd_spectrum(min(p.min() for p, _ in eig), hi, what="free state")
         cut = rank_tol(self.dim, hi)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g, (p, k) in zip(self._groups, eig):
-            pw = np.zeros_like(p)
-            live = p > cut
-            pw[live] = p[live] ** float(r)
-            g.scatter(out, herm((k * pw[:, None, :]) @ k.conj().swapaxes(-1, -2)))
-        return out
+        return self._scatter([pow_from_eigh(p, k, r, cut) for p, k in eig])
 
     def dual_marginals(self, xb: np.ndarray, ops=None) -> list[np.ndarray]:
         """The B-components tr_A[(tau_i (x) I) X_i] of Delta^*(X), for ``xb``
@@ -293,10 +279,8 @@ class DestructionChannel:
 
     def fixed_input_power(self, r: float) -> np.ndarray:
         """Delta(I)^r, computed blockwise: Delta(I) = (+) d_A tau_i (x) I."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for g in self._groups:
-            g.scatter(out, _kron(pow_from_eigh(*g.fixed_eig, r), np.eye(g.d_b)))
-        return self.from_block_frame(out)
+        parts = [_kron(pow_from_eigh(*g.fixed_eig, r), np.eye(g.d_b)) for g in self._groups]
+        return self.from_block_frame(self._scatter(parts))
 
     def fixed_state(self) -> np.ndarray:
         """The canonical full-rank fixed state Delta(I)/dim."""
@@ -479,34 +463,17 @@ def tensor_channels(a: DestructionChannel, b: DestructionChannel) -> Destruction
     ``A_i (x) B_i (x) A_j (x) B_j``; a permutation regroups each pair into
     ``(A_i A_j) (x) (B_i B_j)`` and makes the composite blocks contiguous.
     """
-    dim = a.dim * b.dim
-    pairs = list(product(range(len(a.blocks)), range(len(b.blocks))))
-    perm = np.zeros(dim, dtype=int)
-    blocks = []
-    new_off = 0
-    offs_a = [s.start for s in a._slices]
-    offs_b = [s.start for s in b._slices]
-    for i, j in pairs:
-        ba, bb = a.blocks[i], b.blocks[j]
+    blocks, perm = [], []
+    for (sa, ba), (sb, bb) in product(zip(a._slices, a.blocks), zip(b._slices, b.blocks)):
         blocks.append(Block(ba.d_a * bb.d_a, ba.d_b * bb.d_b, np.kron(ba.tau, bb.tau)))
-        for xa in range(ba.d_a):
-            for ya in range(ba.d_b):
-                for xb in range(bb.d_a):
-                    for yb in range(bb.d_b):
-                        old = (offs_a[i] + xa * ba.d_b + ya) * b.dim + (
-                            offs_b[j] + xb * bb.d_b + yb
-                        )
-                        new = (
-                            new_off
-                            + (xa * bb.d_a + xb) * (ba.d_b * bb.d_b)
-                            + (ya * bb.d_b + yb)
-                        )
-                        perm[new] = old
-        new_off += ba.dim * bb.dim
-    u_raw = np.kron(a.basis, b.basis)
+        # The composite block runs over (x_A, x_B, y_A, y_B) in C order, which
+        # is (A_i A_j) (x) (B_i B_j); its entry is the raw tensor's column of
+        # a's (x_A, y_A) in block i and b's (x_B, y_B) in block j.
+        xa, xb, ya, yb = np.indices((ba.d_a, bb.d_a, ba.d_b, bb.d_b)).reshape(4, -1)
+        perm.append((sa.start + xa * ba.d_b + ya) * b.dim + sb.start + xb * bb.d_b + yb)
     # Column `new` of the composite basis is column perm[new] of the raw tensor.
-    u = u_raw[:, perm]
-    return DestructionChannel(dim, u, tuple(blocks))
+    u = np.kron(a.basis, b.basis)[:, np.concatenate(perm)]
+    return DestructionChannel(a.dim * b.dim, u, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -433,8 +433,11 @@ def _z1(x: np.ndarray, r: float, channel: DestructionChannel) -> OptimizerResult
     ]
     hi = max(w[:, -1].max() for w, _ in eigs)
     check_psd_spectrum(min(w[:, 0].min() for w, _ in eigs), hi, what="twisted payload")
-    value = float(sum(d_a * np.sum(np.abs(w) ** p) for d_a, (w, _) in zip(mult, eigs)) ** (1.0 / p))
     cut = rank_tol(channel.dim, hi)  # mat_pow's cut on the whole algebra element
+    # The value sums over the eigenvalues the power keeps: below the cut,
+    # roundoff w ~ 1e-17 would add w^p to it, far more than that for p < 1.
+    total = sum(d_a * np.sum(w[w > cut] ** p) for d_a, (w, _) in zip(mult, eigs))
+    value = float(total ** (1.0 / p))
     powers = [d_a * pow_from_eigh(w, v, p, cut) for d_a, (w, v) in zip(mult, eigs)]
     tr = _factor_trace(powers)
     if tr <= 0:
@@ -466,34 +469,29 @@ def umegaki_free(rho, channel: DestructionChannel) -> OptimizerResult:
 
 
 def d_min_free(rho, channel: DestructionChannel) -> float:
-    """D_min to the free set: -log2 ||Delta^*(rho^0)||_inf, from the largest
-    eigenvalue of the B-components of Delta^*(rho^0) (see :func:`_d_min`)."""
-    return _d_min(rho, channel)[0]
+    """D_min to the free set: -log2 ||Delta^*(rho^0)||_inf, Petz alpha = 0,
+    from the largest eigenvalue of the B-components of Delta^*(rho^0) (see
+    :func:`_d_min`)."""
+    return petz_free(rho, 0.0, channel).value
 
 
-def _d_min(rho, channel: DestructionChannel) -> tuple[float, tuple[np.ndarray, ...]]:
-    """(D_min to the free set in bits, the factors of a free state attaining
-    sup tr[sigma rho^0]) for a state rho, validated here: rho^0 comes from
-    the eigh that validates rho, and the top eigenpair of Delta^*(rho^0)
-    from one batched eigh of the B-components per block group; the state is
-    tau_i (x) v v^dag on the block of that eigenvector."""
+def _d_min(rho, channel: DestructionChannel):
+    """(lambda_max(Delta^*(rho^0)), the factors of a free state attaining
+    sup tr[sigma rho^0] = lambda_max, rho^0) for a state rho, validated
+    here: rho^0 comes from the eigh that validates rho, and the top
+    eigenpair of Delta^*(rho^0) from one batched eigh of the B-components
+    per block group; the state is tau_i (x) v v^dag on the block of that
+    eigenvector.  D_min to the free set, and ``programs.ht_free`` at
+    eps = 0 with the test rho^0, are -log2 lambda_max."""
     rho, w, v = density_eigh(rho, channel.dim)
-    eigs = [
-        np.linalg.eigh(herm(b))
-        for b in channel.dual_marginals(channel.to_block_frame(pow_from_eigh(w, v, 0.0)))
-    ]
+    proj = pow_from_eigh(w, v, 0.0)
+    eigs = [np.linalg.eigh(herm(b)) for b in channel.dual_marginals(channel.to_block_frame(proj))]
     g = max(range(len(eigs)), key=lambda j: eigs[j][0][:, -1].max())
     k = int(np.argmax(eigs[g][0][:, -1]))
     betas = [np.zeros_like(vecs) for _, vecs in eigs]
     top = eigs[g][1][k, :, -1]
     betas[g][k] = np.outer(top, top.conj())
-    overlap = float(eigs[g][0][k, -1])
-    return (-float(np.log2(overlap)) if overlap > 0 else float("inf")), tuple(betas)
-
-
-def _d_min_optimizer(rho, channel: DestructionChannel) -> np.ndarray:
-    """A free state attaining sup tr[sigma rho^0] (top dual eigenvector)."""
-    return channel.assemble_free(_d_min(rho, channel)[1])
+    return float(eigs[g][0][k, -1]), tuple(betas), proj
 
 
 def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult:
@@ -504,7 +502,8 @@ def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult
     if alpha == 1.0:
         return umegaki_free(rho, channel)
     if alpha == 0.0:
-        value, betas = _d_min(rho, channel)
+        overlap, betas, _ = _d_min(rho, channel)
+        value = -float(np.log2(overlap)) if overlap > 0 else float("inf")
         return OptimizerResult(betas, channel, value, 0.0, 0, "closed_form_petz")
     rho, w, v = density_eigh(rho, channel.dim)
     base = _z1(pow_from_eigh(w, v, alpha), 1.0 - alpha, channel)

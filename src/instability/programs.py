@@ -49,7 +49,8 @@ import numpy as np
 from .channels import DestructionChannel, hermitian_basis
 from .divergences import _neyman_pearson_scan
 from .errors import SolverError, ValidationError
-from .linalg import check_density, density_eigh, herm, rank_tol, support_projector
+from .linalg import check_density, density_eigh, herm, rank_tol
+from .optimize import _d_min
 from .sdp import HermitianProgram, SdpSolution
 
 
@@ -205,6 +206,11 @@ def _ht_result(
 ) -> HypothesisTestingResult:
     """The clipped and polished effect, with -log2 c of its scalar dual image."""
     gamma, c_star = _polish_to_scaled_identity(_clip_effect(gamma), channel)
+    return _scaled_result(gamma, c_star, sol, method)
+
+
+def _scaled_result(gamma, c_star: float, sol: SdpSolution, method: str) -> HypothesisTestingResult:
+    """The test Gamma with its optimal c = c_star and the value -log2 c_star."""
     if c_star <= 0:
         return HypothesisTestingResult(float("inf"), 0.0, gamma, sol, method)
     return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
@@ -216,18 +222,19 @@ def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingRe
 
     At eps = 0 the program is solved exactly: a perfect test must contain
     the support projector of rho, and any surplus only raises the dual
-    image, so Gamma = rho^0 is optimal and the value is the closed-form
-    -log2 ||Delta^*(rho^0)||_inf.  (The eps = 0 feasible set has no strict
-    interior, which would otherwise degrade interior-point accuracy.)
+    image, so Gamma = rho^0 is optimal and the value is D_min to the free
+    set, -log2 ||Delta^*(rho^0)||_inf, from the kernel of
+    ``optimize.d_min_free`` (one d x d eigh, which validates rho).  (The
+    eps = 0 feasible set has no strict interior, which would otherwise
+    degrade interior-point accuracy.)
     """
     eps = _check_eps(eps)
+    if eps <= 0.0:
+        c_star, _, proj = _d_min(rho, channel)
+        return _scaled_result(proj, c_star, _degenerate_solution(), "closed_form")
     rho = check_density(rho, channel.dim)
     if eps >= 1.0:
         return _eps_one_result(channel.dim)
-    if eps <= 0.0:
-        return _free_test_result(
-            support_projector(rho), channel, _degenerate_solution(), "closed_form"
-        )
     if channel.algebra_dim() == 1:
         return _neyman_pearson_result(rho, channel, eps)
     return _ht_free_sdp(rho, channel, eps)
@@ -254,13 +261,13 @@ def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTest
 
 
 def _free_test_result(
-    gamma, channel: DestructionChannel, sol: SdpSolution, method: str = "sdp"
+    gamma, channel: DestructionChannel, sol: SdpSolution
 ) -> HypothesisTestingResult:
-    """The effect with c* = lambda_max(Delta^*(Gamma)) and the value -log2 c*."""
-    c_star = float(np.linalg.eigvalsh(herm(channel.apply_dual(gamma)))[-1])
-    if c_star <= 0:
-        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol, method)
-    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
+    """The effect with c* = lambda_max(Delta^*(Gamma)), the largest eigenvalue
+    of its B-components, and the value -log2 c*."""
+    parts = channel.dual_marginals(channel.to_block_frame(gamma))
+    c_star = max(float(np.linalg.eigvalsh(herm(b))[:, -1].max()) for b in parts)
+    return _scaled_result(gamma, c_star, sol, "sdp")
 
 
 @dataclass(frozen=True)

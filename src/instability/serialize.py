@@ -25,6 +25,13 @@ from .linalg import check_density
 INF_TOKEN = "inf"
 
 
+def _dim(value, what: str) -> int:
+    """A JSON dimension field: a positive int or integral float, not a bool or a string."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())) or value < 1:
+        raise ParseError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
@@ -50,7 +57,7 @@ def state_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict) or "matrix" not in data:
         raise ParseError("state JSON must be an object with a 'matrix' field")
     m = matrix_from_json(data["matrix"])
-    if "dim" in data and int(data["dim"]) != m.shape[0]:
+    if "dim" in data and _dim(data["dim"], "state 'dim'") != m.shape[0]:
         raise ParseError("state 'dim' does not match the matrix size")
     return check_density(m)
 
@@ -72,7 +79,12 @@ def channel_from_json(data: dict) -> DestructionChannel:
     if not isinstance(data, dict):
         raise ParseError("channel JSON must be an object")
     if "kind" in data:
+        if not isinstance(data["kind"], str):
+            raise ParseError(f"channel 'kind' must be a string, got {data['kind']!r}")
         params = {k: v for k, v in data.items() if k != "kind"}
+        for key in ("dim", "d_a", "d_b"):
+            if key in params:
+                params[key] = _dim(params[key], f"channel {key!r}")
         for key in ("gamma", "gamma_a"):
             if key in params:
                 params[key] = matrix_from_json(params[key])
@@ -83,19 +95,27 @@ def channel_from_json(data: dict) -> DestructionChannel:
         elif params.get("basis") == "identity":
             params.pop("basis")
         if "shape" in params:
-            params["shape"] = [(int(p[0]), int(p[1])) for p in params["shape"]]
+            shape = params["shape"]
+            if not isinstance(shape, list) or any(
+                not isinstance(p, list) or len(p) != 2 for p in shape
+            ):
+                raise ParseError("channel 'shape' must be a list of [d_A, d_B] pairs")
+            params["shape"] = [(_dim(a, "block d_A"), _dim(b, "block d_B")) for a, b in shape]
         return standard_channel(data["kind"], **params)
     for key in ("dim", "blocks"):
         if key not in data:
             raise ParseError(f"channel JSON missing field {key!r}")
-    dim = int(data["dim"])
+    dim = _dim(data["dim"], "channel 'dim'")
     basis = data.get("basis", "identity")
     u = np.eye(dim, dtype=complex) if basis == "identity" else matrix_from_json(basis)
+    if not isinstance(data["blocks"], list) or not all(isinstance(b, dict) for b in data["blocks"]):
+        raise ParseError("channel 'blocks' must be a list of objects")
     blocks = []
     for item in data["blocks"]:
         try:
             blocks.append(
-                Block(int(item["dA"]), int(item["dB"]), matrix_from_json(item["tau"]))
+                Block(_dim(item["dA"], "block 'dA'"), _dim(item["dB"], "block 'dB'"),
+                      matrix_from_json(item["tau"]))
             )
         except KeyError as exc:
             raise ParseError(f"channel block missing field {exc}") from exc
@@ -106,9 +126,9 @@ def load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 

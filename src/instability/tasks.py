@@ -396,10 +396,15 @@ def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -
     target = umegaki_free(rho, channel).value  # validates rho
     cost_hi = d_max(rho, herm(channel.apply(rho)))
     qubit = channel.to_block_frame(rho) if _is_qubit_dephaser(channel) else None
+    n_sdp = 0  # the largest n with d^n within the SDP budget, at most n_max
+    while n_sdp < n_max and channel.dim ** (n_sdp + 1) <= YIELD_DIM_BUDGET:
+        n_sdp += 1
+    if n_sdp < n_max:
+        log.info("n>%d: dimension %d^n exceeds the SDP budget %d, yield rows skipped",
+                 n_sdp, channel.dim, YIELD_DIM_BUDGET)
     rows = []
     rho_n, channel_n = rho, channel
     for n in range(1, n_max + 1):
-        dim_n = channel.dim**n
         row = {
             "n": n,
             "yield_rate": None,
@@ -407,14 +412,11 @@ def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -
             "cost_hi_rate": cost_hi,
             "umegaki": target,
         }
-        if dim_n > YIELD_DIM_BUDGET:
-            log.info("n=%d: dimension %d exceeds the SDP budget %d, yield rows skipped",
-                     n, dim_n, YIELD_DIM_BUDGET)
-        elif qubit is not None:
+        if n <= n_sdp and qubit is not None:
             blocks = qubit_power_blocks(qubit, n)
             row["yield_rate"] = _symmetric_restricted_ht(blocks, n, eps) / n
             row["cost_lo_rate"] = _symmetric_dmax_free(blocks, n, eps) / n
-        else:
+        elif n <= n_sdp:
             if n > 1:
                 rho_n, channel_n = np.kron(rho_n, rho), tensor_channels(channel_n, channel)
             row["yield_rate"] = restricted_ht(rho_n, channel_n, eps).value / n

@@ -136,6 +136,24 @@ def test_d_min_matches_per_block(rng):
             assert abs(np.trace(sigma @ support_projector(rho)).real - top) <= TOL
 
 
+def test_petz_two_of_a_pure_state_is_its_d_max(rng):
+    # Petz alpha = 2 of a pure state is 2 log2 sum_i ||tau_i^{-1/2} Psi_i||_1,
+    # the pure-state D_max: at r = -1 the z = 1 value sums sqrt(w) over the
+    # eigenvalues w of Psi_i^dag tau_i^{-1} Psi_i / d_A^2, where roundoff
+    # below the rank cut would add about 1e-8 bits.
+    for channel in (
+        ch.cond_depolarizer(2, 3),
+        ch.tpce([(2, 2), (1, 3)]),
+        ch.cond_replacer(np.diag([0.3, 0.7]), 3),
+        ch.dephaser(4),
+    ):
+        for _ in range(20):
+            rho = random_density(channel.dim, rng, rank=1)
+            dmax = pr.dmax_smoothed_free(rho, channel, 0.0)
+            assert dmax.method == "closed_form"
+            assert abs(op.petz_free(rho, 2.0, channel).value - dmax.value) <= TOL
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """Counts of eigh/eigvalsh and svd calls by the size of the matrices
@@ -168,6 +186,7 @@ def test_closed_forms_make_one_full_size_decomposition(rng, decompositions):
         (lambda: pr.dmax_smoothed_free(pure, channel, 0.0), "eigh"),
         (lambda: op.z1_closed_form(x, 0.4, channel), "eigvalsh"),
         (lambda: op.d_min_free(rho, channel), "eigh"),
+        (lambda: pr.ht_free(rho, channel, 0.0), "eigh"),
     ):
         decompositions.clear()
         run()

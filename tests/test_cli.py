@@ -306,6 +306,40 @@ class TestExitCodes:
             ["yield", "--state", "/nonexistent.json", "--channel", str(workdir / "dephaser2.json")]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "state, channel",
+        [
+            (None, {"kind": "dephaser", "dim": "x"}),
+            (None, {"kind": "dephaser", "dim": 2.5}),
+            (None, {"kind": "dephaser", "dim": -1}),
+            (None, {"kind": "tpce", "shape": [[1]]}),
+            (None, {"dim": 2, "blocks": [{"dA": "a", "dB": 1, "tau": [[[1, 0]]]}]}),
+            (None, {"dim": 2, "blocks": "ab"}),
+            (None, {"kind": ["dephaser"], "dim": 2}),
+            ({"dim": "x", "matrix": [[[1, 0]]]}, None),
+            ("directory", None),
+            (b'{"dim": 2, "matrix": "\xff"}', None),
+        ],
+        ids=["dim-string", "dim-fraction", "dim-negative", "short-shape", "dA-string",
+             "blocks-string", "kind-list", "state-dim-string", "directory", "not-utf8"],
+    )
+    def test_malformed_input_is_a_parse_error(self, workdir, capsys, state, channel):
+        # None keeps a valid file; each malformed one exits 1 with the JSON error.
+        paths = []
+        for name, payload, valid in (
+            ("state", state, "mixed.json"), ("channel", channel, "dephaser2.json")
+        ):
+            path = workdir / (valid if payload is None else f"bad_{name}.json")
+            if payload == "directory":
+                path.mkdir()
+            elif isinstance(payload, bytes):
+                path.write_bytes(payload)
+            elif payload is not None:
+                path.write_text(json.dumps(payload))
+            paths.append(str(path))
+        assert main(["yield", "--state", paths[0], "--channel", paths[1], "--eps", "0.1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "parse"
+
     def test_validation_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad_state.json"
         # trace 1.8: parses fine but fails the density validation

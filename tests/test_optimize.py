@@ -7,7 +7,7 @@ from instability import channels as ch
 from instability import divergences as dv
 from instability import optimize as op
 from instability.errors import BudgetError, SolverError, ValidationError
-from instability.linalg import herm, mat_pow, schatten_norm, trace_norm
+from instability.linalg import herm, mat_pow, schatten_norm, support_projector, trace_norm
 from instability.sampling import random_density, random_full_rank_density, random_unitary
 from tests.conftest import random_channel
 
@@ -211,6 +211,12 @@ class TestBlockFrameFixedPoint:
             core = c.twist(mat_pow(twisted, 1.0 / (1.0 - r)), 1.0)
             return herm(core / np.trace(core).real)
 
+        def top_projector(rho):
+            # onto the top eigenvector of Delta^*(rho^0), on this dephaser a
+            # free pure state attaining sup tr[sigma rho^0]
+            _, v = np.linalg.eigh(herm(c.apply_dual(support_projector(rho))))
+            return np.outer(v[:, -1], v[:, -1].conj())
+
         delta_rho = herm(c.apply(rho))
         wing = mat_pow(delta_rho, (1 - 1.5) / (2 * 1.2))
         xz = mat_pow(herm(wing @ mat_pow(rho, 1.5 / 1.2) @ wing), 1.2)
@@ -220,7 +226,7 @@ class TestBlockFrameFixedPoint:
         closed = {
             "z1": (op.z1_closed_form(x, r, c), dense_z1(x, r)),
             "petz": (op.petz_free(rho, 0.7, c), dense_z1(mat_pow(rho, 0.7), 0.3)),
-            "petz0": (op.petz_free(rank_one, 0.0, c), op._d_min_optimizer(rank_one, c)),
+            "petz0": (op.petz_free(rank_one, 0.0, c), top_projector(rank_one)),
             "umegaki": (op.umegaki_free(rho, c), delta_rho),
             "endpoint": (op.m_lambda(rho, 1.5, 1.2, 1.0, c), herm(c.apply(xz)) / np.trace(xz).real),
             "replacer": (

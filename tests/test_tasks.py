@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -335,6 +336,15 @@ class TestRegularize:
         # 5^3 = 125 > 64: no SDP rows from n = 3; the exact cost needs no power
         assert rows[2]["yield_rate"] is None and rows[2]["cost_lo_rate"] is None
         assert rows[3]["cost_hi_rate"] == rows[0]["cost_hi_rate"]
+
+    def test_long_sweep_past_the_budget_is_fast(self):
+        # The budget is decided once, not by d^n in integers at every n.
+        rho = random_density(65, np.random.default_rng(0))
+        start = time.perf_counter()
+        rows = tk.regularize_sweep(rho, ch.dephaser(65), 0.05, 20_000)
+        assert time.perf_counter() - start < 2.0
+        assert len(rows) == 20_000 and rows[-1]["n"] == 20_000
+        assert all(r["yield_rate"] is None and r["cost_lo_rate"] is None for r in rows)
 
     def test_csv_shape(self):
         rows = tk.regularize_sweep(PLUS, DEPH2, 0.0, 2)
