@@ -78,7 +78,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _BlockGroup:
     """The blocks of one shape (d_a, d_b), acted on together.
 
-    ``index`` holds each block's block-frame indices, one row per block, and
+    ``members`` holds the blocks' positions in the channel's block list,
+    ``index`` each block's block-frame indices, one row per block, and
     ``diag`` the (row, column) index pair of their diagonal blocks;
     ``taus`` the stacked tau_i and ``fixed_eig`` the stacked
     eigendecomposition of d_a tau_i.
@@ -86,14 +87,18 @@ class _BlockGroup:
 
     d_a: int
     d_b: int
+    members: tuple[int, ...]
     index: np.ndarray
     diag: tuple[np.ndarray, np.ndarray]
     taus: np.ndarray
     fixed_eig: tuple[np.ndarray, np.ndarray]
 
     def gather(self, xb: np.ndarray) -> np.ndarray:
-        """The diagonal blocks of ``xb``, shape (n, d_a, d_b, d_a, d_b)."""
-        return xb[self.diag].reshape(-1, self.d_a, self.d_b, self.d_a, self.d_b)
+        """The diagonal blocks of ``xb``, shape (..., n, d_a, d_b, d_a, d_b)
+        for ``xb`` of shape (..., dim, dim)."""
+        return xb[(..., *self.diag)].reshape(
+            *xb.shape[:-2], -1, self.d_a, self.d_b, self.d_a, self.d_b
+        )
 
 
 def _group_blocks(blocks: tuple[Block, ...]) -> tuple[_BlockGroup, ...]:
@@ -107,7 +112,7 @@ def _group_blocks(blocks: tuple[Block, ...]) -> tuple[_BlockGroup, ...]:
         index = offsets[ks][:, None] + np.arange(d_a * d_b)
         groups.append(
             _BlockGroup(
-                d_a, d_b, index, (index[:, :, None], index[:, None, :]), taus,
+                d_a, d_b, tuple(ks), index, (index[:, :, None], index[:, None, :]), taus,
                 np.linalg.eigh(d_a * taus),
             )
         )
@@ -126,7 +131,6 @@ class DestructionChannel:
     dim: int
     basis: np.ndarray
     blocks: tuple[Block, ...]
-    _slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     _groups: tuple[_BlockGroup, ...] = field(init=False, repr=False, compare=False)
     _identity_basis: bool = field(init=False, repr=False, compare=False)
 
@@ -141,11 +145,6 @@ class DestructionChannel:
             )
         object.__setattr__(self, "basis", _check_basis(self.basis, self.dim))
         object.__setattr__(self, "blocks", blocks)
-        offs, slices = 0, []
-        for b in blocks:
-            slices.append(slice(offs, offs + b.dim))
-            offs += b.dim
-        object.__setattr__(self, "_slices", tuple(slices))
         object.__setattr__(self, "_groups", _group_blocks(blocks))
         object.__setattr__(
             self, "_identity_basis", bool(np.array_equal(self.basis, np.eye(self.dim)))
@@ -165,15 +164,6 @@ class DestructionChannel:
         if self._identity_basis:
             return x
         return self.basis @ x @ self.basis.conj().T
-
-    def block_diagonal(self, parts) -> np.ndarray:
-        """The operator with parts[i] on block i (None for zero) and zero
-        off the blocks, in the original frame."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for s, part in zip(self._slices, parts):
-            if part is not None:
-                out[s, s] = part
-        return self.from_block_frame(out)
 
     # -- channel action ------------------------------------------------
     #
@@ -258,11 +248,13 @@ class DestructionChannel:
 
     def dual_marginals(self, xb: np.ndarray, ops=None) -> list[np.ndarray]:
         """The B-components tr_A[(tau_i (x) I) X_i] of Delta^*(X), for ``xb``
-        in the block frame, as factor stacks: the batched
-        ``dual_block_reduction``.  ``ops``, one (n, d_a, d_a) stack per
-        group (such as ``tau_power(r)``), takes the place of the tau_i."""
+        in the block frame, as factor stacks of shape (..., n, d_b, d_b) for
+        ``xb`` of shape (..., dim, dim).  ``ops``, one (n, d_a, d_a) stack
+        per group (such as ``tau_power(r)``), takes the place of the tau_i."""
         ops = [g.taus for g in self._groups] if ops is None else ops
-        return [np.einsum("nae,nebad->nbd", a, g.gather(xb)) for g, a in zip(self._groups, ops)]
+        return [
+            np.einsum("nae,...nebad->...nbd", a, g.gather(xb)) for g, a in zip(self._groups, ops)
+        ]
 
     def tau_power(self, r: float) -> list[np.ndarray]:
         """tau_i^r, one (n, d_a, d_a) stack per group, from the stored
@@ -296,30 +288,6 @@ class DestructionChannel:
     def algebra_dim(self) -> int:
         """Real dimension of the fixed-point algebra im Delta^*."""
         return sum(b.d_b**2 for b in self.blocks)
-
-    def algebra_basis(self) -> list[np.ndarray]:
-        """Orthonormal Hermitian basis of im Delta^* = (+) C I_A (x) L(B_i)."""
-        out = []
-        for i, b in enumerate(self.blocks):
-            for h in hermitian_basis(b.d_b):
-                parts = [None] * len(self.blocks)
-                parts[i] = np.kron(np.eye(b.d_a) / np.sqrt(b.d_a), h)
-                out.append(self.block_diagonal(parts))
-        return out
-
-    def dual_block_reduction(self, y: np.ndarray, i: int) -> np.ndarray:
-        """The B_i component of Delta^*(Y): tr_A[(tau_i (x) I) Y_i], of one
-        matrix Y or of each member of a (k, dim, dim) stack."""
-        y = np.asarray(y, dtype=complex)
-        if y.ndim not in (2, 3) or y.shape[-2:] != (self.dim, self.dim):
-            raise ValidationError(f"expected ({self.dim}, {self.dim}) matrices, got shape {y.shape}")
-        if not np.isfinite(y).all():
-            raise ValidationError("matrix has non-finite entries")
-        if not self._identity_basis:
-            y = self.basis.conj().T @ y @ self.basis
-        b, s = self.blocks[i], self._slices[i]
-        m = y[..., s, s].reshape(*y.shape[:-2], b.d_a, b.d_b, b.d_a, b.d_b)
-        return np.einsum("ae,...ebad->...bd", b.tau, m)
 
     # -- exports -----------------------------------------------------------
 
@@ -463,14 +431,15 @@ def tensor_channels(a: DestructionChannel, b: DestructionChannel) -> Destruction
     ``A_i (x) B_i (x) A_j (x) B_j``; a permutation regroups each pair into
     ``(A_i A_j) (x) (B_i B_j)`` and makes the composite blocks contiguous.
     """
+    starts = [np.cumsum([0] + [blk.dim for blk in c.blocks]) for c in (a, b)]
     blocks, perm = [], []
-    for (sa, ba), (sb, bb) in product(zip(a._slices, a.blocks), zip(b._slices, b.blocks)):
+    for (sa, ba), (sb, bb) in product(zip(starts[0], a.blocks), zip(starts[1], b.blocks)):
         blocks.append(Block(ba.d_a * bb.d_a, ba.d_b * bb.d_b, np.kron(ba.tau, bb.tau)))
         # The composite block runs over (x_A, x_B, y_A, y_B) in C order, which
         # is (A_i A_j) (x) (B_i B_j); its entry is the raw tensor's column of
         # a's (x_A, y_A) in block i and b's (x_B, y_B) in block j.
         xa, xb, ya, yb = np.indices((ba.d_a, bb.d_a, ba.d_b, bb.d_b)).reshape(4, -1)
-        perm.append((sa.start + xa * ba.d_b + ya) * b.dim + sb.start + xb * bb.d_b + yb)
+        perm.append((sa + xa * ba.d_b + ya) * b.dim + sb + xb * bb.d_b + yb)
     # Column `new` of the composite basis is column perm[new] of the raw tensor.
     u = np.kron(a.basis, b.basis)[:, np.concatenate(perm)]
     return DestructionChannel(a.dim * b.dim, u, tuple(blocks))
@@ -490,10 +459,12 @@ def free_state(channel: DestructionChannel, weights, betas) -> np.ndarray:
         raise ValidationError("weights must lie on the probability simplex")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    return channel.block_diagonal(
-        [p[i] * np.kron(b.tau, check_density(betas[i], b.d_b))
-         for i, b in enumerate(channel.blocks)]
-    )
+    parts = [
+        p[list(g.members), None, None, None, None]
+        * _kron(g.taus, np.stack([check_density(betas[k], g.d_b) for k in g.members]))
+        for g in channel._groups
+    ]
+    return channel.from_block_frame(channel._scatter(parts))
 
 
 def free_parameter_count(channel: DestructionChannel) -> int:
@@ -604,7 +575,8 @@ def random_free_unitary(channel: DestructionChannel, seed) -> np.ndarray:
                 u += vs @ u_sub @ vs.conj().T
                 start = k
         parts.append(np.kron(u, random_unitary(b.d_b, r)))
-    return channel.block_diagonal(parts)
+    stacks = [np.stack([parts[k] for k in g.members]) for g in channel._groups]
+    return channel.from_block_frame(channel._scatter(stacks))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ The test body takes the rows of Delta^*(Gamma) = c I, with PSD slacks for
 the free test's Delta^*(Gamma) + Z = c I; the D_max body takes the free
 cone's variables and their coefficients in each block.
 
-All equality constraints involving Delta^* are expressed in an orthonormal
-Hermitian basis of the fixed-point algebra, which keeps the row space
-full rank; membership of an algebra element in the PSD cone is imposed
-blockwise on its B-factor components.  Every program is solved at
+Each program is assembled in the channel's block frame, on U^dagger rho U,
+and its Gamma, tau and omega are rotated back once at the end.  The rows
+of Delta^*(Gamma) = c I are Delta(I_A (x) h) = d_A tau_i (x) h on block i
+for h in an orthonormal Hermitian basis of L(B_i): a full-rank,
+block-sparse row space.  Membership of an algebra element in the PSD cone
+is imposed blockwise on its B-factor components.  Every program is solved at
 :func:`~instability.sdp.solve`'s default acceptance thresholds, which no
 caller here overrides.
 
@@ -46,7 +48,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import DestructionChannel, hermitian_basis
+from .channels import DestructionChannel, _kron, hermitian_basis
 from .divergences import _neyman_pearson_scan
 from .errors import SolverError, ValidationError
 from .linalg import check_density, density_eigh, herm, rank_tol
@@ -139,15 +141,37 @@ def _neyman_pearson_result(
 
 def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """restricted_ht by interior point, for a validated state and eps < 1:
-    :func:`_restricted_test` on one block, with one row per algebra basis
-    element e (<Delta(e), Gamma> = c tr[e])."""
-    basis = channel.algebra_basis()
-    rows = np.stack([channel.apply(e) for e in basis])
-    unit = [float(np.real(np.trace(e))) for e in basis]
-    (gamma,), sol = _restricted_test([(1.0, rho)], [rows], unit, eps)
+    :func:`_restricted_test` on one block in the block frame, with the rows
+    of :func:`_algebra_rows`."""
+    rows, unit, _ = _algebra_rows(channel)
+    (gamma,), sol = _restricted_test([(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps)
+    gamma = channel.from_block_frame(gamma)
     if sol is None:  # full rank at eps = 0: Gamma = I, and Delta^*(I) = I
         return _ht_result(gamma, channel, _degenerate_solution(), "closed_form")
     return _ht_result(gamma, channel, sol)
+
+
+def _algebra_rows(channel: DestructionChannel):
+    """Delta(I_A (x) h) = d_A tau_i (x) h on block i of the block frame, for
+    each block i and h in hermitian_basis(d_B) in block order: the rows
+    <Delta(I_A (x) h), Gamma> = c d_A tr[h] of Delta^*(Gamma) = c I.  Returns
+    the row stack, the d_A tr[h], and per block i the coefficients of the
+    free test's slack Z_i: d_A h in block i's rows, zero elsewhere."""
+    first = np.cumsum([0] + [b.d_b**2 for b in channel.blocks])
+    rows = np.zeros((first[-1], channel.dim, channel.dim), dtype=complex)
+    unit = np.zeros(first[-1])
+    slack = [np.zeros((first[-1], b.d_b, b.d_b), dtype=complex) for b in channel.blocks]
+    for g in channel._groups:
+        coeff = g.d_a * hermitian_basis(g.d_b)
+        at = first[list(g.members)][:, None] + np.arange(len(coeff))  # (n, d_B^2)
+        n, s = g.index.shape
+        rows[at[:, :, None, None], g.index[:, None, :, None], g.index[:, None, None, :]] = (
+            _kron(g.taus[:, None], coeff).reshape(n, len(coeff), s, s)
+        )
+        unit[at] = np.trace(coeff, axis1=1, axis2=2).real
+        for k, ks in zip(g.members, at):
+            slack[k][ks] = coeff
+    return rows, unit, slack
 
 
 def _restricted_test(blocks, rows, unit, eps: float, slack=()):
@@ -242,32 +266,18 @@ def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingRe
 
 def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
     """ht_free by interior point, for a validated state and 0 < eps < 1:
-    :func:`_restricted_test` on one block with c I - Delta^*(Gamma) = Z in
-    algebra coordinates, Z >= 0 blockwise.  The row of h in block i is
-    <Delta(e), Gamma> + <d_a h, Z_i> = c d_a tr[h], e = I_{d_a} (x) h."""
-    total = sum(b.d_b**2 for b in channel.blocks)
-    rows, unit, slack = [], [], []
-    for i, b in enumerate(channel.blocks):
-        basis = hermitian_basis(b.d_b)
-        slack.append(np.zeros((total, b.d_b, b.d_b), dtype=complex))
-        slack[-1][len(rows) : len(rows) + len(basis)] = b.d_a * basis
-        for h in basis:
-            parts = [None] * len(channel.blocks)
-            parts[i] = np.kron(np.eye(b.d_a), h)
-            rows.append(channel.apply(channel.block_diagonal(parts)))
-            unit.append(float(b.d_a * np.real(np.trace(h))))
-    (gamma,), sol = _restricted_test([(1.0, rho)], [np.stack(rows)], unit, eps, slack)
-    return _free_test_result(_clip_effect(gamma), channel, sol)
-
-
-def _free_test_result(
-    gamma, channel: DestructionChannel, sol: SdpSolution
-) -> HypothesisTestingResult:
-    """The effect with c* = lambda_max(Delta^*(Gamma)), the largest eigenvalue
-    of its B-components, and the value -log2 c*."""
-    parts = channel.dual_marginals(channel.to_block_frame(gamma))
-    c_star = max(float(np.linalg.eigvalsh(herm(b))[:, -1].max()) for b in parts)
-    return _scaled_result(gamma, c_star, sol, "sdp")
+    :func:`_restricted_test` in the block frame with c I - Delta^*(Gamma) = Z,
+    Z >= 0 blockwise, on the rows of :func:`_algebra_rows`; c* is the largest
+    eigenvalue of the clipped effect's B-components."""
+    rows, unit, slack = _algebra_rows(channel)
+    (gamma,), sol = _restricted_test(
+        [(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps, slack
+    )
+    gamma = _clip_effect(gamma)
+    c_star = max(
+        float(np.linalg.eigvalsh(herm(b))[:, -1].max()) for b in channel.dual_marginals(gamma)
+    )
+    return _scaled_result(channel.from_block_frame(gamma), c_star, sol, "sdp")
 
 
 @dataclass(frozen=True)
@@ -340,17 +350,21 @@ def _fixed_state_dmax(rho, channel: DestructionChannel) -> SmoothedDmaxResult:
 
 def _dmax_smoothed_sdp(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
     """dmax_smoothed_free by interior point, for a validated state:
-    :func:`_smoothed_dmax` on one block with the free cone
-    omega = (+) tau_i (x) beta_i, whose beta_i coefficient of <h, omega> is
-    the dual block reduction of h."""
-    basis = hermitian_basis(channel.dim)
-    omega = {i: channel.dual_block_reduction(basis, i) for i in range(len(channel.blocks))}
+    :func:`_smoothed_dmax` on one block in the block frame with the free
+    cone omega = (+) tau_i (x) beta_i, whose beta_i coefficient of
+    <h, omega> is the B_i component of Delta^*(h)."""
+    parts = channel.dual_marginals(hermitian_basis(channel.dim))
+    omega = {
+        k: part[:, j] for g, part in zip(channel._groups, parts) for j, k in enumerate(g.members)
+    }
     free = [(b.d_b, np.eye(b.d_b)) for b in channel.blocks]
-    value, sol, betas, (tau,) = _smoothed_dmax([(1.0, rho)], free, [omega], eps)
-    omega = channel.block_diagonal(
-        [np.kron(b.tau, herm(beta)) for b, beta in zip(channel.blocks, betas)]
+    value, sol, betas, (tau,) = _smoothed_dmax(
+        [(1.0, herm(channel.to_block_frame(rho)))], free, [omega], eps
     )
-    return SmoothedDmaxResult(value, tau, omega, sol)
+    omega = channel.assemble_free(
+        [np.stack([herm(betas[k]) for k in g.members]) for g in channel._groups]
+    )
+    return SmoothedDmaxResult(value, channel.from_block_frame(tau), omega, sol)
 
 
 def _smoothed_dmax(blocks, free, omega, eps: float):

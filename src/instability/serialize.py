@@ -24,6 +24,19 @@ from .linalg import check_density
 
 INF_TOKEN = "inf"
 
+# The fields each named kind takes besides "kind"; any other is a parse error.
+KIND_FIELDS = {
+    "dephaser": {"dim", "basis"}, "replacer": {"gamma"}, "depolarizer": {"dim"},
+    "cond_depolarizer": {"d_a", "d_b"}, "cond_replacer": {"gamma", "d_b"},
+    "tpce": {"shape", "basis"},
+}
+
+
+def _check_fields(data: dict, allowed: set, what: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ParseError(f"{what} does not take field(s) {', '.join(map(repr, unknown))}")
+
 
 def _dim(value, what: str) -> int:
     """A JSON dimension field: a positive int or integral float, not a bool or a string."""
@@ -63,12 +76,9 @@ def state_from_json(data: dict) -> np.ndarray:
 
 
 def channel_to_json(ch: DestructionChannel) -> dict:
-    basis: object = "identity"
-    if not np.allclose(ch.basis, np.eye(ch.dim), atol=1e-14):
-        basis = matrix_to_json(ch.basis)
     return {
         "dim": ch.dim,
-        "basis": basis,
+        "basis": "identity" if ch._identity_basis else matrix_to_json(ch.basis),
         "blocks": [
             {"dA": b.d_a, "dB": b.d_b, "tau": matrix_to_json(b.tau)} for b in ch.blocks
         ],
@@ -82,18 +92,16 @@ def channel_from_json(data: dict) -> DestructionChannel:
         if not isinstance(data["kind"], str):
             raise ParseError(f"channel 'kind' must be a string, got {data['kind']!r}")
         params = {k: v for k, v in data.items() if k != "kind"}
+        if data["kind"] in KIND_FIELDS:
+            _check_fields(params, KIND_FIELDS[data["kind"]], f"channel kind {data['kind']!r}")
         for key in ("dim", "d_a", "d_b"):
             if key in params:
                 params[key] = _dim(params[key], f"channel {key!r}")
-        for key in ("gamma", "gamma_a"):
-            if key in params:
-                params[key] = matrix_from_json(params[key])
-        if "gamma_a" in params:
-            params["gamma"] = params.pop("gamma_a")
-        if "basis" in params and params["basis"] != "identity":
-            params["basis"] = matrix_from_json(params["basis"])
-        elif params.get("basis") == "identity":
-            params.pop("basis")
+        if "gamma" in params:
+            params["gamma"] = matrix_from_json(params["gamma"])
+        if "basis" in params:
+            basis = params["basis"]
+            params["basis"] = None if basis == "identity" else matrix_from_json(basis)
         if "shape" in params:
             shape = params["shape"]
             if not isinstance(shape, list) or any(
@@ -102,6 +110,7 @@ def channel_from_json(data: dict) -> DestructionChannel:
                 raise ParseError("channel 'shape' must be a list of [d_A, d_B] pairs")
             params["shape"] = [(_dim(a, "block d_A"), _dim(b, "block d_B")) for a, b in shape]
         return standard_channel(data["kind"], **params)
+    _check_fields(data, {"dim", "basis", "blocks"}, "a block-schema channel")
     for key in ("dim", "blocks"):
         if key not in data:
             raise ParseError(f"channel JSON missing field {key!r}")
@@ -112,6 +121,7 @@ def channel_from_json(data: dict) -> DestructionChannel:
         raise ParseError("channel 'blocks' must be a list of objects")
     blocks = []
     for item in data["blocks"]:
+        _check_fields(item, {"dA", "dB", "tau"}, "a channel block")
         try:
             blocks.append(
                 Block(_dim(item["dA"], "block 'dA'"), _dim(item["dB"], "block 'dB'"),

@@ -12,7 +12,7 @@ from instability import optimize as op
 from instability import programs as pr
 from instability.linalg import herm, mat_pow, pow_from_eigh, schatten_norm, support_projector
 from instability.sampling import random_density, random_full_rank_density, random_unitary
-from tests.conftest import random_channel
+from tests.conftest import block_dual_reduction, place_blocks, random_channel
 
 TOL = 1e-12
 
@@ -42,8 +42,8 @@ def per_block_pure_dmax(psi, channel):
         _, s, vh = np.linalg.svd(root @ part.reshape(b.d_a, b.d_b), full_matrices=False)
         total += float(s.sum())
         roots.append((vh.T * s) @ vh.conj())
-    omega = channel.block_diagonal([np.kron(b.tau, total * r) for b, r in zip(channel.blocks, roots)])
-    return 2.0 * float(np.log2(total)), omega
+    omega = place_blocks(channel, [np.kron(b.tau, total * r) for b, r in zip(channel.blocks, roots)])
+    return 2.0 * float(np.log2(total)), channel.basis @ omega @ channel.basis.conj().T
 
 
 def dense_z1(x, r, channel):
@@ -57,9 +57,9 @@ def dense_z1(x, r, channel):
 
 def per_block_d_min(rho, channel):
     """lambda_max(Delta^*(rho^0)), one block at a time."""
-    proj = support_projector(rho)
+    proj = channel.basis.conj().T @ support_projector(rho) @ channel.basis
     return max(
-        np.linalg.eigvalsh(herm(channel.dual_block_reduction(proj, i)))[-1]
+        np.linalg.eigvalsh(herm(block_dual_reduction(channel, proj, i)))[-1]
         for i in range(len(channel.blocks))
     )
 

@@ -249,11 +249,16 @@ class TestFreeStates:
 
 class TestBlockDiagonal:
     def test_parts_land_on_their_blocks(self, rng):
-        c = ch.tpce([(1, 2), (2, 1), (1, 1)], basis=random_unitary(5, rng))
-        parts = [random_hermitian(2, rng), None, random_hermitian(1, rng)]
-        xb = c.to_block_frame(c.block_diagonal(parts))
-        expected = np.zeros((5, 5), dtype=complex)
-        expected[:2, :2], expected[4:, 4:] = parts[0], parts[2]
+        # One stack per block group, its members in block order, lands on
+        # the members' blocks; a round trip through the original frame
+        # keeps it there.
+        c = ch.tpce([(1, 2), (2, 1), (1, 1), (1, 2)], basis=random_unitary(7, rng))
+        parts = [random_hermitian(2, rng), np.zeros((2, 2)), random_hermitian(1, rng),
+                 random_hermitian(2, rng)]
+        stacks = [np.stack([parts[k] for k in g.members]) for g in c._groups]
+        xb = c.to_block_frame(c.from_block_frame(c._scatter(stacks)))
+        expected = np.zeros((7, 7), dtype=complex)
+        expected[:2, :2], expected[4:5, 4:5], expected[5:, 5:] = parts[0], parts[2], parts[3]
         assert np.abs(xb - expected).max() <= 1e-12
 
 

@@ -46,6 +46,17 @@ class TestSerialize:
         x = random_full_rank_density(4, rng)
         assert np.abs(c.apply(x) - c2.apply(x)).max() <= 1e-12
 
+    def test_channel_roundtrip_keeps_a_near_identity_basis(self):
+        # A basis within allclose's rtol of the identity is still written
+        # out: reading it as the identity would move this replacer's fixed
+        # state by 3e-7.
+        gamma = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+        c = ch.DestructionChannel(2, np.diag([np.exp(1e-6j), 1.0]), (ch.Block(2, 1, gamma),))
+        c2 = sz.channel_from_json(json.loads(sz.dump_json(sz.channel_to_json(c))))
+        assert np.array_equal(c2.basis, c.basis)
+        assert np.array_equal(c2.fixed_state(), c.fixed_state())
+        assert sz.channel_to_json(ch.dephaser(3))["basis"] == "identity"
+
     def test_named_shortcut(self):
         c = sz.channel_from_json({"kind": "cond_depolarizer", "d_a": 2, "d_b": 3})
         assert c.dim == 6
@@ -316,12 +327,18 @@ class TestExitCodes:
             (None, {"dim": 2, "blocks": [{"dA": "a", "dB": 1, "tau": [[[1, 0]]]}]}),
             (None, {"dim": 2, "blocks": "ab"}),
             (None, {"kind": ["dephaser"], "dim": 2}),
+            (None, {"kind": "tpce", "shape": [[1, 2]], "dim": 5}),
+            (None, {"kind": "dephaser", "dim": 2, "gamma_typo": 1}),
+            (None, {"dim": 2, "blocks": [{"dA": 1, "dB": 2, "tau": [[[1, 0]]]}], "bases": "identity"}),
+            (None, {"dim": 2, "blocks": [{"dA": 1, "dB": 2, "tau": [[[1, 0]]], "db": 2}]}),
             ({"dim": "x", "matrix": [[[1, 0]]]}, None),
             ("directory", None),
             (b'{"dim": 2, "matrix": "\xff"}', None),
         ],
         ids=["dim-string", "dim-fraction", "dim-negative", "short-shape", "dA-string",
-             "blocks-string", "kind-list", "state-dim-string", "directory", "not-utf8"],
+             "blocks-string", "kind-list", "tpce-dim", "kind-unknown-field",
+             "channel-unknown-field", "block-unknown-field", "state-dim-string", "directory",
+             "not-utf8"],
     )
     def test_malformed_input_is_a_parse_error(self, workdir, capsys, state, channel):
         # None keeps a valid file; each malformed one exits 1 with the JSON error.

@@ -8,7 +8,7 @@ from instability import sdp
 from instability import tasks as tk
 from instability.linalg import check_density, herm, rank_tol, spectral_norm
 from instability.sampling import random_density, random_full_rank_density, random_unitary
-from tests.conftest import random_channel
+from tests.conftest import block_dual_reduction, place_blocks, random_channel
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
@@ -471,20 +471,42 @@ def one_row(prog, terms, rhs, sense="=="):
     prog.add_constraint(terms, float(rhs), sense=sense)
 
 
+def twin_frame(channel, rho):
+    """The channel's identity-basis twin and rho in the channel's block
+    frame, the Hermitian part of U^dagger rho U: the pair every program is
+    assembled on."""
+    return ch.DestructionChannel(channel.dim, np.eye(channel.dim), channel.blocks), (
+        herm(channel.to_block_frame(rho))
+    )
+
+
+def algebra_rows(twin):
+    """(Delta(I_A (x) h), d_A tr h, block i, d_A h) one row at a time, for
+    each block i and h in hermitian_basis(d_B), with the row computed by the
+    twin's channel action on I_A (x) h placed on block i."""
+    for i, b in enumerate(twin.blocks):
+        for h in ch.hermitian_basis(b.d_b):
+            parts = [None] * len(twin.blocks)
+            parts[i] = np.kron(np.eye(b.d_a), h)
+            yield twin.apply(place_blocks(twin, parts)), b.d_a * np.real(np.trace(h)), i, b.d_a * h
+
+
 def reference_restricted_ht(rho, channel, eps):
+    twin, rho = twin_frame(channel, rho)
     d = channel.dim
     prog = sdp.HermitianProgram()
     g, s, c = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_scalar()
     prog.add_objective(c, 1.0)
     for h in ch.hermitian_basis(d):
         one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
-    for e in channel.algebra_basis():
-        one_row(prog, {g: channel.apply(e), c: -np.real(np.trace(e))}, 0.0)
+    for row, unit, _, _ in algebra_rows(twin):
+        one_row(prog, {g: row, c: -unit}, 0.0)
     one_row(prog, {g: rho}, 1.0 - eps, ">=")
     return prog.build()
 
 
 def reference_restricted_face(rho, channel):
+    twin, rho = twin_frame(channel, rho)
     d = channel.dim
     w, v = np.linalg.eigh(rho)
     live = w > rank_tol(d, w[-1])
@@ -495,14 +517,13 @@ def reference_restricted_face(rho, channel):
     prog.add_objective(c, 1.0)
     for h in ch.hermitian_basis(k):
         one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
-    for e in channel.algebra_basis():
-        de = channel.apply(e)
-        one_row(prog, {g: q.conj().T @ de @ q, c: -np.real(np.trace(e))},
-                -np.real(np.trace(de @ p)))
+    for row, unit, _, _ in algebra_rows(twin):
+        one_row(prog, {g: q.conj().T @ row @ q, c: -unit}, -np.real(np.trace(row @ p)))
     return prog.build()
 
 
 def reference_ht_free(rho, channel, eps):
+    twin, rho = twin_frame(channel, rho)
     d = channel.dim
     prog = sdp.HermitianProgram()
     g, s, c = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_scalar()
@@ -510,17 +531,14 @@ def reference_ht_free(rho, channel, eps):
     prog.add_objective(c, 1.0)
     for h in ch.hermitian_basis(d):
         one_row(prog, {g: h, s: h}, np.real(np.trace(h)))
-    for i, b in enumerate(channel.blocks):
-        for h in ch.hermitian_basis(b.d_b):
-            parts = [None] * len(channel.blocks)
-            parts[i] = np.kron(np.eye(b.d_a), h)
-            e = channel.block_diagonal(parts)
-            one_row(prog, {g: channel.apply(e), c: -b.d_a * np.real(np.trace(h)), z[i]: b.d_a * h}, 0.0)
+    for row, unit, i, slack in algebra_rows(twin):
+        one_row(prog, {g: row, c: -unit, z[i]: slack}, 0.0)
     one_row(prog, {g: rho}, 1.0 - eps, ">=")
     return prog.build()
 
 
 def reference_dmax(rho, channel, eps):
+    twin, rho = twin_frame(channel, rho)
     d = channel.dim
     prog = sdp.HermitianProgram()
     rr = prog.add_hermitian(d)
@@ -529,7 +547,7 @@ def reference_dmax(rho, channel, eps):
         prog.add_objective(beta, np.eye(b.d_b))
 
     def omega_terms(h):
-        return {beta: channel.dual_block_reduction(h, i) for i, beta in enumerate(betas)}
+        return {beta: block_dual_reduction(twin, h, i) for i, beta in enumerate(betas)}
 
     basis = ch.hermitian_basis(d)
     if eps == 0.0:
@@ -603,21 +621,45 @@ class TestAssembly:
                     assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_basis_reduced_once_per_block(self, monkeypatch):
+        # One D_max build reduces the whole (d^2, d, d) basis stack in one
+        # batched dual_marginals call, for every block group at once.
         channel = ch.dephaser(16)
         calls = []
-        real = ch.DestructionChannel.dual_block_reduction
+        real = ch.DestructionChannel.dual_marginals
 
-        def counting(self, y, i):
-            calls.append(np.shape(y))
-            return real(self, y, i)
+        def counting(self, xb, ops=None):
+            calls.append(np.shape(xb))
+            return real(self, xb, ops)
 
-        monkeypatch.setattr(ch.DestructionChannel, "dual_block_reduction", counting)
+        monkeypatch.setattr(ch.DestructionChannel, "dual_marginals", counting)
         rho = random_density(16, np.random.default_rng(3))
         for eps in (0.0, 0.05):
             calls.clear()
             built_problem(monkeypatch, lambda: pr.dmax_smoothed_free(rho, channel, eps))
-            assert len(calls) <= len(channel.blocks)
-            assert all(shape == (256, 16, 16) for shape in calls)
+            assert calls == [(256, 16, 16)]
+
+    def test_rotated_channel_builds_its_twin_problem(self, monkeypatch):
+        # Every program is assembled in the block frame: on dephaser(d, U)
+        # it builds the problem dephaser(d) builds at U^dagger rho U, and
+        # returns the same value.
+        rng = np.random.default_rng(17)
+        u = random_unitary(3, rng)
+        rotated, plain = ch.dephaser(3, u), ch.dephaser(3)
+        rho = check_density(random_density(3, rng))
+        rho_b = herm(u.conj().T @ rho @ u)
+        for run in (
+            lambda r, c: pr._restricted_ht_sdp(r, c, 0.1),
+            lambda r, c: pr._ht_free_sdp(r, c, 0.1),
+            lambda r, c: pr._dmax_smoothed_sdp(r, c, 0.0),
+            lambda r, c: pr._dmax_smoothed_sdp(r, c, 0.05),
+        ):
+            got = built_problem(monkeypatch, lambda: run(rho, rotated))
+            want = built_problem(monkeypatch, lambda: run(rho_b, plain))
+            assert got.block_dims == want.block_dims
+            for field in ("A", "b", "c"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            monkeypatch.undo()
+            assert abs(run(rho, rotated).value - run(rho_b, plain).value) <= 1e-10
 
     def test_family_matches_single_rows(self, rng):
         # A <= family of two rows with a scalar term gets two slacks, each in
