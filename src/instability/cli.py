@@ -55,6 +55,13 @@ def _emit_json(data, output: str | None):
     _emit(dump_json(data), output)
 
 
+def _emit_result(res, fields: dict, output: str | None):
+    """A result record as JSON: its value, interval and method at the top
+    level, beside the command's own fields."""
+    record = {"value": res.value, "interval": res.interval, "method": res.method}
+    _emit_json({**fields, **record}, output)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -64,15 +71,13 @@ def cmd_monotone(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
     res = op.m_lambda(rho, args.alpha, args.z, args.lam, channel)
-    _emit_json(
+    _emit_result(
+        res,
         {
             "alpha": args.alpha,
             "z": args.z,
             "lambda": args.lam,
-            "value": res.value,
-            "interval": res.interval,
             "residual": res.residual,
-            "method": res.method,
             "iterations": res.iterations,
             "sigma_star": res.sigma_star,
         },
@@ -84,9 +89,7 @@ def cmd_monotone(args) -> int:
 def cmd_yield(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
-    report = tk.one_shot_yield(rho, channel, args.eps)
-    _verify_report(report)
-    _emit_json(report.as_dict(), args.output)
+    _emit_report(tk.one_shot_yield(rho, channel, args.eps), args.output)
     return 0
 
 
@@ -101,22 +104,20 @@ def cmd_cost(args) -> int:
         report = tk.one_shot_cost_eps(rho, channel, args.eps, args.delta)
     else:
         report = tk.one_shot_cost_exact(rho, channel)
-    _verify_report(report)
-    _emit_json(report.as_dict(), args.output)
+    _emit_report(report, args.output)
     return 0
 
 
 def cmd_battery(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
-    report = tk.battery_yield(rho, channel, args.eps)
-    _verify_report(report)
-    _emit_json(report.as_dict(), args.output)
+    _emit_report(tk.battery_yield(rho, channel, args.eps), args.output)
     return 0
 
 
-def _verify_report(report: tk.TaskReport) -> None:
-    """Defense in depth: re-check witness residuals before printing."""
+def _emit_report(report: tk.TaskReport, output: str | None) -> None:
+    """Emit a task report after re-checking its witness residuals (defense
+    in depth)."""
     for key in ("covariance", "composite_membership"):
         value = report.residuals.get(key)
         if value is not None and value > 1e-9:
@@ -124,6 +125,8 @@ def _verify_report(report: tk.TaskReport) -> None:
     out_err = report.residuals.get("output_accuracy")
     if out_err is not None and out_err > report.epsilon + 1e-8:
         raise SolverError(f"witness output misses the target by {out_err:.3e}")
+    fields = ("quantity", "epsilon", "witness", "residuals")
+    _emit_result(report, {k: getattr(report, k) for k in fields}, output)
 
 
 def _sweep_point(payload):

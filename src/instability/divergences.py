@@ -136,11 +136,31 @@ def d_max(rho, s) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisTest:
-    """Optimal test for min tr[sigma Gamma] s.t. tr[rho Gamma] >= 1 - eps."""
+@dataclass(frozen=True, slots=True)
+class Result:
+    """A returned value, the interval known to contain the exact quantity,
+    and the method that produced it; every result record extends this one.
 
-    value: float  # -log2 of the optimal type-II error (bits)
+    An exact path (a closed form, the Neyman-Pearson scan, an eps in {0, 1}
+    face) has ``interval == (value, value)``.  An interior-point value has
+    ``interval is None``: not certified.  The free-state optimizers carry
+    the interval of their Frank-Wolfe gap.
+    """
+
+    value: float
+    interval: tuple[float, float] | None
+    method: str
+
+
+@dataclass(frozen=True)
+class HypothesisTest(Result):
+    """Optimal test for min tr[sigma Gamma] s.t. tr[rho Gamma] >= 1 - eps.
+
+    ``value`` is -log2 of the optimal type-II error ``type_two_error``, in
+    bits; ``method`` is "neyman_pearson" (the scan) or "closed_form" (the
+    eps in {0, 1} faces).
+    """
+
     type_two_error: float
     gamma: np.ndarray
     threshold: float  # Lagrange multiplier lambda at the optimum
@@ -203,14 +223,16 @@ def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> Hypo
     """
     d = rho.shape[0]
     if eps >= 1.0:
-        return HypothesisTest(float("inf"), 0.0, np.zeros((d, d), dtype=complex), 0.0)
+        inf = float("inf")
+        zero = np.zeros((d, d), dtype=complex)
+        return HypothesisTest(inf, (inf, inf), "closed_form", 0.0, zero, 0.0)
     target = 1.0 - eps
     if eps <= 0.0:
         # tr[rho Gamma] = 1 forces Gamma to act as identity on supp rho.
         gamma = support_projector(rho)
         beta = float(np.trace(sigma @ gamma).real)
         value = -float(np.log2(beta)) if beta > 0 else float("inf")
-        return HypothesisTest(value, beta, gamma, float("inf"))
+        return HypothesisTest(value, (value, value), "closed_form", beta, gamma, float("inf"))
 
     lo = (0.0, -target, None, None)  # -sigma has no strictly positive part
     lam = 1.0
@@ -257,7 +279,7 @@ def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> Hypo
     beta = float(np.trace(sigma @ gamma).real)
     beta = max(beta, 0.0)
     value = -float(np.log2(beta)) if beta > 0 else float("inf")
-    return HypothesisTest(value, beta, gamma, lam)
+    return HypothesisTest(value, (value, value), "neyman_pearson", beta, gamma, lam)
 
 
 def d_hypothesis(rho, sigma, eps: float) -> float:

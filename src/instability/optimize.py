@@ -38,7 +38,7 @@ from .channels import (
     enumerate_free_grid,
     free_parameter_count,
 )
-from .divergences import RenyiParams, umegaki
+from .divergences import RenyiParams, Result, umegaki
 from .errors import BudgetError, SolverError, ValidationError
 from .linalg import (
     check_density,
@@ -89,7 +89,7 @@ class TraceFunctionalSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class OptimizerResult:
+class OptimizerResult(Result):
     """Outcome of a free-state optimization.
 
     The optimizer sigma_star = (+) tau_i (x) beta_i is held by its factors:
@@ -103,20 +103,15 @@ class OptimizerResult:
     +inf where it is unbounded), and ``interval`` contains the exact
     optimum in the units of ``value``, of which ``value`` is one end: the
     upper end in bits for the monotones, which are infima over free states.
+    ``method`` is "closed_form_z1", "closed_form_petz" or "endpoint" (exact,
+    with ``interval == (value, value)``), "fixed_point" or "grid_fallback".
     """
 
     betas: tuple[np.ndarray, ...]
     channel: DestructionChannel
-    value: float
     residual: float
     iterations: int
-    method: str
     gap: float = 0.0
-    interval: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.interval is None:
-            object.__setattr__(self, "interval", (self.value, self.value))
 
     @property
     def sigma_star(self) -> np.ndarray:
@@ -321,8 +316,8 @@ def optimize_trace_functional(
             betas = _factors(channel.fixed_state(), channel)
             value, core = evaluate(channel.free_eig(betas))
             return OptimizerResult(
-                betas, channel, value, _factor_distance(betas, target(core)), 0,
-                "closed_form_z1",
+                value, (value, value), "closed_form_z1", betas, channel,
+                _factor_distance(betas, target(core)), 0,
             )
         if spec.z == 1.0 and spec.r < 1.0:
             return _z1(spec.x, spec.r, channel)
@@ -341,7 +336,7 @@ def optimize_trace_functional(
         gap = _frank_wolfe_gap(spec, xb, value, eig, core)
         interval = (value, value + gap) if maximize else (value - gap, value)
         return OptimizerResult(
-            betas, channel, value, residual, iterations, method, gap, interval
+            value, interval, method, betas, channel, residual, iterations, gap
         )
 
     betas = _free_factors(_default_init(spec) if init is None else init, channel)
@@ -445,7 +440,7 @@ def _z1(x: np.ndarray, r: float, channel: DestructionChannel) -> OptimizerResult
     betas = tuple(b / tr for b in powers)
     half = channel.free_power(channel.free_eig(betas), r / 2.0)
     residual = _factor_distance(betas, _target(channel, herm(half @ xb @ half)))
-    return OptimizerResult(betas, channel, value, residual, 0, "closed_form_z1")
+    return OptimizerResult(value, (value, value), "closed_form_z1", betas, channel, residual, 0)
 
 
 def pythagorean_factor(sigma, sigma_star, r: float) -> float:
@@ -464,8 +459,8 @@ def umegaki_free(rho, channel: DestructionChannel) -> OptimizerResult:
     """Umegaki divergence to the free set; the optimizer is Delta(rho)."""
     rho = check_density(rho, channel.dim)
     betas = _factors(rho, channel)
-    sigma = herm(channel.assemble_free(betas))
-    return OptimizerResult(betas, channel, umegaki(rho, sigma), 0.0, 0, "closed_form_z1")
+    value = umegaki(rho, herm(channel.assemble_free(betas)))
+    return OptimizerResult(value, (value, value), "closed_form_z1", betas, channel, 0.0, 0)
 
 
 def d_min_free(rho, channel: DestructionChannel) -> float:
@@ -504,7 +499,7 @@ def petz_free(rho, alpha: float, channel: DestructionChannel) -> OptimizerResult
     if alpha == 0.0:
         overlap, betas, _ = _d_min(rho, channel)
         value = -float(np.log2(overlap)) if overlap > 0 else float("inf")
-        return OptimizerResult(betas, channel, value, 0.0, 0, "closed_form_petz")
+        return OptimizerResult(value, (value, value), "closed_form_petz", betas, channel, 0.0, 0)
     rho, w, v = density_eigh(rho, channel.dim)
     base = _z1(pow_from_eigh(w, v, alpha), 1.0 - alpha, channel)
     bits = float(np.log2(base.value) / (alpha - 1.0))
@@ -556,7 +551,7 @@ def m_lambda(
         q = float(np.trace(xz).real)
         betas = tuple(m / q for m in _factors(xz, channel))
         bits = float(np.log2(q) / (alpha - 1.0)) if q > 0 else float("inf")
-        return OptimizerResult(betas, channel, bits, 0.0, 0, "endpoint")
+        return OptimizerResult(bits, (bits, bits), "endpoint", betas, channel, 0.0, 0)
     spec = TraceFunctionalSpec(x, r, z, channel)
     if init is None:
         init = herm(

@@ -49,7 +49,7 @@ from math import comb
 import numpy as np
 
 from .channels import DestructionChannel, _kron, hermitian_basis
-from .divergences import _neyman_pearson_scan
+from .divergences import Result, _neyman_pearson_scan
 from .errors import SolverError, ValidationError
 from .linalg import check_density, density_eigh, herm, rank_tol
 from .optimize import _d_min
@@ -57,20 +57,20 @@ from .sdp import HermitianProgram, SdpSolution
 
 
 @dataclass(frozen=True)
-class HypothesisTestingResult:
-    """The value, its optimal c and witnessing effect, and the path taken.
+class HypothesisTestingResult(Result):
+    """The value in bits, its optimal c and witnessing effect, and the path
+    taken.
 
     `method` is "sdp" (interior point), "neyman_pearson" (the exact scan for
     a one-dimensional fixed algebra) or "closed_form" (eps = 1, ht_free at
-    eps = 0, and restricted_ht at eps = 0 on a full-rank state).  The two
-    exact paths carry `_degenerate_solution()`, whose gap is 0.
+    eps = 0, and restricted_ht at eps = 0 on a full-rank state).  Only the
+    interior-point path has a `solution`; the exact paths have
+    `solution is None` and `interval == (value, value)`.
     """
 
-    value: float          # bits
-    scale: float          # the optimal c (2^{-value})
-    gamma: np.ndarray     # witnessing effect
-    solution: SdpSolution
-    method: str = "sdp"
+    type_two_error: float         # the optimal c (2^{-value})
+    gamma: np.ndarray             # witnessing effect
+    solution: SdpSolution | None
 
 
 def _check_eps(eps: float) -> float:
@@ -124,10 +124,7 @@ def restricted_ht(rho, channel: DestructionChannel, eps: float) -> HypothesisTes
 
 def _eps_one_result(d: int) -> HypothesisTestingResult:
     """eps = 1: the zero effect passes, and the value is infinite."""
-    return HypothesisTestingResult(
-        float("inf"), 0.0, np.zeros((d, d), dtype=complex), _degenerate_solution(),
-        "closed_form",
-    )
+    return _scaled_result(np.zeros((d, d), dtype=complex), 0.0, None, "closed_form")
 
 
 def _neyman_pearson_result(
@@ -136,7 +133,7 @@ def _neyman_pearson_result(
     """Both tests for a one-dimensional fixed algebra: the optimal test of
     rho against the fixed state, clipped and polished like a solver's."""
     test = _neyman_pearson_scan(rho, channel.fixed_state(), eps)
-    return _ht_result(test.gamma, channel, _degenerate_solution(), "neyman_pearson")
+    return _ht_result(test.gamma, channel, None, "neyman_pearson")
 
 
 def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
@@ -147,7 +144,7 @@ def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> Hypothes
     (gamma,), sol = _restricted_test([(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps)
     gamma = channel.from_block_frame(gamma)
     if sol is None:  # full rank at eps = 0: Gamma = I, and Delta^*(I) = I
-        return _ht_result(gamma, channel, _degenerate_solution(), "closed_form")
+        return _ht_result(gamma, channel, None, "closed_form")
     return _ht_result(gamma, channel, sol)
 
 
@@ -226,18 +223,24 @@ def _restricted_test(blocks, rows, unit, eps: float, slack=()):
 
 
 def _ht_result(
-    gamma, channel: DestructionChannel, sol: SdpSolution, method: str = "sdp"
+    gamma, channel: DestructionChannel, sol: SdpSolution | None, method: str = "sdp"
 ) -> HypothesisTestingResult:
     """The clipped and polished effect, with -log2 c of its scalar dual image."""
     gamma, c_star = _polish_to_scaled_identity(_clip_effect(gamma), channel)
     return _scaled_result(gamma, c_star, sol, method)
 
 
-def _scaled_result(gamma, c_star: float, sol: SdpSolution, method: str) -> HypothesisTestingResult:
-    """The test Gamma with its optimal c = c_star and the value -log2 c_star."""
+def _scaled_result(
+    gamma, c_star: float, sol: SdpSolution | None, method: str
+) -> HypothesisTestingResult:
+    """The test Gamma with its optimal c = c_star and the value -log2 c_star,
+    exact unless an interior-point solution `sol` produced it."""
     if c_star <= 0:
-        return HypothesisTestingResult(float("inf"), 0.0, gamma, sol, method)
-    return HypothesisTestingResult(-float(np.log2(c_star)), c_star, gamma, sol, method)
+        c_star, value = 0.0, float("inf")
+    else:
+        value = -float(np.log2(c_star))
+    interval = None if sol is not None else (value, value)
+    return HypothesisTestingResult(value, interval, method, c_star, gamma, sol)
 
 
 def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
@@ -255,7 +258,7 @@ def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingRe
     eps = _check_eps(eps)
     if eps <= 0.0:
         c_star, _, proj = _d_min(rho, channel)
-        return _scaled_result(proj, c_star, _degenerate_solution(), "closed_form")
+        return _scaled_result(proj, c_star, None, "closed_form")
     rho = check_density(rho, channel.dim)
     if eps >= 1.0:
         return _eps_one_result(channel.dim)
@@ -281,19 +284,18 @@ def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTest
 
 
 @dataclass(frozen=True)
-class SmoothedDmaxResult:
-    """The value, its smoothed state and free witness, and the path taken.
+class SmoothedDmaxResult(Result):
+    """The value in bits, its smoothed state and free witness, and the path
+    taken.
 
     `method` is "sdp" (interior point) or "closed_form" (at eps = 0, a pure
-    state or a one-dimensional fixed algebra), which carries
-    `_degenerate_solution()`.
+    state or a one-dimensional fixed algebra), which has `solution is None`
+    and `interval == (value, value)`.
     """
 
-    value: float            # bits
-    tau: np.ndarray         # the smoothed state inside the eps-ball
-    omega: np.ndarray       # free-cone operator with omega >= tau
-    solution: SdpSolution
-    method: str = "sdp"
+    tau: np.ndarray               # the smoothed state inside the eps-ball
+    omega: np.ndarray             # free-cone operator with omega >= tau
+    solution: SdpSolution | None
 
 
 def dmax_smoothed_free(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
@@ -330,10 +332,9 @@ def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDma
         _, s, vh = np.linalg.svd(root @ part, full_matrices=False)
         total += float(s.sum())
         roots.append((vh.swapaxes(-1, -2) * s[:, None, :]) @ vh.conj())
+    value = 2.0 * float(np.log2(total))
     omega = channel.assemble_free([total * r for r in roots])
-    return SmoothedDmaxResult(
-        2.0 * float(np.log2(total)), rho, omega, _degenerate_solution(), "closed_form"
-    )
+    return SmoothedDmaxResult(value, (value, value), "closed_form", rho, omega, None)
 
 
 def _fixed_state_dmax(rho, channel: DestructionChannel) -> SmoothedDmaxResult:
@@ -342,10 +343,8 @@ def _fixed_state_dmax(rho, channel: DestructionChannel) -> SmoothedDmaxResult:
     fixed state gamma; the optimizer is omega = 2^value gamma."""
     (root,) = channel.tau_power(-0.5)  # one block, d_B = 1: gamma in the block frame
     lam = float(np.linalg.eigvalsh(herm(root[0] @ channel.to_block_frame(rho) @ root[0]))[-1])
-    return SmoothedDmaxResult(
-        float(np.log2(lam)), rho, lam * channel.fixed_state(), _degenerate_solution(),
-        "closed_form",
-    )
+    value, omega = float(np.log2(lam)), lam * channel.fixed_state()
+    return SmoothedDmaxResult(value, (value, value), "closed_form", rho, omega, None)
 
 
 def _dmax_smoothed_sdp(rho, channel: DestructionChannel, eps: float) -> SmoothedDmaxResult:
@@ -364,7 +363,7 @@ def _dmax_smoothed_sdp(rho, channel: DestructionChannel, eps: float) -> Smoothed
     omega = channel.assemble_free(
         [np.stack([herm(betas[k]) for k in g.members]) for g in channel._groups]
     )
-    return SmoothedDmaxResult(value, channel.from_block_frame(tau), omega, sol)
+    return SmoothedDmaxResult(value, None, "sdp", channel.from_block_frame(tau), omega, sol)
 
 
 def _smoothed_dmax(blocks, free, omega, eps: float):
@@ -409,23 +408,6 @@ def _smoothed_dmax(blocks, free, omega, eps: float):
     taus = [r for _, r in blocks] if eps <= 0.0 else [herm(vals[t.index]) for t, _, _ in balls]
     value = float(np.log2(max(sol.primal_objective, 1e-300)))
     return value, sol, [vals[v.index] for v in fvars], taus
-
-
-def _degenerate_solution() -> SdpSolution:
-    return SdpSolution(
-        status="optimal",
-        x=np.zeros(0),
-        y=np.zeros(0),
-        s=np.zeros(0),
-        primal_objective=0.0,
-        dual_objective=0.0,
-        gap=0.0,
-        primal_residual=0.0,
-        dual_residual=0.0,
-        iterations=0,
-        stop_reason="target",
-        block_dims=[],
-    )
 
 
 # ---------------------------------------------------------------------------

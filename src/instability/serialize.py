@@ -92,8 +92,13 @@ def channel_from_json(data: dict) -> DestructionChannel:
         if not isinstance(data["kind"], str):
             raise ParseError(f"channel 'kind' must be a string, got {data['kind']!r}")
         params = {k: v for k, v in data.items() if k != "kind"}
-        if data["kind"] in KIND_FIELDS:
-            _check_fields(params, KIND_FIELDS[data["kind"]], f"channel kind {data['kind']!r}")
+        what = f"channel kind {data['kind']!r}"
+        if data["kind"] not in KIND_FIELDS:
+            raise ParseError(f"unknown {what}; known kinds: {', '.join(sorted(KIND_FIELDS))}")
+        _check_fields(params, KIND_FIELDS[data["kind"]], what)
+        missing = sorted(KIND_FIELDS[data["kind"]] - {"basis"} - set(params))
+        if missing:
+            raise ParseError(f"{what} is missing field(s) {', '.join(map(repr, missing))}")
         for key in ("dim", "d_a", "d_b"):
             if key in params:
                 params[key] = _dim(params[key], f"channel {key!r}")

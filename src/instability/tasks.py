@@ -10,13 +10,13 @@ preparation channel; both witnesses are produced and re-verified here.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .channels import DestructionChannel, basis_state, replacer, tensor_channels
-from .divergences import d_max
+from .divergences import Result, d_max
 from .errors import SolverError, ValidationError
 from .linalg import check_effect, herm, spectral_norm, trace_distance
 from .optimize import d_min_free, umegaki_free
@@ -58,18 +58,22 @@ def currency(m: float) -> CurrencyState:
     return CurrencyState(float(m))
 
 
-@dataclass
-class TaskReport:
+@dataclass(frozen=True)
+class TaskReport(Result):
+    """A task's value with its witness and re-verification residuals.
+
+    ``method`` is that of the program behind the value: "sdp",
+    "neyman_pearson" or "closed_form".  An exact value has
+    ``interval == (value, value)`` and an interior-point one
+    ``interval is None``.  For "cost_interval" ``value`` is the pair
+    (lower, upper) and ``interval`` the same pair, with the method of the
+    lower bound.  ``residuals["sdp_gap"]`` is present only when a solve ran.
+    """
+
     quantity: str            # yield | cost | cost_interval | battery_yield | catalytic_yield0
-    value: float | tuple
     epsilon: float
     witness: dict
     residuals: dict
-
-    def as_dict(self) -> dict:
-        """The fields as they are; :func:`~instability.serialize.dump_json`
-        encodes arrays, infinities and tuples."""
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -136,38 +140,25 @@ def one_shot_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
     """Distillable currency at error eps, with the measurement witness."""
     res = restricted_ht(rho, channel, eps)
     m = res.value
-    if not np.isfinite(m) or m <= 1e-9:
-        # Nothing distillable beyond solver noise (or degenerate eps):
-        # report without a witness channel, since the currency system needs
-        # a full-rank Gibbs weight and hence a level bounded away from 0.
-        return TaskReport(
-            "yield",
-            max(m, 0.0) if np.isfinite(m) else m,
-            eps,
-            {"effect": res.gamma, "method": res.method},
-            {"sdp_gap": res.solution.gap},
-        )
-    gamma = res.gamma
-    target = currency(m)
-    action = measurement_action(gamma)
-    cov = covariance_check(action, channel, target.channel)
-    out_err = trace_distance(action(rho), target.state)
-    return TaskReport(
-        "yield",
-        m,
-        eps,
-        {
-            "effect": gamma,
-            "currency_level": m,
-            "channel": "binary measurement",
-            "method": res.method,
-        },
-        {
-            "covariance": cov,
-            "output_accuracy": out_err,
-            "sdp_gap": res.solution.gap,
-        },
-    )
+    witness, residuals = {"effect": res.gamma}, _solve_gap(res)
+    if np.isfinite(m) and m > 1e-9:
+        target = currency(m)
+        action = measurement_action(res.gamma)
+        witness.update({"currency_level": m, "channel": "binary measurement"})
+        residuals["covariance"] = covariance_check(action, channel, target.channel)
+        residuals["output_accuracy"] = trace_distance(action(rho), target.state)
+    elif np.isfinite(m):
+        # Nothing distillable beyond solver noise: report without a witness
+        # channel, since the currency system needs a full-rank Gibbs weight
+        # and hence a level bounded away from 0.
+        m = max(m, 0.0)
+    interval = None if res.interval is None else (m, m)
+    return TaskReport(m, interval, res.method, "yield", eps, witness, residuals)
+
+
+def _solve_gap(res) -> dict:
+    """{"sdp_gap": gap} when an interior-point solve produced `res`, else {}."""
+    return {} if res.solution is None else {"sdp_gap": res.solution.gap}
 
 
 def one_shot_cost_exact(rho, channel: DestructionChannel) -> TaskReport:
@@ -179,9 +170,7 @@ def one_shot_cost_exact(rho, channel: DestructionChannel) -> TaskReport:
         action = preparation_action(np.asarray(rho, dtype=complex), np.asarray(rho, dtype=complex))
         cov = covariance_check(action, currency(1.0).channel, channel)
         return TaskReport(
-            "cost",
-            0.0,
-            0.0,
+            0.0, (0.0, 0.0), "closed_form", "cost", 0.0,
             {"channel": "constant preparation", "output": np.asarray(rho, dtype=complex)},
             {"covariance": cov},
         )
@@ -190,9 +179,7 @@ def one_shot_cost_exact(rho, channel: DestructionChannel) -> TaskReport:
     action = preparation_action(np.asarray(rho, dtype=complex), other)
     cov = covariance_check(action, currency(m).channel, channel)
     return TaskReport(
-        "cost",
-        m,
-        0.0,
+        m, (m, m), "closed_form", "cost", 0.0,
         {
             "channel": "preparation",
             "currency_level": m,
@@ -247,12 +234,10 @@ def one_shot_cost_eps(rho, channel: DestructionChannel, eps: float, delta: float
         )
     upper = max(upper, lower)
     return TaskReport(
-        "cost_interval",
-        (lower, upper),
-        eps,
-        {"tau": best, "smoothed_tau": tau_m, "method": lower_res.method},
+        (lower, upper), (lower, upper), lower_res.method, "cost_interval", eps,
+        {"tau": best, "smoothed_tau": tau_m},
         {
-            "sdp_gap": lower_res.solution.gap,
+            **_solve_gap(lower_res),
             "ball_distance": trace_distance(best, rho),
             "envelope": float(np.log2(1.0 / delta)),
             "bound_crossing": bound_crossing,
@@ -286,11 +271,8 @@ def battery_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
     expected = protocol.value - 1.0
     identity_residual = 0.0 if res.value == expected else abs(res.value - expected)
 
-    witness = {"effect": res.gamma, "method": res.method}
-    residuals = {
-        "battery_identity": identity_residual,
-        "sdp_gap": res.solution.gap,
-    }
+    witness = {"effect": res.gamma}
+    residuals = {"battery_identity": identity_residual, **_solve_gap(res)}
     if np.isfinite(res.value):
         upsilon = compose_effect(res.gamma, phi1.state, 1.0, channel, phi1.channel)
         dual = joint.apply_dual(upsilon)
@@ -305,13 +287,13 @@ def battery_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
         )
         witness["composite_effect"] = upsilon
         witness["composite_level"] = level
-    return TaskReport("battery_yield", res.value, eps, witness, residuals)
+    return TaskReport(res.value, res.interval, res.method, "battery_yield", eps, witness, residuals)
 
 
 def catalytic_yield0(rho, channel: DestructionChannel) -> TaskReport:
     """Zero-error catalytic yield; coincides with the battery-assisted one."""
     value = d_min_free(rho, channel)
-    return TaskReport("catalytic_yield0", value, 0.0, {}, {})
+    return TaskReport(value, (value, value), "closed_form", "catalytic_yield0", 0.0, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ class TestCliCommands:
         ) == 0
         y = json.loads(capsys.readouterr().out)
         assert y["value"] == pytest.approx(1.0, abs=1e-6)
-        assert y["witness"]["method"] == "sdp"
+        assert y["method"] == "sdp"
         assert main(
             ["cost", "--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]
         ) == 0
@@ -124,7 +124,7 @@ class TestCliCommands:
         data = json.loads(capsys.readouterr().out)
         lo, hi = data["value"]
         assert lo <= hi <= lo + np.log2(20) + 1e-6
-        assert data["witness"]["method"] == "sdp"
+        assert data["method"] == "sdp"
 
     def test_crossed_cost_bounds_exit_3(self, workdir, monkeypatch, capsys):
         free = np.diag([0.3, 0.7]).astype(complex)
@@ -154,7 +154,7 @@ class TestCliCommands:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == pytest.approx(1 - np.log2(0.9), abs=1e-6)
-        assert data["witness"]["method"] == "sdp"
+        assert data["method"] == "sdp"
 
     def test_replacer_reports_the_exact_path(self, workdir, capsys):
         gamma = np.diag([0.25, 0.75]).astype(complex)
@@ -163,8 +163,41 @@ class TestCliCommands:
         for command in ("yield", "battery"):
             assert main([command, *io_args, "--eps", "0.1"]) == 0
             data = json.loads(capsys.readouterr().out)
-            assert data["witness"]["method"] == "neyman_pearson"
-            assert data["residuals"]["sdp_gap"] == 0.0
+            assert data["method"] == "neyman_pearson"
+            assert "sdp_gap" not in data["residuals"]
+
+    def test_result_record_at_top_level(self, workdir, capsys):
+        # One record shape: value, interval and method at the top level.  An
+        # exact value has the interval [v, v], an interior-point one null,
+        # and cost at eps > 0 keeps its value as the pair [lower, upper].
+        io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
+        runs = [
+            (["monotone", "--alpha", "1.5", "--z", "1.2"], "fixed_point"),
+            (["monotone", "--alpha", "0.5"], "closed_form_z1"),
+            (["yield", "--eps", "0"], "closed_form"),
+            (["yield", "--eps", "0.1"], "sdp"),
+            (["battery", "--eps", "0"], "closed_form"),
+            (["battery", "--eps", "0.1"], "sdp"),
+            (["cost", "--eps", "0"], "closed_form"),
+            (["cost", "--eps", "0.1", "--delta", "0.05"], "sdp"),
+        ]
+        for command, method in runs:
+            assert main([command[0], *io_args, *command[1:]]) == 0, command
+            data = json.loads(capsys.readouterr().out)
+            assert data["method"] == method, command
+            assert "method" not in data.get("witness", {}), command
+            if command[0] != "monotone":
+                assert ("sdp_gap" in data["residuals"]) == (method == "sdp"), command
+            if data.get("quantity") == "cost_interval":
+                lo, hi = data["value"]
+                assert data["interval"] == [lo, hi] and lo <= hi
+            elif method == "sdp":
+                assert data["interval"] is None, command
+            elif method == "fixed_point":
+                lo, hi = data["interval"]
+                assert lo <= hi == data["value"]
+            else:
+                assert data["interval"] == [data["value"]] * 2, command
 
     def test_deterministic_output(self, workdir, tmp_path):
         args = [
@@ -331,14 +364,16 @@ class TestExitCodes:
             (None, {"kind": "dephaser", "dim": 2, "gamma_typo": 1}),
             (None, {"dim": 2, "blocks": [{"dA": 1, "dB": 2, "tau": [[[1, 0]]]}], "bases": "identity"}),
             (None, {"dim": 2, "blocks": [{"dA": 1, "dB": 2, "tau": [[[1, 0]]], "db": 2}]}),
+            (None, {"kind": "dephazer", "dim": 2}),
+            (None, {"kind": "dephaser"}),
             ({"dim": "x", "matrix": [[[1, 0]]]}, None),
             ("directory", None),
             (b'{"dim": 2, "matrix": "\xff"}', None),
         ],
         ids=["dim-string", "dim-fraction", "dim-negative", "short-shape", "dA-string",
              "blocks-string", "kind-list", "tpce-dim", "kind-unknown-field",
-             "channel-unknown-field", "block-unknown-field", "state-dim-string", "directory",
-             "not-utf8"],
+             "channel-unknown-field", "block-unknown-field", "kind-unknown", "kind-missing-field",
+             "state-dim-string", "directory", "not-utf8"],
     )
     def test_malformed_input_is_a_parse_error(self, workdir, capsys, state, channel):
         # None keeps a valid file; each malformed one exits 1 with the JSON error.

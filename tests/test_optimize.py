@@ -279,7 +279,8 @@ def damped_m_lambda(monkeypatch, rho, alpha, z, lam, channel):
     def damped(spec, *, init, max_iter, method):
         sigma, value, residual, iterations = reference_fixed_point(spec, init)
         return op.OptimizerResult(
-            op._factors(sigma, spec.channel), spec.channel, value, residual, iterations, "damped"
+            value, (value, value), "damped", op._factors(sigma, spec.channel), spec.channel,
+            residual, iterations,
         )
 
     with monkeypatch.context() as m:

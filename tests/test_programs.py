@@ -37,17 +37,22 @@ class TestRestrictedHt:
 
     def test_eps_zero_face(self, rng):
         # At eps = 0 the program runs on the face of perfect tests, where
-        # the iterates stay strictly complementary.
+        # the iterates stay strictly complementary.  The replacer's
+        # one-dimensional algebra takes the exact scan, with no solve.
         channels = [
             ch.dephaser(3),
             ch.replacer(random_full_rank_density(3, rng, 0.3)),
             ch.tpce([(1, 2), (1, 1)]),
         ]
-        for c in channels:
+        for c, method in zip(channels, ("sdp", "neyman_pearson", "sdp")):
             for rank in (1, 2):
-                sol = pr.restricted_ht(random_density(3, rng, rank=rank), c, 0.0).solution
-                assert sol.primal_residual <= 1e-10
-                assert sol.dual_residual <= 1e-10
+                res = pr.restricted_ht(random_density(3, rng, rank=rank), c, 0.0)
+                assert res.method == method
+                if method != "sdp":
+                    assert res.solution is None
+                    continue
+                assert res.solution.primal_residual <= 1e-10
+                assert res.solution.dual_residual <= 1e-10
         for d in (2, 4, 9):
             res = pr.restricted_ht(ch.plus_state(d), ch.dephaser(d), 0.0)
             assert res.value == pytest.approx(np.log2(d), abs=1e-9)
@@ -79,7 +84,7 @@ class TestRestrictedHt:
             assert w[0] >= -1e-8 and w[-1] <= 1 + 1e-8
             assert np.trace(rho @ res.gamma).real >= 1 - eps - 1e-8
             assert (
-                spectral_norm(c.apply_dual(res.gamma) - res.scale * np.eye(d)) <= 1e-8
+                spectral_norm(c.apply_dual(res.gamma) - res.type_two_error * np.eye(d)) <= 1e-8
             )
 
     def test_against_qubit_dephaser_oracle(self, rng):
@@ -178,7 +183,7 @@ class TestHtFree:
             assert w[0] >= -1e-8 and w[-1] <= 1 + 1e-8
             assert np.trace(rho @ res.gamma).real >= 1 - eps - 1e-8
             dual_top = np.linalg.eigvalsh(herm(c.apply_dual(res.gamma)))[-1]
-            assert dual_top <= res.scale + 1e-10
+            assert dual_top <= res.type_two_error + 1e-10
 
 
 class TestExactPath:
@@ -203,10 +208,11 @@ class TestExactPath:
             for run, eps in ((pr.restricted_ht, 0.1), (pr.restricted_ht, 0.0), (pr.ht_free, 0.1)):
                 res = run(rho, c, eps)
                 assert res.method == "neyman_pearson", name
-                assert res.solution.gap == 0.0 and res.solution.iterations == 0
+                assert res.solution is None and res.interval == (res.value, res.value)
                 want = dv.d_hypothesis(rho, c.fixed_state(), eps)
                 assert res.value == pytest.approx(want, abs=1e-12), name
-                assert spectral_norm(c.apply_dual(res.gamma) - res.scale * np.eye(c.dim)) <= 1e-12
+                scalar = res.type_two_error * np.eye(c.dim)
+                assert spectral_norm(c.apply_dual(res.gamma) - scalar) <= 1e-12
 
     def test_other_channels_stay_on_the_sdp(self, rng):
         channels = [

@@ -99,11 +99,11 @@ class TestOneShotYield:
         rho = random_density(2, rng)
         rep = ch.replacer(random_full_rank_density(2, rng, 0.3))
         for c, method in ((DEPH2, "sdp"), (rep, "neyman_pearson")):
-            assert tk.one_shot_yield(rho, c, 0.1).witness["method"] == method
-            assert tk.battery_yield(rho, c, 0.1).witness["method"] == method
+            assert tk.one_shot_yield(rho, c, 0.1).method == method
+            assert tk.battery_yield(rho, c, 0.1).method == method
         free = ch.random_free_state(DEPH2, rng)
-        assert tk.one_shot_yield(free, DEPH2, 0.2).witness["method"] == "sdp"
-        assert tk.battery_yield(rho, DEPH2, 0.0).witness["method"] == "closed_form"
+        assert tk.one_shot_yield(free, DEPH2, 0.2).method == "sdp"
+        assert tk.battery_yield(rho, DEPH2, 0.0).method == "closed_form"
 
 
 class TestOneShotCost:
