@@ -10,6 +10,7 @@ deterministic for a fixed seed and inputs.  Exit codes: 1 parse errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -206,6 +207,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: parsing leaves the parser as it was, and a process
+# that calls main many times would otherwise rebuild the whole tree each time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="instability",

@@ -31,25 +31,32 @@ equivalent to: it counts 2n in the barrier parameter, its centering target
 is 2 gamma mu I and it starts at x = I, s = 2I, on the central path.
 
 The constraint rows the task programs emit are sparse (a few nonzeros per
-row of a 16x16 Hermitian block at d = 16), so after presolve A is held as
-one sparse matrix over the float view of the raveled stacks (dense when it
-is small enough that a dense product beats the sparse dispatch) and A x,
-A^T y are one product each.  The Schur complement M_jl = sum_k
+row of a 16x16 Hermitian block at d = 16), and they stay (row, column,
+value) triples from assembly to the Schur build: :class:`HermitianProgram`
+keeps the nonzero hvec coordinates of each row family, `build` returns A
+as CSR (dense when it is small enough that a dense product beats the
+sparse dispatch), and presolve and the solver read its nonzeros.  After
+presolve A is one sparse matrix over the float view of the raveled stacks
+and A x, A^T y are one product each.  The Schur complement M_jl = sum_k
 Re tr(A_jk W_k A_lk W_k) is a sum of terms over the rows each touches, in
 the manner of SDPA's sparse Schur formulas (Fujisawa, Kojima & Nakata,
 Math. Prog. 79, 1997): one per matrix block, and one diagonal term
 sum_k a_jk a_lk w_k^2 for the real 1x1 stack, as SDPT3 treats its linear
-block (Tutuncu, Toh & Todd, Math. Prog. 95, 2003).  M is dense and is
-Cholesky-factored once per iteration through LAPACK, and the corrector's
-Schur solve takes one step of iterative refinement against A Q_W A^T.
+block (Tutuncu, Toh & Todd, Math. Prog. 95, 2003); the terms of large
+blocks write their products into work buffers made once per solve.  M is
+dense, one buffer per solve that LAPACK Cholesky-factors in place once per
+iteration, and the corrector's Schur solve takes one step of iterative
+refinement against A Q_W A^T.
 
 Presolve drops dependent rows by a pivoted QR of the border rows only: a
 row with a private column (no other row is nonzero there) cannot be
 dependent.  The task programs' Hermitian-basis rows all have one, so at
 most their algebra and trace rows reach the QR.  On one core of a 2-core
-Xeon, restricted_ht at eps = 0.1 on dephaser(16) takes 0.4 s, and on
-dephaser(32) (1057 rows, two 32x32 Hermitian blocks) 2.0 s at 206 MB peak
-RSS.
+Xeon with one OpenBLAS thread, restricted_ht at eps = 0.1 on dephaser(16)
+takes 0.08 s, on dephaser(32) (1057 rows, two 32x32 Hermitian blocks)
+1.2 s at 134 MB peak RSS, and on dephaser(64) (4161 rows) 44 s at 1.02 GB,
+most of it the dense M (rows^2 floats) and the two Schur work buffers
+(rows times d^2 complex entries each).
 
 :class:`HermitianProgram` assembles programs over complex Hermitian
 variables and nonnegative scalars; each d x d variable is one Hermitian
@@ -58,6 +65,7 @@ block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -162,7 +170,12 @@ def _coord_dim(n: int, hermitian: bool) -> int:
 class SdpProblem:
     """min <c, x> s.t. A x = b, x in a product of PSD cones, in svec
     coordinates for real blocks and hvec coordinates for the blocks that
-    `hermitian` flags (all real by default)."""
+    `hermitian` flags (all real by default).
+
+    `A` is a dense array or a scipy.sparse matrix, held as CSR: the one
+    :meth:`HermitianProgram.build` returns is dense below `_DENSE_ENTRIES`
+    entries and CSR above, and the solver reads either by its nonzeros.
+    """
 
     block_dims: list[int]
     c: np.ndarray
@@ -189,14 +202,19 @@ class SdpProblem:
             )
         d = sum(_coord_dim(n, h) for n, h in zip(self.block_dims, self.hermitian))
         self.c = np.asarray(self.c, dtype=float).ravel()
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        if hasattr(self.A, "tocsr"):
+            self.A = self.A.tocsr().astype(float, copy=False)
+            self.A.sum_duplicates()
+            entries = self.A.data
+        else:
+            self.A = entries = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.b = np.asarray(self.b, dtype=float).ravel()
         if self.c.shape != (d,):
             raise ValidationError(f"objective length {self.c.shape} != {d}")
         if self.A.shape[1] != d or self.A.shape[0] != self.b.shape[0]:
             raise ValidationError("constraint matrix shape mismatch")
         if not (
-            np.all(np.isfinite(self.A))
+            np.all(np.isfinite(entries))
             and np.all(np.isfinite(self.b))
             and np.all(np.isfinite(self.c))
         ):
@@ -205,6 +223,14 @@ class SdpProblem:
     @property
     def segments(self) -> list[slice]:
         return _segments(self.block_dims, self.hermitian)
+
+
+def _hvec_rows(stack: np.ndarray) -> np.ndarray:
+    """hvec coordinates, shape (k, d^2), of a (k, d, d) Hermitian stack."""
+    k, d = stack.shape[0], stack.shape[-1]
+    co = _coords(d, True)
+    entries = np.ascontiguousarray(stack, dtype=complex).reshape(k, d * d).view(float)
+    return entries[:, co.flat] * co.scale
 
 
 def _segments(dims, hermitian) -> list[slice]:
@@ -342,6 +368,35 @@ def _matrix(rows, cols, vals, shape):
     )
 
 
+def _triples(a):
+    """(row, column, value) of the nonzeros of a dense or CSR matrix, in
+    column-major order."""
+    if isinstance(a, np.ndarray):
+        col, row = np.nonzero(a.T)
+        return row, col, a[row, col]
+    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    live = a.data != 0
+    row, col, val = row[live], a.indices[live], a.data[live]
+    order = np.lexsort((row, col))
+    return row[order], col[order], val[order]
+
+
+def _matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ x for a dense or CSR `a` and C-ordered x and out, with no
+    result allocated: a CSR `a` goes through the kernel behind scipy's own
+    product."""
+    if isinstance(a, np.ndarray):
+        return np.matmul(a, x, out=out)
+    from scipy.sparse import _sparsetools
+
+    out.fill(0)
+    _sparsetools.csr_matvecs(
+        a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data,
+        x.reshape(-1), out.reshape(-1),
+    )
+    return out
+
+
 def _entries(j, q, v, co: _Coords):
     """Rows' coordinate nonzeros (row j, coordinate q, value v) of one block
     as the nonzeros of its coefficient matrices: (row j, matrix row, matrix
@@ -376,14 +431,22 @@ class _SchurGroup:
     `a_vec` holds the same rows in svec or hvec coordinates, rescaled so
     that a_vec @ T, with T the coordinate parts of the W A_l W as its
     columns, gives Re tr(A_j W A_l W).
+
+    A small block keeps both dense and allocates its products, which costs
+    less than the buffered path's copies on programs of d = 2-4.  A large
+    one keeps them as CSR and writes its products into the two work buffers
+    the Schur build shares across blocks, of `work` floats each, gathering
+    T there one matrix row at a time: fresh temporaries of that size are
+    handed back to the OS and faulted in again every iteration.
     """
 
     def __init__(self, n: int, hermitian: bool, j, q, v):
         co = _coords(n, hermitian)
         self.rows = np.unique(j)
         self.n, k = n, self.rows.size
+        self.width = 2 if hermitian else 1
         # T's rows are read from the float view of the W A W stack.
-        self.tri_r, self.tri_c = co.rows, (2 if hermitian else 1) * co.cols + co.part
+        self.tri_r, self.tri_c = co.rows, self.width * co.cols + co.part
         fj, r, c, part, fv = _entries(j, q, v, co)
         stack_v = np.where(part == 1, 1j * fv, fv) if hermitian else fv
         self.a_stack = _matrix(r * k + np.searchsorted(self.rows, fj), c, stack_v, (k * n, n))
@@ -392,22 +455,51 @@ class _SchurGroup:
         self.a_vec = _matrix(
             np.searchsorted(self.rows, j), q, v * co.scale[q], (k, co.rows.size)
         )
+        sparse = not isinstance(self.a_stack, np.ndarray)
+        self.work = max(self.width * k * n * n, k * k) if sparse else 0
         self.index = _row_index(self.rows)
 
-    def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
+    def add_to(self, schur: np.ndarray, w: np.ndarray, work) -> None:
         """schur[rows, rows] += Re tr(A_j W A_l W) for the block's scaling W."""
+        n, k = self.n, self.rows.size
+        if not self.work:
+            aw = self.a_stack @ w  # rows (c, j): (A_j W)[c, :]
+            # One product W [A_j W]_j, laid out (a, j, b), and a gather of its
+            # coordinate parts as columns: no transpose of the result.
+            waw = (w @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
+            schur[self.index] += self.a_vec @ waw[self.tri_r, :, self.tri_c]
+            return
+        one, two = work
+        size = self.width * k * n * n
+        aw = _matmul_into(self.a_stack, w, one[:size].view(w.dtype).reshape(k * n, n))
+        waw = np.matmul(w, aw.reshape(n, k * n), out=two[:size].view(w.dtype).reshape(n, k * n))
+        t = one[: self.tri_r.size * k].reshape(-1, k)
+        self._gather(waw.view(float).reshape(n, k, -1), t)
+        schur[self.index] += _matmul_into(self.a_vec, t, two[: k * k].reshape(k, k))
+
+    def _gather(self, waw: np.ndarray, t: np.ndarray) -> None:
+        """t = waw[tri_r, :, tri_c], one copy per matrix row and part: each
+        row's coordinates are a run of svec or hvec coordinates."""
         n = self.n
-        aw = self.a_stack @ w  # rows (c, j): (A_j W)[c, :]
-        # One product W [A_j W]_j, laid out (a, j, b), and a gather of its
-        # coordinate parts as columns: no transpose of the result.
-        waw = (w @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
-        schur[self.index] += self.a_vec @ waw[self.tri_r, :, self.tri_c]
+        if self.width == 1:
+            for a in range(n):
+                start = a * (a + 1) // 2
+                np.copyto(t[start : start + a + 1], waw[a, :, : a + 1].T)
+            return
+        np.copyto(t[:n], np.diagonal(waw[:, :, ::2], axis1=0, axis2=2).T)
+        half = n * (n - 1) // 2
+        for a in range(1, n):
+            start = n + a * (a - 1) // 2
+            np.copyto(t[start : start + a], waw[a, :, : 2 * a : 2].T)
+            np.copyto(t[start + half : start + half + a], waw[a, :, 1 : 2 * a : 2].T)
 
 
 class _ScalarSchur:
     """The Schur term of the real 1x1 stack (the scalar slacks and the 1x1
     Hermitian variables), one product over the rows that touch it; the
     coefficients a_jk are one (rows, g) matrix, sparse when it is large."""
+
+    work = 0  # it needs none of the shared work buffers
 
     def __init__(self, entries: list):
         j = np.concatenate([j for j, _, _ in entries])
@@ -419,7 +511,7 @@ class _ScalarSchur:
         )
         self.index = _row_index(self.rows)
 
-    def add_to(self, schur: np.ndarray, w: np.ndarray) -> None:
+    def add_to(self, schur: np.ndarray, w: np.ndarray, work=None) -> None:
         """schur[rows, rows] += sum_k a_jk a_lk w_k^2 for the (g, 1, 1) stack `w`."""
         if isinstance(self.a, np.ndarray):
             aw = self.a * w.reshape(-1)
@@ -441,11 +533,14 @@ class _Constraints:
     the coefficient matrices are stored in the coordinates of that vector,
     where Re tr(K X) is the dot product of the float views of K and X, so
     A x is one product and A^T y comes back as Hermitian stacks.  Each
-    matrix block has its own Schur term, whose temporaries are its touched
-    rows times n^2, and the real 1x1 stack has one diagonal term.
+    matrix block has its own Schur term, and the real 1x1 stack has one
+    diagonal term.  The rows are read from the nonzeros of a dense or CSR
+    matrix.  The Schur matrix is one buffer per solve, and the terms of
+    large blocks write their products into two work buffers they share, so
+    that a Schur build allocates no large temporary.
     """
 
-    def __init__(self, a_vec: np.ndarray, dims: list[int], hermitian=None):
+    def __init__(self, a_vec, dims: list[int], hermitian=None):
         m = a_vec.shape[0]
         self.m = m
         flags = [False] * len(dims) if hermitian is None else list(hermitian)
@@ -468,10 +563,9 @@ class _Constraints:
         # Dual quantities are measured as in the equivalent real problem,
         # where a block of weight w counts its squared entries over w.
         self.inv_weight = np.concatenate(inv_weight)
-        # The presolved matrix is read once, column by column, and split
-        # into the blocks' coordinate ranges.
-        col, row = np.nonzero(a_vec.T)
-        val = a_vec[row, col]
+        # The presolved matrix's nonzeros are read once, column by column,
+        # and split into the blocks' coordinate ranges.
+        row, col, val = _triples(a_vec)
         segs = _segments(dims, flags)
         bounds = np.searchsorted(col, [seg.start for seg in segs] + [a_vec.shape[1]])
         entries, full_r, full_c, full_v = [], [], [], []
@@ -505,6 +599,11 @@ class _Constraints:
             else:
                 terms = [(slice(None), _ScalarSchur([entries[k] for k in ks]))]
             self.groups += [(i, part, term) for part, term in terms if term.rows.size]
+        # One Schur matrix per solve, which LAPACK factors in place, and the
+        # work buffers of the large blocks' terms.
+        self._schur = np.zeros((m, m))
+        size = max([term.work for _, _, term in self.groups], default=0)
+        self._work = (np.empty(size), np.empty(size))
 
     def split(self, v: np.ndarray) -> list:
         """The (g, n, n) stack views of a point's float vector."""
@@ -549,10 +648,12 @@ class _Constraints:
         return self.stacked_schur([np.stack([ws[k] for k in ks]) for ks in self.members])
 
     def stacked_schur(self, w_stacks) -> np.ndarray:
-        """Schur matrix for the scalings given as one stack per kind and size."""
-        out = np.zeros((self.m, self.m))
+        """Schur matrix for the scalings given as one stack per kind and size,
+        written into the one Schur buffer, which it returns."""
+        out = self._schur
+        out.fill(0.0)
         for i, part, group in self.groups:
-            group.add_to(out, w_stacks[i][part])
+            group.add_to(out, w_stacks[i][part], self._work)
         return out
 
 
@@ -569,24 +670,56 @@ def _cholesky_routines():
     return _CHOLESKY
 
 
-def _factor_schur(m: np.ndarray):
+_TILE = 128
+
+
+def _lower_in_fortran_order(m: np.ndarray) -> np.ndarray:
+    """m.T after copying the lower triangle of the C-ordered square m onto
+    its upper one: a Fortran-ordered view whose lower triangle is m's, made
+    tile by tile with no m x m temporary.  The Schur terms add into a
+    C-ordered buffer at half the cost of a Fortran one, and this copy of
+    half the matrix is all that LAPACK's lower Cholesky then needs."""
+    n = m.shape[0]
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(0, i, _TILE):
+            cols = slice(j, j + _TILE)
+            np.copyto(m[cols, rows], m[rows, cols].T)
+        tile = m[rows, rows]
+        np.copyto(tile, tile.T, where=_strict_upper(len(tile)))
+    return m.T
+
+
+@functools.cache
+def _strict_upper(n: int) -> np.ndarray:
+    return ~np.tri(n, dtype=bool)
+
+
+def _factor_schur(m: np.ndarray, rebuild):
     """Factor the Schur matrix once: (solve, jitter, used_lstsq).
 
     Cholesky after adding the smallest jitter on the ladder (a multiple of
     the mean diagonal) that lets it succeed; least squares if none does.
-    A non-finite matrix raises LinAlgError, a breakdown like any other.
+    LAPACK factors the C-ordered m in place, as the Fortran-ordered m.T
+    whose lower triangle is m's, so after a failed attempt `rebuild()` must
+    write the Schur matrix into m again.  A non-finite matrix raises
+    LinAlgError, a breakdown like any other.
     """
-    if not m.shape[0]:
+    n = m.shape[0]
+    if not n:
         return (lambda rhs: np.zeros(0)), 0.0, False
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Schur matrix is not finite")
     potrf, potrs = _cholesky_routines()
-    scale = max(np.trace(m) / m.shape[0], 1e-300)
+    scale = max(np.trace(m) / n, 1e-300)
     for jitter in _JITTER_LADDER:
-        shifted = m + jitter * scale * np.eye(m.shape[0]) if jitter else m
-        factor, info = potrf(shifted, lower=1, clean=0)
+        if jitter:
+            rebuild()
+            m[np.diag_indices(n)] += jitter * scale
+        factor, info = potrf(_lower_in_fortran_order(m), lower=1, clean=0, overwrite_a=1)
         if info == 0:
             return (lambda rhs: potrs(factor, rhs, lower=1)[0]), jitter, False
+    rebuild()
     return (lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]), 0.0, True
 
 
@@ -595,7 +728,7 @@ def _factor_schur(m: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _presolve_rows(a: np.ndarray, b: np.ndarray):
+def _presolve_rows(a, b: np.ndarray):
     """Drop linearly dependent constraint rows, checking consistency.
 
     A row with a private column, one in which no other row is nonzero, is
@@ -605,21 +738,25 @@ def _presolve_rows(a: np.ndarray, b: np.ndarray):
     through the pivoted QR, at the rank tolerance a QR of all rows would
     use.  Each Hermitian-basis row of the task programs owns a coordinate
     of a variable no other row touches, so only their few algebra and
-    trace rows reach the QR.
+    trace rows reach the QR.  `a` is dense or CSR; the private columns come
+    from per-column counts of its nonzeros, only the border rows are made
+    dense, and the kept rows are returned in `a`'s own form.
     """
     import scipy.linalg
 
-    m = a.shape[0]
-    nonzero = a != 0
-    private = nonzero[:, nonzero.sum(axis=0) == 1].any(axis=1)
+    m, n = a.shape
+    row, col, val = _triples(a)
+    private = np.zeros(m, dtype=bool)
+    private[row[np.bincount(col, minlength=n)[col] == 1]] = True
     border = np.flatnonzero(~private)
     if border.size == 0:
         return a, b, np.arange(m)
-    a_border = a[border]
+    a_border = a[border] if isinstance(a, np.ndarray) else a[border].toarray()
     r, piv = scipy.linalg.qr(a_border.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     # The leading pivot of a QR of all rows is the largest row norm.
-    tol = max(a.shape) * np.finfo(float).eps * np.linalg.norm(a, axis=1).max()
+    norm = np.sqrt(np.bincount(row, val * val, minlength=m).max(initial=0.0))
+    tol = max(a.shape) * np.finfo(float).eps * norm
     rank = int(np.sum(diag > max(tol, 1e-300)))
     if rank == border.size:
         return a, b, np.arange(m)
@@ -734,7 +871,9 @@ def solve(
 
                 # Schur complement M = A Q_W A^T, factored once for u2 and
                 # both direction solves.
-                solve_m, jitter, used_lstsq = _factor_schur(cons.stacked_schur(w))
+                solve_m, jitter, used_lstsq = _factor_schur(
+                    cons.stacked_schur(w), lambda: cons.stacked_schur(w)
+                )
                 factor_log[0] = max(factor_log[0], jitter)
                 factor_log[1] = factor_log[1] or used_lstsq
 
@@ -876,25 +1015,35 @@ class HermitianProgram:
     Scalar variables are nonnegative; constraints are real-linear in the
     variables with Hermitian coefficient matrices: each term contributes
     Re tr[K^dagger X].  Rows are added in families (one row is a family of
-    one), each held as its stacked coefficients until `build`.  Each d x d
-    variable is one Hermitian block in hvec coordinates.
+    one), and each family is turned at once into the (row, column, value)
+    triples of its nonzero hvec coordinates, so no coefficient stack is
+    kept.  Each d x d variable is one Hermitian block in hvec coordinates.
     """
+
+    # A coefficient stack is converted this many entries at a time, which
+    # bounds the temporaries of the conversion.
+    _CHUNK_ENTRIES = 1 << 20
 
     def __init__(self):
         self._vars: list[_Var] = []
+        self._starts: list[int] = []  # each variable's first column
+        self._width = 0
         self._obj: dict[int, np.ndarray | float] = {}
-        # (coefficients per variable index, rhs, (first slack index, sign) or None)
-        self._rows: list[tuple[dict[int, np.ndarray], np.ndarray, tuple | None]] = []
+        self._rhs: list[np.ndarray] = []
+        self._triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def _add(self, dim: int, scalar: bool) -> _Var:
+        v = _Var(len(self._vars), dim, scalar)
+        self._vars.append(v)
+        self._starts.append(self._width)
+        self._width += 1 if scalar else dim * dim
+        return v
 
     def add_hermitian(self, dim: int) -> _Var:
-        v = _Var(len(self._vars), dim, False)
-        self._vars.append(v)
-        return v
+        return self._add(dim, False)
 
     def add_scalar(self) -> _Var:
-        v = _Var(len(self._vars), 0, True)
-        self._vars.append(v)
-        return v
+        return self._add(0, True)
 
     def add_objective(self, var: _Var, coeff) -> None:
         cur = self._obj.get(var.index)
@@ -916,56 +1065,42 @@ class HermitianProgram:
             raise ValidationError(f"unknown constraint sense {sense!r}")
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         k = rhs.shape[0]
-        clean: dict[int, np.ndarray] = {}
+        first = sum(r.size for r in self._rhs)
         for var, coeff in terms.items():
             if var.scalar:
-                clean[var.index] = np.asarray(coeff, dtype=float).reshape(k)
-            else:
-                coeff = np.asarray(coeff, dtype=complex).reshape(k, var.dim, var.dim)
-                clean[var.index] = herm(coeff)
-        slack = None
+                vals = np.asarray(coeff, dtype=float).reshape(k)
+                j = np.flatnonzero(vals)
+                self._triples.append((first + j, np.full(j.size, self._starts[var.index]), vals[j]))
+                continue
+            coeff = np.asarray(coeff, dtype=complex).reshape(k, var.dim, var.dim)
+            step = max(1, self._CHUNK_ENTRIES // var.dim**2)
+            for lo in range(0, k, step):
+                vec = _hvec_rows(herm(coeff[lo : lo + step]))
+                j, q = np.nonzero(vec)
+                self._triples.append((first + lo + j, self._starts[var.index] + q, vec[j, q]))
         if sense != "==":
-            slack = (len(self._vars), 1.0 if sense == "<=" else -1.0)
+            # Row j's slack is the j-th of k new scalars, in column start + j.
+            start, j = self._width, np.arange(k)
             for _ in range(k):
                 self.add_scalar()
-        self._rows.append((clean, rhs, slack))
-
-    def _layout(self):
-        dims = [1 if v.scalar else v.dim for v in self._vars]
-        flags = [not v.scalar for v in self._vars]
-        return dims, flags, _segments(dims, flags)
-
-    def _coeff_vec(self, v: _Var, coeff) -> np.ndarray:
-        """hvec rows, shape (k, d^2), of one coefficient of `v` or a stack."""
-        if v.scalar:
-            return np.asarray(coeff, dtype=float).reshape(-1, 1)
-        co = _coords(v.dim, True)
-        entries = np.ascontiguousarray(coeff, dtype=complex).reshape(-1, v.dim**2).view(float)
-        return entries[:, co.flat] * co.scale
+            self._triples.append((first + j, start + j, np.full(k, 1.0 if sense == "<=" else -1.0)))
+        self._rhs.append(rhs)
 
     def build(self) -> SdpProblem:
-        dims, flags, segs = self._layout()
-        total = segs[-1].stop if segs else 0
-        c = np.zeros(total)
+        """The problem, with A dense or CSR by :func:`_matrix`'s rule."""
+        dims = [1 if v.scalar else v.dim for v in self._vars]
+        flags = [not v.scalar for v in self._vars]
+        c = np.zeros(self._width)
         for idx, coeff in self._obj.items():
-            c[segs[idx]] += self._coeff_vec(self._vars[idx], coeff)[0]
-        m = sum(rhs.size for _, rhs, _ in self._rows)
-        a = np.zeros((m, total))
-        b = np.zeros(m)
-        start = 0
-        for terms, rhs, slack in self._rows:
-            k = rhs.size
-            rows = slice(start, start + k)
-            b[rows] = rhs
-            for idx, coeff in terms.items():
-                a[rows, segs[idx]] += self._coeff_vec(self._vars[idx], coeff)
-            if slack is not None:
-                # Row j's slack is the scalar variable first + j.
-                first, sign = slack
-                j = np.arange(k)
-                a[start + j, segs[first].start + j] = sign
-            start += k
-        return SdpProblem(dims, c, a, b, flags)
+            start, v = self._starts[idx], self._vars[idx]
+            if v.scalar:
+                c[start] += coeff
+            else:
+                c[start : start + v.dim**2] += _hvec_rows(coeff[None])[0]
+        b = np.concatenate([np.zeros(0), *self._rhs])
+        empty = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        rows, cols, vals = (np.concatenate(part) for part in zip(empty, *self._triples))
+        return SdpProblem(dims, c, _matrix(rows, cols, vals, (b.size, self._width)), b, flags)
 
     def solve(self):
         """Build and solve at `solve`'s default acceptance thresholds; returns

@@ -110,6 +110,23 @@ class TestCliCommands:
         c = json.loads(capsys.readouterr().out)
         assert c["value"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_parser_serves_two_subcommands(self, workdir, capsys):
+        # The parser is built once per process; a second command in the same
+        # process gets its own subcommand, arguments and defaults.
+        from instability.cli import build_parser
+
+        assert build_parser() is build_parser()
+        io_args = ["--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]
+        assert main(["cost", *io_args]) == 0
+        cost = json.loads(capsys.readouterr().out)
+        assert main(["monotone", *io_args, "--alpha", "0.5"]) == 0
+        monotone = json.loads(capsys.readouterr().out)
+        assert cost["value"] == pytest.approx(1.0, abs=1e-9)
+        assert monotone["value"] == pytest.approx(1.0, abs=1e-9)
+        args = build_parser().parse_args(["yield", *io_args])
+        assert (args.command, args.eps) == ("yield", 0.0)
+        assert not hasattr(args, "alpha")
+
     def test_cost_interval(self, workdir, capsys):
         code = main(
             [

@@ -473,6 +473,11 @@ def built_problem(monkeypatch, run):
     return seen[0]
 
 
+def dense(a):
+    """A built problem's field as a dense array: A is CSR above the dense limit."""
+    return a if isinstance(a, np.ndarray) else a.toarray()
+
+
 def one_row(prog, terms, rhs, sense="=="):
     prog.add_constraint(terms, float(rhs), sense=sense)
 
@@ -602,7 +607,7 @@ class TestAssembly:
             assert got.block_dims == ref.block_dims
             assert got.hermitian == ref.hermitian
             for field in ("A", "b", "c"):
-                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+                assert np.array_equal(dense(getattr(got, field)), dense(getattr(ref, field))), field
 
     def test_reduced_programs_at_one_copy_match_the_tensor_programs(self, monkeypatch):
         # At n = 1 the Schur-Weyl blocks are rho itself, so each reduced
@@ -624,7 +629,7 @@ class TestAssembly:
                 want = built_problem(monkeypatch, lambda: tensor(rho, channel, eps))
                 assert got.block_dims == want.block_dims, (tensor.__name__, eps)
                 for field in ("A", "b", "c"):
-                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                    assert np.array_equal(dense(getattr(got, field)), dense(getattr(want, field))), field
 
     def test_basis_reduced_once_per_block(self, monkeypatch):
         # One D_max build reduces the whole (d^2, d, d) basis stack in one
@@ -663,7 +668,7 @@ class TestAssembly:
             want = built_problem(monkeypatch, lambda: run(rho_b, plain))
             assert got.block_dims == want.block_dims
             for field in ("A", "b", "c"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                assert np.array_equal(dense(getattr(got, field)), dense(getattr(want, field))), field
             monkeypatch.undo()
             assert abs(run(rho, rotated).value - run(rho_b, plain).value) <= 1e-10
 
@@ -684,7 +689,7 @@ class TestAssembly:
         assert got.block_dims == want.block_dims == [2, 1, 1, 1]
         assert got.hermitian == want.hermitian == [True, False, False, False]
         for field in ("A", "b", "c"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert np.array_equal(dense(getattr(got, field)), dense(getattr(want, field)))
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +710,12 @@ def realify(problem):
     def real_block(k):
         return np.block([[k.real, -k.imag], [k.imag, k.real]])
 
+    a = dense(problem.A)
     dims, a_cols, c_cols = [], [], []
     for n, hermitian, seg in zip(problem.block_dims, problem.hermitian, problem.segments):
         if not hermitian:
             dims.append(n)
-            a_cols.append(problem.A[:, seg])
+            a_cols.append(a[:, seg])
             c_cols.append(problem.c[seg])
             continue
 
@@ -717,7 +723,7 @@ def realify(problem):
             return sdp.svec(real_block(sdp.hmat(v, n)) / 2)
 
         dims.append(2 * n)
-        a_cols.append(np.stack([convert(row[seg]) for row in problem.A]))
+        a_cols.append(np.stack([convert(row[seg]) for row in a]))
         c_cols.append(convert(problem.c[seg]))
     return sdp.SdpProblem(dims, np.concatenate(c_cols), np.hstack(a_cols), problem.b)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from instability import programs, sdp
 from instability.channels import dephaser, hermitian_basis
@@ -162,6 +163,22 @@ class TestSchur:
         assert sorted(k for k in own if k != scalars) == [k for k, n in enumerate(dims) if n > 1]
         (term,) = [t for _, _, t in cons.groups if isinstance(t, sdp._ScalarSchur)]
         assert not isinstance(term.a, np.ndarray)
+
+    def test_large_blocks_on_the_shared_work_buffers(self, rng):
+        # A real 20x20 and a Hermitian 16x16 block touched by 150 sparse rows
+        # are held as CSR and gather T one matrix row at a time into the
+        # buffers they share; the 3x3 block stays dense.
+        dims, flags = [20, 16, 3], [False, True, False]
+        total = sum(coord_dim(n, h) for n, h in zip(dims, flags))
+        a = np.zeros((150, total))
+        for j in range(150):
+            cols = rng.choice(total, size=3, replace=False)
+            a[j, cols] = rng.normal(size=3)
+        a[:5, 210:466] = rng.normal(size=(5, 256))  # dense rows on the Hermitian block
+        cons = sdp._Constraints(a, dims, flags)
+        work = {getattr(t, "n", 1): t.work for _, _, t in cons.groups}
+        assert work[20] and work[16] and not work[3]
+        self.check(a, dims, rng, flags)
 
     def test_contiguous_and_scattered_row_subsets(self, rng):
         # Block 0 is touched by rows 2-5 only, a contiguous strict subset
@@ -338,12 +355,136 @@ class TestFactorization:
         assert sol.stop_reason == "breakdown"
         assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
 
+    def test_failed_in_place_factor_is_rebuilt_and_jittered(self, rng, monkeypatch):
+        # The first Cholesky factors the Schur buffer in place and then
+        # reports failure, so the buffer holds neither M nor its factor: the
+        # retry must rebuild M into it and add the first jitter, and solve
+        # exactly as the same failure and retry on a copy of M do.
+        prob, _ = planted_problem([4, 3, 1], 7, rng)
+        cons = sdp._Constraints(prob.A, prob.block_dims)
+        ws = [random_spd(n, rng) for n in prob.block_dims]
+        m = cons.schur(ws).copy()
+        potrf, potrs = sdp._cholesky_routines()
+        calls = []
+
+        def first_fails(a, **kwargs):
+            calls.append(1)
+            factor, info = potrf(a, **kwargs)
+            return factor, (1 if len(calls) == 1 else info)
+
+        monkeypatch.setattr(sdp, "_CHOLESKY", (first_fails, potrs))
+        buffer = cons.schur(ws)
+        solve_m, jitter, used_lstsq = sdp._factor_schur(buffer, lambda: cons.schur(ws))
+        assert (len(calls), jitter, used_lstsq) == (2, 1e-14, False)
+        calls.clear()
+        copy = m.copy()
+        ref_solve, ref_jitter, _ = sdp._factor_schur(copy, lambda: np.copyto(copy, m))
+        assert len(calls) == 2 and ref_jitter == 1e-14
+        rhs = rng.normal(size=m.shape[0])
+        got = solve_m(rhs)
+        assert np.array_equal(got, ref_solve(rhs))
+        shifted = m + 1e-14 * np.trace(m) / m.shape[0] * np.eye(m.shape[0])
+        assert np.abs(shifted @ got - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
     def test_planted_instance_needs_no_perturbation(self, rng):
         prob, _ = planted_problem([4, 3], 6, rng)
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.max_jitter == 0.0
         assert not sol.used_lstsq
+
+
+def assert_same_solution(got, want):
+    for name in ("status", "stop_reason", "iterations", "primal_objective", "dual_objective",
+                 "gap", "primal_residual", "dual_residual", "max_jitter", "used_lstsq"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("x", "y", "s"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestSparseRows:
+    """A is read by its nonzeros: a dense array and its CSR give the same solve."""
+
+    @pytest.mark.parametrize(
+        "dims, m, flags",
+        [([4, 3, 1], 8, None), ([16, 6, 1], 130, [True, False, False])],
+        ids=["below", "above"],
+    )
+    def test_dense_and_csr_rows_solve_alike(self, dims, m, flags, rng):
+        dense, _ = planted_problem(dims, m, rng, flags)
+        assert (dense.A.size > sdp._DENSE_ENTRIES) == (m == 130)
+        csr = sdp.SdpProblem(dims, dense.c, scipy.sparse.csr_matrix(dense.A), dense.b, flags)
+        assert isinstance(dense.A, np.ndarray) and not isinstance(csr.A, np.ndarray)
+        want = sdp.solve(dense)
+        assert want.status == "optimal"
+        assert_same_solution(sdp.solve(csr), want)
+        if m == 130:
+            # The 16x16 Hermitian block's term runs on the shared work buffers.
+            terms = [t for _, _, t in sdp._Constraints(csr.A, dims, flags).groups]
+            assert any(t.work for t in terms)
+
+    def test_build_returns_csr_above_the_dense_limit(self):
+        prog = sdp.HermitianProgram()
+        x, y = prog.add_hermitian(12), prog.add_hermitian(12)
+        basis = hermitian_basis(12)
+        prog.add_constraint({x: basis, y: basis}, np.trace(basis, axis1=1, axis2=2).real)
+        problem = prog.build()
+        assert problem.A.shape == (144, 288) and not isinstance(problem.A, np.ndarray)
+        # Each row holds one coordinate of each variable.
+        assert problem.A.nnz == 288
+
+    def test_csr_presolve_matches_dense(self, rng):
+        a, b = TestPresolve.structured_rows(rng)
+        want_a, want_b, want_keep = sdp._presolve_rows(a, b)
+        got_a, got_b, keep = sdp._presolve_rows(scipy.sparse.csr_matrix(a), b)
+        assert np.array_equal(keep, want_keep) and np.array_equal(got_b, want_b)
+        assert np.array_equal(got_a.toarray(), want_a)
+
+
+def held_arrays(obj):
+    """Every numpy array an object holds, through lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in held_arrays(item)]
+    return held_arrays(vars(obj)) if hasattr(obj, "__dict__") else []
+
+
+class TestMemory:
+    def test_smoothed_dmax_traced_peak(self):
+        # The d = 16 smoothed D_max sets sdp-scaling's peak.  The bound lies
+        # between its traced peak with the rows kept as triples and the Schur
+        # matrix in one buffer (about 10 MB) and with dense rows and a fresh
+        # Schur matrix and factor each iteration (24 MB).
+        import tracemalloc
+
+        rho = random_density(16, np.random.default_rng(3))
+        programs.dmax_smoothed_free(random_density(4, np.random.default_rng(1)), dephaser(4), 0.05)
+        tracemalloc.start()
+        try:
+            result = programs.dmax_smoothed_free(rho, dephaser(16), 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solution.status == "optimal"
+        assert peak <= 12e6, peak
+
+    def test_no_coefficient_stack_outlives_add_constraint(self):
+        d = 16
+        prog = sdp.HermitianProgram()
+        x, y, c = prog.add_hermitian(d), prog.add_hermitian(d), prog.add_scalar()
+        prog.add_objective(x, np.eye(d))
+        basis = hermitian_basis(d)
+        prog.add_constraint({x: basis, y: basis}, np.trace(basis, axis1=1, axis2=2).real)
+        prog.add_constraint({x: basis[:5], c: np.ones(5)}, np.zeros(5), sense="<=")
+        held = held_arrays(prog)
+        assert held and max(a.ndim for a in held) <= 2
+        # Only the d x d objective is a matrix, and the program holds far
+        # less than the stack it was given.
+        assert [a.shape for a in held if a.ndim == 2] == [(d, d)]
+        assert sum(a.nbytes for a in held) < basis.nbytes / 10
 
 
 class TestHvec:
