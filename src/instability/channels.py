@@ -29,11 +29,14 @@ from .linalg import (
     herm,
     pow_from_eigh,
     rank_tol,
-    spectral_norm,
+    within_spectral_tolerance,
 )
 from .sampling import random_unitary, rng_from
 
 UNITARY_TOL = 1e-10
+# hermitian_basis keeps the stacks up to this dimension (4 MB at d = 16);
+# a larger one is rebuilt on each call and freed by its caller.
+BASIS_CACHE_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Block:
 
 def _check_basis(basis, dim: int) -> np.ndarray:
     u = as_matrix(basis, dim)
-    if spectral_norm(u @ u.conj().T - np.eye(dim)) > UNITARY_TOL:
+    if not within_spectral_tolerance(u @ u.conj().T - np.eye(dim), UNITARY_TOL):
         raise ValidationError("basis matrix is not unitary within tolerance")
     return u
 
@@ -334,9 +337,10 @@ _basis_cache: dict[int, np.ndarray] = {}
 
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian basis of L(C^dim) (generalized Gell-Mann layout)
-    as a read-only (dim^2, dim, dim) stack, cached per dimension: the
-    diagonal units, then for each j < k the symmetric and the antisymmetric
-    element on (j, k)."""
+    as a read-only (dim^2, dim, dim) stack: the diagonal units, then for
+    each j < k the symmetric and the antisymmetric element on (j, k).
+    Cached per dimension up to BASIS_CACHE_MAX_DIM; a larger stack (268 MB
+    at dim = 64) lives only as long as its caller holds it."""
     if dim not in _basis_cache:
         out = np.zeros((dim * dim, dim, dim), dtype=complex)
         diag = np.arange(dim)
@@ -348,6 +352,8 @@ def hermitian_basis(dim: int) -> np.ndarray:
         out[sym + 1, j, k] = -1j * inv
         out[sym + 1, k, j] = 1j * inv
         out.flags.writeable = False
+        if dim > BASIS_CACHE_MAX_DIM:
+            return out
         _basis_cache[dim] = out
     return _basis_cache[dim]
 

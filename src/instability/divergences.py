@@ -23,8 +23,10 @@ from .errors import ValidationError
 from .linalg import (
     check_density,
     check_psd,
+    density_eigh,
     herm,
-    mat_pow,
+    pow_from_eigh,
+    psd_eigh,
     rank_tol,
     support_projector,
 )
@@ -56,17 +58,25 @@ class RenyiParams:
             )
 
 
-def _support_dominates(s: np.ndarray, rho: np.ndarray) -> bool:
-    """supp(rho) contained in supp(s), both PSD."""
-    proj = support_projector(s)
+def _support_dominates(rho: np.ndarray, w_r: np.ndarray, w_s: np.ndarray, v_s: np.ndarray) -> bool:
+    """supp(rho) contained in supp(s), both PSD, from the eigenvalues w_r of
+    rho and the eigendecomposition (w_s, v_s) of s."""
+    proj = pow_from_eigh(w_s, v_s, 0.0)
     leak = float(np.trace(rho - proj @ rho @ proj).real)
-    return leak <= 10 * rank_tol(rho.shape[0], max(np.linalg.eigvalsh(rho).max(), 1e-300))
+    return leak <= 10 * rank_tol(rho.shape[0], max(w_r[-1], 1e-300))
 
 
 def quasi_entropy(rho: np.ndarray, s: np.ndarray, alpha: float, z: float) -> float:
     """Q_{a,z}(rho || S) = tr[(rho^{a/2z} S^{(1-a)/z} rho^{a/2z})^z]."""
-    half = mat_pow(rho, alpha / (2.0 * z))
-    mid = mat_pow(s, (1.0 - alpha) / z)
+    _, w_r, v_r = psd_eigh(rho, what="mat_pow argument")
+    _, w_s, v_s = psd_eigh(s, what="mat_pow argument")
+    return _quasi_entropy(w_r, v_r, w_s, v_s, alpha, z)
+
+
+def _quasi_entropy(w_r, v_r, w_s, v_s, alpha: float, z: float) -> float:
+    """:func:`quasi_entropy` from the eigendecompositions of rho and S."""
+    half = pow_from_eigh(w_r, v_r, alpha / (2.0 * z))
+    mid = pow_from_eigh(w_s, v_s, (1.0 - alpha) / z)
     core = herm(half @ mid @ half)
     w = np.linalg.eigvalsh(core)
     w = np.clip(w, 0.0, None)
@@ -76,16 +86,16 @@ def quasi_entropy(rho: np.ndarray, s: np.ndarray, alpha: float, z: float) -> flo
 def d_alpha_z(rho, s, *, alpha: float, z: float) -> float:
     """alpha-z Renyi divergence in bits; +inf on support violations."""
     params = RenyiParams(float(alpha), float(z))
-    rho = check_density(rho)
-    s = check_psd(s, rho.shape[0], what="second argument")
+    rho, w_r, v_r = density_eigh(rho)
+    s, w_s, v_s = psd_eigh(s, rho.shape[0], what="second argument")
     if float(np.trace(s).real) <= 0:
         raise ValidationError("second argument must be nonzero")
     a, zz = params.alpha, params.z
     if a == 1.0:
-        return umegaki(rho, s)
-    if a > 1.0 and not _support_dominates(s, rho):
+        return _umegaki(rho, w_r, v_r, w_s, v_s)
+    if a > 1.0 and not _support_dominates(rho, w_r, w_s, v_s):
         return float("inf")
-    q = quasi_entropy(rho, s, a, zz)
+    q = _quasi_entropy(w_r, v_r, w_s, v_s, a, zz)
     if q <= 0.0:
         # Orthogonal arguments at alpha < 1; documented as +inf.
         return float("inf")
@@ -94,14 +104,17 @@ def d_alpha_z(rho, s, *, alpha: float, z: float) -> float:
 
 def umegaki(rho, s) -> float:
     """Umegaki relative entropy tr[rho log rho] - tr[rho log S], in bits."""
-    rho = check_density(rho)
-    s = check_psd(s, rho.shape[0], what="second argument")
-    if not _support_dominates(s, rho):
+    rho, w_r, v_r = density_eigh(rho)
+    _, w_s, v_s = psd_eigh(s, rho.shape[0], what="second argument")
+    return _umegaki(rho, w_r, v_r, w_s, v_s)
+
+
+def _umegaki(rho, w_r, v_r, w_s, v_s) -> float:
+    """:func:`umegaki` from the eigendecompositions of rho and S."""
+    if not _support_dominates(rho, w_r, w_s, v_s):
         return float("inf")
-    w_r, v_r = np.linalg.eigh(rho)
     cut_r = rank_tol(rho.shape[0], max(abs(w_r[-1]), 1e-300))
-    w_s, v_s = np.linalg.eigh(s)
-    cut_s = rank_tol(s.shape[0], max(abs(w_s[-1]), 1e-300))
+    cut_s = rank_tol(len(w_s), max(abs(w_s[-1]), 1e-300))
     ent = float(np.sum(w_r[w_r > cut_r] * np.log(w_r[w_r > cut_r])))
     log_s = (v_s * np.where(w_s > cut_s, np.log(np.clip(w_s, 1e-300, None)), 0.0)) @ v_s.conj().T
     cross = float(np.trace(rho @ log_s).real)
@@ -110,24 +123,28 @@ def umegaki(rho, s) -> float:
 
 def d_min(rho, s) -> float:
     """-log2 tr[S rho^0] with rho^0 the support projector of rho."""
-    rho = check_density(rho)
+    rho, w, v = density_eigh(rho)
     s = check_psd(s, rho.shape[0], what="second argument")
-    overlap = float(np.trace(s @ support_projector(rho)).real)
+    overlap = float(np.trace(s @ pow_from_eigh(w, v, 0.0)).real)
     if overlap <= 0.0:
         return float("inf")
     return -float(np.log2(overlap))
 
 
 def d_max(rho, s) -> float:
-    """log2 of the smallest t with t*S >= rho; +inf on support violation."""
-    rho = check_density(rho)
-    s = check_psd(s, rho.shape[0], what="second argument")
-    if not _support_dominates(s, rho):
+    """log2 of the smallest t with t*S >= rho; +inf on support violation.
+
+    Past the support test the value is finite: the core
+    S^{-1/2} rho S^{-1/2} is PSD with trace at least tr[S^0 rho] /
+    lambda_max(S), and a validated state that passes the test keeps all but
+    10 rank_tol of its unit trace on supp(S), so lambda_max of the core is
+    positive and neither -inf nor NaN can come out."""
+    rho, w_r, _ = density_eigh(rho)
+    _, w_s, v_s = psd_eigh(s, rho.shape[0], what="second argument")
+    if not _support_dominates(rho, w_r, w_s, v_s):
         return float("inf")
-    inv_half = mat_pow(s, -0.5)
+    inv_half = pow_from_eigh(w_s, v_s, -0.5)
     lam = np.linalg.eigvalsh(herm(inv_half @ rho @ inv_half))[-1]
-    if lam <= 0.0:
-        return float("-inf") if lam == 0 else float("nan")
     return float(np.log2(lam))
 
 

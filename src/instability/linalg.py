@@ -9,9 +9,22 @@ Conventions fixed here and inherited by every other module:
   are treated as exact zeros for support decisions, and negative powers are
   taken on the support (pseudo-inverse convention);
 * all logarithms elsewhere in the package are base 2.
+
+Every tolerance on a matrix norm is a spectral-norm test
+``||D||_2 <= t max(1, ||M||_2)`` (or ``||D||_2 <= t`` with no scale), as
+in ``check_hermitian`` (D = M - M^dagger), the unitarity test of a channel
+basis and the scalar-dual test of ``tasks.compose_effect``.  It is decided
+by ``within_spectral_tolerance`` from the Frobenius norms first, by
+``||X||_2 <= ||X||_F <= sqrt(d) ||X||_2``: it accepts when
+``||D||_F <= t max(1, ||M||_F / sqrt(d))``, rejects when
+``||D||_F / sqrt(d) > t max(1, ||M||_F)``, and takes the two spectral norms
+(SVDs) only in the band between, or when a Frobenius norm overflows (entries
+past about 1e154), so every decision is the spectral rule's.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +34,9 @@ HERMITICITY_RTOL = 1e-12
 DENSITY_TOL = 1e-10
 EFFECT_TOL = 1e-10
 RANK_RTOL = 1e-13
+# Relative margin on the two Frobenius bounds, far above the rounding of
+# either norm, so a test within rounding of a bound takes the spectral norms.
+FROBENIUS_MARGIN = 1e-8
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -44,18 +60,35 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def within_spectral_tolerance(diff: np.ndarray, tol: float, scale=None) -> bool:
+    """Whether ``||diff||_2 <= tol max(1, ||scale||_2)`` (``<= tol`` when
+    `scale` is None) for a square `diff`, from Frobenius norms where they
+    settle it and from spectral norms only in the band between the bounds
+    or when a Frobenius norm overflows (see the module docstring)."""
+    root = np.sqrt(max(diff.shape[-1], 1))
+    with np.errstate(over="ignore"):  # an unscaled Frobenius norm overflows past ~1e154
+        f = float(np.linalg.norm(diff))
+        s = 0.0 if scale is None else float(np.linalg.norm(scale))
+    if math.isfinite(f + s):
+        if f <= tol * max(1.0, s / root) * (1.0 - FROBENIUS_MARGIN):
+            return True
+        if f / root > tol * max(1.0, s) * (1.0 + FROBENIUS_MARGIN):
+            return False
+    bound = tol if scale is None else tol * max(1.0, spectral_norm(scale))
+    return spectral_norm(diff) <= bound
+
+
 def check_hermitian(h, dim: int | None = None, *, what: str = "operator") -> np.ndarray:
     """Validate `h` is Hermitian within tolerance; return the Hermitian part.
 
     An exactly Hermitian input (every ``herm`` output is one) passes the
     tolerance test and equals its Hermitian part, so it is returned as a
-    copy without the two spectral norms.
+    copy without a norm.
     """
     m = as_matrix(h, dim)
     if np.array_equal(m, m.conj().T):
         return m.copy() if m is h else m
-    scale = max(1.0, spectral_norm(m))
-    if spectral_norm(m - m.conj().T) > HERMITICITY_RTOL * scale:
+    if not within_spectral_tolerance(m - m.conj().T, HERMITICITY_RTOL, m):
         raise ValidationError(f"{what} is not Hermitian within tolerance")
     return herm(m)
 
@@ -63,21 +96,21 @@ def check_hermitian(h, dim: int | None = None, *, what: str = "operator") -> np.
 def check_density(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and unit trace within 1e-10."""
     m = check_hermitian(rho, dim, what="state")
-    _check_state_spectrum(m, np.linalg.eigvalsh(m))
+    w = np.linalg.eigvalsh(m)
+    check_psd_spectrum(w[0], w[-1], what="state")
+    _check_state_trace(m)
     return m
 
 
 def density_eigh(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``check_density`` by one eigh: the validated state with the ascending
     eigenvalues and eigenvectors its test read."""
-    m = check_hermitian(rho, dim, what="state")
-    w, v = np.linalg.eigh(m)
-    _check_state_spectrum(m, w)
+    m, w, v = psd_eigh(rho, dim, what="state")
+    _check_state_trace(m)
     return m, w, v
 
 
-def _check_state_spectrum(m: np.ndarray, w: np.ndarray) -> None:
-    check_psd_spectrum(w[0], w[-1], what="state")
+def _check_state_trace(m: np.ndarray) -> None:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > DENSITY_TOL:
         raise ValidationError(f"state trace {tr} differs from 1 beyond tolerance")
@@ -88,6 +121,16 @@ def check_psd(p, dim: int | None = None, *, what: str = "operator") -> np.ndarra
     w = np.linalg.eigvalsh(m)
     check_psd_spectrum(w[0], w[-1], what=what)
     return m
+
+
+def psd_eigh(p, dim: int | None = None, *, what: str = "operator"):
+    """``check_psd`` by one eigh: the validated operator with the ascending
+    eigenvalues and eigenvectors its test read."""
+    m = check_hermitian(p, dim, what=what)
+    w, v = np.linalg.eigh(m)
+    if m.shape[0]:
+        check_psd_spectrum(w[0], w[-1], what=what)
+    return m, w, v
 
 
 def check_psd_spectrum(lo: float, hi: float, *, what: str = "operator") -> None:
@@ -131,10 +174,7 @@ def mat_pow(p: np.ndarray, r: float) -> np.ndarray:
     negative powers act as pseudo-inverses on the support and ``r = 0``
     yields the support projector.
     """
-    m = check_hermitian(p, what="mat_pow argument")
-    w, v = np.linalg.eigh(m)
-    if m.shape[0]:
-        check_psd_spectrum(w[0], w[-1], what="mat_pow argument")
+    _, w, v = psd_eigh(p, what="mat_pow argument")
     return pow_from_eigh(w, v, r)
 
 

@@ -38,7 +38,7 @@ from .channels import (
     enumerate_free_grid,
     free_parameter_count,
 )
-from .divergences import RenyiParams, Result, umegaki
+from .divergences import RenyiParams, Result, _umegaki
 from .errors import BudgetError, SolverError, ValidationError
 from .linalg import (
     check_density,
@@ -456,10 +456,11 @@ def pythagorean_factor(sigma, sigma_star, r: float) -> float:
 
 
 def umegaki_free(rho, channel: DestructionChannel) -> OptimizerResult:
-    """Umegaki divergence to the free set; the optimizer is Delta(rho)."""
-    rho = check_density(rho, channel.dim)
+    """Umegaki divergence to the free set; the optimizer is Delta(rho).
+    rho is decomposed once, by the eigh that validates it."""
+    rho, w, v = density_eigh(rho, channel.dim)
     betas = _factors(rho, channel)
-    value = umegaki(rho, herm(channel.assemble_free(betas)))
+    value = _umegaki(rho, w, v, *np.linalg.eigh(herm(channel.assemble_free(betas))))
     return OptimizerResult(value, (value, value), "closed_form_z1", betas, channel, 0.0, 0)
 
 
@@ -536,13 +537,13 @@ def m_lambda(
     RenyiParams(alpha, z)  # validates (alpha, z)
     if not (0.0 <= lam <= 1.0):
         raise ValidationError(f"lambda={lam} outside [0, 1]")
-    rho = check_density(rho, channel.dim)
     if alpha == 1.0:
         # The whole family collapses onto the Umegaki monotone at alpha = 1.
         return umegaki_free(rho, channel)
+    rho, w, v = density_eigh(rho, channel.dim)
     delta_rho = herm(channel.apply(rho))
     wing = mat_pow(delta_rho, lam * (1.0 - alpha) / (2.0 * z))
-    x = herm(wing @ mat_pow(rho, alpha / z) @ wing)
+    x = herm(wing @ pow_from_eigh(w, v, alpha / z) @ wing)
     r = (1.0 - lam) * (1.0 - alpha) / z
     if lam == 1.0:
         # F no longer depends on sigma; Delta(X^z) solves the implicit

@@ -208,6 +208,7 @@ def _restricted_test(blocks, rows, unit, eps: float, slack=()):
             g, s = box
             basis = hermitian_basis(q.shape[1])  # G + S = I: 0 <= G <= I
             prog.add_constraint({g: basis, s: basis}, np.trace(basis, axis1=1, axis2=2).real)
+            del basis  # a stack too large for the basis cache is freed before the solve
             family[g] = q.conj().T @ row @ q
             passing[g] = m * (q.conj().T @ r @ q)
     prog.add_constraint(family, rhs)
@@ -326,12 +327,20 @@ def _pure_dmax(rho, psi: np.ndarray, channel: DestructionChannel) -> SmoothedDma
 
     With tau^{-1/2} Psi = U s V^dagger, tr sqrt(C) = sum s and
     (C^T)^{1/2} = conj(V s V^dagger): per block group, one product with the
-    stored tau_i^{-1/2} and one batched SVD of the (n, d_A, d_B) stack."""
+    stored tau_i^{-1/2} and one batched SVD of the (n, d_A, d_B) stack.  A
+    group with d_B = 1 (every dephaser block) needs no SVD: its one
+    singular value, and its (C^T)^{1/2}, is the norm of tau_i^{-1/2} psi_i."""
     total, roots = 0.0, []
-    for root, part in zip(channel.tau_power(-0.5), channel.block_components(psi)):
-        _, s, vh = np.linalg.svd(root @ part, full_matrices=False)
+    inv_roots = channel.tau_power(-0.5)
+    for g, inv_root, part in zip(channel._groups, inv_roots, channel.block_components(psi)):
+        x = inv_root @ part
+        if g.d_b == 1:
+            s = np.linalg.norm(x, axis=(1, 2))
+            roots.append(s[:, None, None])
+        else:
+            _, s, vh = np.linalg.svd(x, full_matrices=False)
+            roots.append((vh.swapaxes(-1, -2) * s[:, None, :]) @ vh.conj())
         total += float(s.sum())
-        roots.append((vh.swapaxes(-1, -2) * s[:, None, :]) @ vh.conj())
     value = 2.0 * float(np.log2(total))
     omega = channel.assemble_free([total * r for r in roots])
     return SmoothedDmaxResult(value, (value, value), "closed_form", rho, omega, None)
@@ -397,10 +406,11 @@ def _smoothed_dmax(blocks, free, omega, eps: float):
         terms = {fvars[i]: co for i, co in omega[ell].items()}
         if eps <= 0.0:
             prog.add_constraint({rr: -basis, **terms}, overlaps)
-            continue
-        t, p, q = balls[ell]
-        prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
-        prog.add_constraint({t: -basis, rr: -basis, **terms}, np.zeros(dim * dim))
+        else:
+            t, p, q = balls[ell]
+            prog.add_constraint({q: basis, p: -basis, t: basis}, overlaps)
+            prog.add_constraint({t: -basis, rr: -basis, **terms}, np.zeros(dim * dim))
+        del basis  # a stack too large for the basis cache is freed before the solve
     if eps > 0.0:
         prog.add_constraint({t: m * np.eye(len(r)) for (m, r), (t, _, _) in zip(blocks, balls)}, 1.0)
     sol, vals = prog.solve()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from instability import linalg as la
 from instability import tasks as tk
 from instability.verification import random_channel  # noqa: F401  (shared sampler)
 
@@ -10,6 +11,28 @@ from instability.verification import random_channel  # noqa: F401  (shared sampl
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the calls to numpy's eigh, eigvalsh and svd and to
+    linalg.spectral_norm (which runs an SVD inside numpy) made while the
+    test runs, by name; set the counts back to 0 to count afresh."""
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        spy(np.linalg, name)
+    spy(la, "spectral_norm")
+    return calls
 
 
 def raised_lower_bound(eps, shift=1e-3):

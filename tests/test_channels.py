@@ -351,3 +351,31 @@ class TestBatchedAction:
                 )
                 scale = max(1.0, np.linalg.norm(ref, 2))
                 assert np.linalg.norm(c.fixed_input_power(r) - ref, 2) <= 1e-14 * scale
+
+
+class TestHermitianBasisCache:
+    def test_small_bases_hit_the_cache(self):
+        for d in (1, 2, ch.BASIS_CACHE_MAX_DIM):
+            assert ch.hermitian_basis(d) is ch.hermitian_basis(d)
+        big = ch.BASIS_CACHE_MAX_DIM + 1
+        assert ch.hermitian_basis(big) is not ch.hermitian_basis(big)
+
+    def test_no_large_basis_outlives_a_solve(self, rng):
+        import tracemalloc
+
+        from instability.programs import restricted_ht
+
+        # The first dimension above the bound: its 1.3 MB basis is built for
+        # the solve's 0 <= G <= I rows and must not survive it.
+        d = ch.BASIS_CACHE_MAX_DIM + 1
+        rho, channel = random_density(d, rng), ch.dephaser(d)
+        basis_bytes = d**4 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            res = restricted_ht(rho, channel, 0.1)
+            largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(res.value)
+        assert largest < basis_bytes
+        assert all(d <= ch.BASIS_CACHE_MAX_DIM for d in ch._basis_cache)

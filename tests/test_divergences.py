@@ -3,6 +3,8 @@ import pytest
 
 from instability import channels as ch
 from instability import divergences as dv
+from instability import linalg as la
+from instability import programs as pr
 from instability.errors import ValidationError
 from instability.sampling import random_density, random_full_rank_density
 
@@ -121,6 +123,65 @@ class TestMinMax:
         m = dv.d_max(rho, sig)
         assert np.linalg.eigvalsh(2.0**m * sig - rho)[0] >= -1e-10
         assert np.linalg.eigvalsh(2.0 ** (m - 0.01) * sig - rho)[0] < 0
+
+    def test_d_max_is_never_nan(self, rng):
+        """Over rank-deficient, near-pure and exactly pure states against a
+        near-singular, a rank-deficient and a full-rank second argument,
+        d_max is finite or +inf (support violation), never NaN or -inf."""
+        for d in (2, 3, 5):
+            psi = random_density(d, rng, rank=1)
+            states = [
+                psi,
+                random_density(d, rng, rank=2),
+                la.herm((1 - 1e-12) * psi + 1e-12 * random_full_rank_density(d, rng)),
+                la.herm((1 - 1e-6) * psi + 1e-6 * random_density(d, rng, rank=2)),
+                np.diag(np.eye(d)[0]).astype(complex),
+            ]
+            near_singular = np.diag(np.r_[1.0, np.full(d - 1, 1e-13)]).astype(complex)
+            seconds = [
+                near_singular / np.trace(near_singular).real,
+                la.herm(np.diag(np.r_[np.ones(d - 1), 1e-14])).astype(complex),
+                random_density(d, rng, rank=2),
+                random_full_rank_density(d, rng),
+                ch.dephaser(d).apply(psi),
+            ]
+            for rho in states:
+                for s in seconds + [rho]:
+                    value = dv.d_max(rho, s)
+                    assert not np.isnan(value) and value != -np.inf
+
+
+def _pure_state(d, rng):
+    """|psi><psi| by np.outer, which can be Hermitian only to rounding."""
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def _decompositions(calls, run) -> int:
+    """The eigh, eigvalsh, svd and spectral-norm calls ``run()`` makes."""
+    calls.update(dict.fromkeys(calls, 0))
+    run()
+    return sum(calls.values())
+
+
+class TestOneDecompositionPerOperand:
+    def test_closed_forms(self, rng, linalg_calls):
+        for rho in (random_density(4, rng), _pure_state(4, rng)):
+            s = random_full_rank_density(4, rng)
+            for run, most in (
+                (lambda: dv.d_max(rho, s), 3),
+                (lambda: dv.umegaki(rho, s), 2),
+                (lambda: dv.d_min(rho, s), 2),
+                (lambda: dv.d_alpha_z(rho, s, alpha=1.5, z=1.2), 3),
+                (lambda: dv.d_alpha_z(rho, s, alpha=0.5, z=0.75), 3),
+            ):
+                assert _decompositions(linalg_calls, run) <= most
+
+    def test_pure_dmax_on_the_dephaser(self, rng, linalg_calls):
+        rho, channel = _pure_state(9, rng), ch.dephaser(9)
+        _decompositions(linalg_calls, lambda: pr.dmax_smoothed_free(rho, channel, 0.0))
+        assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
 
 
 class TestHypothesisTesting:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from instability import channels as ch
 from instability import linalg as la
+from instability import tasks as tk
 from instability.errors import ValidationError
 from instability.sampling import (
     random_density,
@@ -90,27 +92,91 @@ class TestValidateOnce:
             with pytest.raises(ValidationError, match="negative eigenvalue"):
                 la.mat_pow(p, 0.5)
 
-    def test_mat_pow_exact_input_makes_one_eigh_and_no_svd(self, rng, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
-
-        def spy(owner, name):
-            fn = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        for name in ("eigh", "eigvalsh", "svd"):
-            spy(np.linalg, name)
-        spy(la, "spectral_norm")
+    def test_mat_pow_exact_input_makes_one_eigh_and_no_svd(self, rng, linalg_calls):
         p = la.herm(random_full_rank_density(8, rng, 0.1))
         la.mat_pow(p, 0.5)
-        assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
-        # An input that is Hermitian only within tolerance takes both norms.
+        assert linalg_calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
+        # An input within tolerance whose Frobenius bound settles the test
+        # takes no spectral norm.
         la.mat_pow(p + 1j * 1e-15 * random_hermitian(8, rng), 0.5)
-        assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "spectral_norm": 2}
+        assert linalg_calls == {"eigh": 2, "eigvalsh": 0, "svd": 0, "spectral_norm": 0}
+
+
+class TestFrobeniusBounds:
+    """The three tolerance tests decide as the spectral-norm rule does, on
+    skews of 0.5, 0.99, 1.01 and 2 times the tolerance."""
+
+    FACTORS = (0.5, 0.99, 1.01, 2.0)
+    DIMS = (1, 2, 3, 8, 16)
+
+    @staticmethod
+    def skew(d, rank_one, rng):
+        """A Hermitian direction of spectral norm 1, of rank 1 or full rank."""
+        if rank_one:
+            v = random_unitary(d, rng)[:, 0]
+            return np.outer(v, v.conj())
+        u = random_unitary(d, rng)
+        w = np.r_[1.0, rng.uniform(0.1, 1.0, d - 1)] * rng.choice((-1.0, 1.0), d)
+        return la.herm((u * w) @ u.conj().T)
+
+    def cases(self, rng):
+        for d in self.DIMS:
+            for rank_one in (True, False):
+                for f in self.FACTORS:
+                    yield d, self.skew(d, rank_one, rng), f
+
+    def test_check_hermitian(self, rng, linalg_calls):
+        spectral = 0
+        for d, k, f in self.cases(rng):
+            # ||M||_2 below and above 1, and past where a Frobenius norm overflows
+            for size in (0.5, 3.0, 1e160):
+                h = random_hermitian(d, rng)
+                h *= size / la.spectral_norm(h)
+                # M - M^dagger = 2i c K, of spectral norm f t max(1, ||M||_2)
+                m = h + 1j * (f * la.HERMITICITY_RTOL * max(1.0, size) / 2) * k
+                expect = la.spectral_norm(m - m.conj().T) <= la.HERMITICITY_RTOL * max(
+                    1.0, la.spectral_norm(m)
+                )
+                before = linalg_calls["spectral_norm"]
+                if expect:
+                    assert np.array_equal(la.check_hermitian(m), la.herm(m))
+                else:
+                    with pytest.raises(ValidationError, match="not Hermitian"):
+                        la.check_hermitian(m)
+                spectral += linalg_calls["spectral_norm"] > before
+        assert spectral  # some cases fall in the band between the bounds
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            la.check_hermitian([[0.0, 1e160], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            la.psd_eigh([[1e160, 1e160], [0.0, 1e160]])
+
+    def test_channel_basis(self, rng):
+        for d, k, f in self.cases(rng):
+            # u u^dagger - I = f t K for u = (I + f t K)^{1/2} V
+            w, v = np.linalg.eigh(np.eye(d) + f * ch.UNITARY_TOL * k)
+            u = (v * np.sqrt(w)) @ v.conj().T @ random_unitary(d, rng)
+            expect = la.spectral_norm(u @ u.conj().T - np.eye(d)) <= ch.UNITARY_TOL
+            if expect:
+                assert np.array_equal(ch._check_basis(u, d), u)
+            else:
+                with pytest.raises(ValidationError, match="not unitary"):
+                    ch._check_basis(u, d)
+
+    def test_compose_effect_scalar_dual(self, rng):
+        gamma, ch_a, t = np.diag([1.0, 0.0]).astype(complex), ch.dephaser(2), 1.0
+        for d, k, f in self.cases(rng):
+            # the dephaser's dual image is the diagonal: 2^-t I + f 1e-8 diag(K)
+            ch_b = ch.dephaser(d)
+            p = np.diag(k).real
+            lam = np.diag(2.0**-t + f * 1e-8 * p / np.abs(p).max()).astype(complex)
+            dual_b = la.herm(ch_b.apply_dual(lam))
+            expect = la.spectral_norm(dual_b - 2.0**-t * np.eye(d)) <= 1e-8
+            if expect:
+                out = tk.compose_effect(gamma, lam, t, ch_a, ch_b)
+                assert out.shape == (2 * d, 2 * d)
+            else:
+                with pytest.raises(ValidationError, match="scalar-dual"):
+                    tk.compose_effect(gamma, lam, t, ch_a, ch_b)
 
 
 class TestSchattenNorm:

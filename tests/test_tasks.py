@@ -474,6 +474,41 @@ class TestRegularizeReduced:
 
 
 class TestCovariance:
+    @staticmethod
+    def per_unit(action, ch_in, ch_out):
+        """covariance_check as one nuclear norm per matrix unit."""
+        return max(
+            float(np.linalg.norm(action(ch_in.apply(e)) - ch_out.apply(action(e)), "nuc"))
+            for e in tk.matrix_units(ch_in.dim)
+        )
+
+    def test_batched_norms_match_per_unit_on_task_witnesses(self, rng):
+        """The yield and exact-cost witnesses on each channel kind of the
+        small-task benchmark (d = 2..4)."""
+        checked = 0
+        for d in (2, 3, 4):
+            channels = [
+                ch.dephaser(d),
+                ch.dephaser(d, random_unitary(d, rng)),
+                ch.replacer(random_full_rank_density(d, rng, 0.1)),
+                ch.tpce([(1, d - 1), (1, 1)]),
+            ] + ([ch.cond_depolarizer(2, 2)] if d == 4 else [])
+            for c in channels:
+                rho = random_density(d, rng)
+                yld = tk.one_shot_yield(rho, c, 0.2)
+                if "currency_level" in yld.witness:
+                    action = tk.measurement_action(yld.witness["effect"])
+                    ref = self.per_unit(action, c, tk.currency(yld.value).channel)
+                    assert abs(yld.residuals["covariance"] - ref) <= 1e-15
+                    checked += 1
+                cost = tk.one_shot_cost_exact(rho, c)
+                if "output_on_one" in cost.witness:
+                    action = tk.preparation_action(rho, cost.witness["output_on_one"])
+                    ref = self.per_unit(action, tk.currency(cost.value).channel, c)
+                    assert abs(cost.residuals["covariance"] - ref) <= 1e-15
+                    checked += 1
+        assert checked >= 20
+
     def test_channel_itself(self, rng):
         for _ in range(5):
             d = int(rng.integers(2, 4))
