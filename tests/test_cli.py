@@ -183,6 +183,18 @@ class TestCliCommands:
             assert data["method"] == "neyman_pearson"
             assert "sdp_gap" not in data["residuals"]
 
+    def test_yield_of_the_fixed_state_is_the_type_one_budget(self, workdir, capsys):
+        # D_H^eps(gamma || gamma) = -log2(1 - eps): 1 bit at eps = 0.5, exact.
+        gamma = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
+        sz.dump_json(sz.state_to_json(gamma), str(workdir / "gamma.json"))
+        with open(workdir / "replacer_kind.json", "w") as fh:
+            json.dump({"kind": "replacer", "gamma": sz.matrix_to_json(gamma)}, fh)
+        io_args = ["--state", str(workdir / "gamma.json"), "--channel", str(workdir / "replacer_kind.json")]
+        assert main(["yield", *io_args, "--eps", "0.5"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["method"] == "neyman_pearson"
+        assert (data["value"], data["interval"]) == (1.0, [1.0, 1.0])
+
     def test_result_record_at_top_level(self, workdir, capsys):
         # One record shape: value, interval and method at the top level.  An
         # exact value has the interval [v, v], an interior-point one null,

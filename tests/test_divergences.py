@@ -239,6 +239,32 @@ class TestHypothesisTesting:
             )
             assert res.type_two_error == pytest.approx(dual, abs=1e-9)
 
+    def test_a_state_against_itself_costs_the_type_one_budget(self, rng):
+        # lam rho - rho vanishes at lam = 1, where the optimal test is
+        # (1 - eps) I; the kernel window must not shrink with the rounding
+        # that is left of its eigenvalues.
+        for rank in (1, 2, 3):
+            rho = random_density(3, rng, rank=rank)
+            for eps in (1e-12, 0.1, 0.5, 1 - 1e-9):
+                assert dv.d_hypothesis(rho, rho, eps) == pytest.approx(
+                    -np.log2(1 - eps), rel=1e-9, abs=1e-15
+                ), (rank, eps)
+
+    def test_near_proportional_pair_meets_the_dual_bound(self):
+        # rho = sigma + delta diag(1, -1): the scan's test keeps its type-I
+        # budget and its beta is no larger than the Lagrange dual
+        # max_lam lam (1 - eps) - tr(lam rho - sigma)_+ on a dense grid.
+        sigma = np.array([[0.7, 0.1], [0.1, 0.3]])
+        eps = 0.5
+        lams = np.linspace(0.0, 4.0, 400001)
+        for delta in (1e-12, 1e-9, 1e-6, 1e-3):
+            rho = sigma + delta * np.diag([1.0, -1.0])
+            w = np.linalg.eigvalsh(lams[:, None, None] * rho - sigma)
+            dual = (lams * (1 - eps) - np.clip(w, 0.0, None).sum(axis=1)).max()
+            res = dv.neyman_pearson(rho, sigma, eps)
+            assert np.trace(rho @ res.gamma).real >= 1 - eps - 1e-12, delta
+            assert dual - 1e-12 <= res.type_two_error <= dual + 1e-5, delta
+
     def test_rejects_bad_eps(self, rng):
         with pytest.raises(ValidationError):
             dv.d_hypothesis(random_density(2, rng), UNIFORM2, 1.5)

@@ -63,10 +63,17 @@ class TestRestrictedHt:
         assert res.value == pytest.approx(0.0, abs=1e-8)
 
     def test_free_state_any_eps(self, rng):
-        sigma = ch.random_free_state(DEPH2, rng)
-        for eps in (0.0, 0.2, 0.5):
-            res = pr.restricted_ht(sigma, DEPH2, eps)
-            assert res.value == pytest.approx(-np.log2(1 - eps), abs=1e-7)
+        # A replacer's and the depolarizer's free state is exactly their
+        # fixed state, which the exact scan must find in the kernel of
+        # lam sigma - sigma.
+        for channel in (DEPH2, ch.replacer(GAMMA), ch.depolarizer(3)):
+            sigma = ch.random_free_state(channel, rng)
+            for eps in (0.0, 0.2, 0.5):
+                for program in (pr.restricted_ht, pr.ht_free):
+                    res = program(sigma, channel, eps)
+                    assert res.value == pytest.approx(-np.log2(1 - eps), abs=1e-7), (
+                        channel, eps, program.__name__,
+                    )
 
     def test_eps_one_degenerate(self, rng):
         res = pr.restricted_ht(random_density(2, rng), DEPH2, 1.0)

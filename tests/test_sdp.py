@@ -374,11 +374,11 @@ class TestFactorization:
 
         monkeypatch.setattr(sdp, "_CHOLESKY", (first_fails, potrs))
         buffer = cons.schur(ws)
-        solve_m, jitter, used_lstsq = sdp._factor_schur(buffer, lambda: cons.schur(ws))
-        assert (len(calls), jitter, used_lstsq) == (2, 1e-14, False)
+        solve_m, jitter = sdp._factor_schur(buffer, lambda: cons.schur(ws))
+        assert (len(calls), jitter) == (2, 1e-14)
         calls.clear()
         copy = m.copy()
-        ref_solve, ref_jitter, _ = sdp._factor_schur(copy, lambda: np.copyto(copy, m))
+        ref_solve, ref_jitter = sdp._factor_schur(copy, lambda: np.copyto(copy, m))
         assert len(calls) == 2 and ref_jitter == 1e-14
         rhs = rng.normal(size=m.shape[0])
         got = solve_m(rhs)
@@ -391,12 +391,48 @@ class TestFactorization:
         sol = sdp.solve(prob)
         assert sol.status == "optimal"
         assert sol.max_jitter == 0.0
-        assert not sol.used_lstsq
+
+    def test_failed_retry_is_a_breakdown(self, rng, monkeypatch):
+        # From the third iteration on every Cholesky fails: the failing
+        # factorization is retried once, on the rebuilt and jittered matrix,
+        # and then raises, which the solver ends as a breakdown on its best
+        # iterate.
+        potrf, potrs = sdp._cholesky_routines()
+        calls = []
+
+        def fails_from_third(a, **kwargs):
+            calls.append(1)
+            factor, info = potrf(a, **kwargs)
+            return factor, (1 if len(calls) >= 3 else info)
+
+        real = sdp._factor_schur
+        raised = []  # (potrf calls, rebuilds) of each factorization that raised
+
+        def logged(m, rebuild):
+            first, rebuilds = len(calls), []
+
+            def counted():
+                rebuilds.append(1)
+                rebuild()
+
+            try:
+                return real(m, counted)
+            except np.linalg.LinAlgError:
+                raised.append((len(calls) - first, len(rebuilds)))
+                raise
+
+        monkeypatch.setattr(sdp, "_CHOLESKY", (fails_from_third, potrs))
+        monkeypatch.setattr(sdp, "_factor_schur", logged)
+        prob, _ = planted_problem([3, 2, 1], 5, rng)
+        sol = sdp.solve(prob)
+        assert raised == [(2, 1)]
+        assert (sol.stop_reason, sol.iterations, sol.max_jitter) == ("breakdown", 3, 0.0)
+        assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
 
 
 def assert_same_solution(got, want):
     for name in ("status", "stop_reason", "iterations", "primal_objective", "dual_objective",
-                 "gap", "primal_residual", "dual_residual", "max_jitter", "used_lstsq"):
+                 "gap", "primal_residual", "dual_residual", "max_jitter"):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("x", "y", "s"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -571,11 +607,12 @@ class TestSolver:
             assert sol.status == "optimal"
             assert sol.primal_objective == pytest.approx(res.type_two_error, abs=1e-7)
 
-    def test_stop_reason(self, rng):
+    def test_stop_reason(self, rng, monkeypatch):
         prob, _ = planted_problem([3, 2, 1], 5, rng)
         sol = sdp.solve(prob)
         assert (sol.status, sol.stop_reason) == ("optimal", "target")
-        capped = sdp.solve(prob, max_iter=2)
+        monkeypatch.setattr(sdp, "MAX_ITER", 2)
+        capped = sdp.solve(prob)
         assert (capped.status, capped.stop_reason, capped.iterations) == ("max_iter", "max_iter", 2)
 
     def test_infeasible_detection(self):
