@@ -180,6 +180,10 @@ def cmd_sweep(args) -> int:
 def cmd_regularize(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
+    # Each row costs memory, also past the SDP budget, where it holds only
+    # the constant columns.
+    if args.nmax > SWEEP_EVAL_BUDGET:
+        raise BudgetError(f"--nmax {args.nmax} exceeds the budget of {SWEEP_EVAL_BUDGET} rows")
     rows = tk.regularize_sweep(rho, channel, args.eps, args.nmax)
     diag = tk.sweep_diagnostics(rows, args.eps)
     log.info("regularize diagnostics: %s", diag)

@@ -190,8 +190,7 @@ def pow_from_eigh(w: np.ndarray, v: np.ndarray, r: float, cut=None) -> np.ndarra
     pw = np.zeros_like(w)
     live = w > cut
     pw[live] = w[live] ** float(r)
-    p = (v * pw[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (p + p.conj().swapaxes(-1, -2)) / 2
+    return herm((v * pw[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def support_projector(p: np.ndarray) -> np.ndarray:

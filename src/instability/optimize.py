@@ -19,9 +19,11 @@ step mixes the last ANDERSON_DEPTH + 1 factor stacks and their targets
 (Walker & Ni, SIAM J. Numer. Anal. 49, 2011); a mixed step that leaves
 the full-rank free states or makes F worse is replaced by the damped step
 toward the target.  The loop stops once the fixed-point residual is below
-FIXED_POINT_STEP_TOL and accepts a point within FIXED_POINT_RESIDUAL_TOL;
-these are constants, and a caller sets only the starting point, the
-iteration cap and the method.  At the returned point the Frank-Wolfe gap
+FIXED_POINT_STEP_TOL, or after FIXED_POINT_MAX_ITER evaluated steps, and
+accepts a point within FIXED_POINT_RESIDUAL_TOL.  It always starts from
+the normalized Delta(X) mixed with the fixed state (``_default_init``);
+the start, the cap and the tolerances are constants, and a caller sets
+only the method.  At the returned point the Frank-Wolfe gap
 max_s tr[grad F (s - sigma)] over free states s (Jaggi, ICML 2013) bounds
 the distance of F to its optimum, so every result carries an interval
 that contains the exact optimum.
@@ -41,7 +43,6 @@ from .channels import (
 from .divergences import RenyiParams, Result, _umegaki
 from .errors import BudgetError, SolverError, ValidationError
 from .linalg import (
-    check_density,
     check_psd,
     check_psd_spectrum,
     density_eigh,
@@ -58,7 +59,6 @@ FIXED_POINT_MAX_ITER = 10_000
 FIXED_POINT_RESIDUAL_TOL = 1e-9
 ETA_FLOOR = 1.0 / 64.0
 INIT_MIX = 1e-3
-FREE_TOL = 1e-9
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
@@ -121,22 +121,6 @@ class OptimizerResult(Result):
 def _factors(sigma: np.ndarray, channel: DestructionChannel) -> tuple[np.ndarray, ...]:
     """The factors beta_i of a free state given as a matrix."""
     return tuple(channel.block_marginals(channel.to_block_frame(sigma)))
-
-
-def _free_factors(init, channel: DestructionChannel) -> tuple[np.ndarray, ...]:
-    """The factors of a free initial state; ValidationError if it is not free."""
-    init = check_density(init, channel.dim)
-    betas = _factors(init, channel)
-    gap = channel.assemble_free(betas) - init
-    # ||A||_1 <= sqrt(dim) ||A||_F: the exact norm only when the bound
-    # does not settle it.
-    if np.sqrt(channel.dim) * np.linalg.norm(gap) > FREE_TOL:
-        defect = trace_norm(gap)
-        if defect > FREE_TOL:
-            raise ValidationError(
-                f"init is not a free state: ||Delta(init) - init||_1 = {defect:.3e}"
-            )
-    return betas
 
 
 def _factor_distance(a, b) -> float:
@@ -263,6 +247,8 @@ def fixed_point_residual(sigma, spec: TraceFunctionalSpec) -> float:
 
 
 def _default_init(spec: TraceFunctionalSpec) -> np.ndarray:
+    """The start of the iteration: Delta(X) normalized (the fixed state if
+    it has no trace) and mixed with the fixed state, a full-rank free state."""
     seed = herm(spec.channel.apply(spec.x))
     tr = float(np.trace(seed).real)
     base = seed / tr if tr > 0 else spec.channel.fixed_state()
@@ -270,23 +256,19 @@ def _default_init(spec: TraceFunctionalSpec) -> np.ndarray:
 
 
 def optimize_trace_functional(
-    spec: TraceFunctionalSpec,
-    *,
-    init: np.ndarray | None = None,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-    method: str = "auto",
+    spec: TraceFunctionalSpec, *, method: str = "auto"
 ) -> OptimizerResult:
     """Optimize F over the free states of the channel.
 
-    ``method`` is "auto" (closed form when z = 1, otherwise the
-    accelerated fixed-point iteration) or "fixed_point".
-    ``init``, a free state, starts the iteration (ValidationError if it is
-    not free), which stops once the fixed-point residual is below
-    FIXED_POINT_STEP_TOL or after ``max_iter`` evaluated steps.  When the
-    fixed point misses FIXED_POINT_RESIDUAL_TOL the grid oracle answers at
-    its default resolution instead, or, for a family beyond
-    GRID_PARAMETER_BUDGET, SolverError is raised.  Both answers carry their
-    Frank-Wolfe gap and interval.
+    ``method``, the only option, is "auto" (closed form when z = 1 or when
+    the fixed state is the only free state, otherwise the accelerated
+    fixed-point iteration) or "fixed_point".  The iteration starts from
+    ``_default_init(spec)`` and stops once the fixed-point residual is
+    below FIXED_POINT_STEP_TOL or after FIXED_POINT_MAX_ITER evaluated
+    steps.  When the fixed point misses FIXED_POINT_RESIDUAL_TOL the grid
+    oracle answers at its default resolution instead, or, for a family
+    beyond GRID_PARAMETER_BUDGET, SolverError is raised.  Both answers
+    carry their Frank-Wolfe gap and interval.
     """
     if method not in ("auto", "fixed_point"):
         raise ValidationError(f"unknown method {method!r}")
@@ -339,7 +321,7 @@ def optimize_trace_functional(
             value, interval, method, betas, channel, residual, iterations, gap
         )
 
-    betas = _free_factors(_default_init(spec) if init is None else init, channel)
+    betas = _factors(_default_init(spec), channel)
     eig = channel.free_eig(betas)
     f_cur, core = evaluate(eig)
     tgt = target(core)
@@ -347,7 +329,7 @@ def optimize_trace_functional(
     history = [(_flat(betas), _flat(tgt))]
     eta = 1.0
     iterations = 0
-    while residual >= FIXED_POINT_STEP_TOL and iterations < max_iter:
+    while residual >= FIXED_POINT_STEP_TOL and iterations < FIXED_POINT_MAX_ITER:
         mixed = len(history) > 1
         if mixed:
             step = _anderson(history, betas)
@@ -518,10 +500,6 @@ def m_lambda(
     z: float,
     lam: float,
     channel: DestructionChannel,
-    *,
-    init: np.ndarray | None = None,
-    max_iter: int = FIXED_POINT_MAX_ITER,
-    method: str = "auto",
 ) -> OptimizerResult:
     """The additive three-parameter monotone family (bits).
 
@@ -531,8 +509,10 @@ def m_lambda(
 
     which interpolates between the optimized divergence (lam = 0) and the
     divergence to Delta(rho) (lam = 1, where no optimization is needed).
-    ``init`` (default: Delta(rho) mixed with the fixed state), ``max_iter``
-    and ``method`` go to :func:`optimize_trace_functional`.
+    The wing Delta(rho)^{lam(1-a)/2z} comes from the free decomposition of
+    Delta(rho), one batched eigh of its factors, and for lam < 1 the
+    optimum from :func:`optimize_trace_functional` with its one start rule
+    and ``method="auto"``.
     """
     RenyiParams(alpha, z)  # validates (alpha, z)
     if not (0.0 <= lam <= 1.0):
@@ -541,8 +521,8 @@ def m_lambda(
         # The whole family collapses onto the Umegaki monotone at alpha = 1.
         return umegaki_free(rho, channel)
     rho, w, v = density_eigh(rho, channel.dim)
-    delta_rho = herm(channel.apply(rho))
-    wing = mat_pow(delta_rho, lam * (1.0 - alpha) / (2.0 * z))
+    delta_eig = channel.free_eig(_factors(rho, channel))  # of Delta(rho)
+    wing = channel.from_block_frame(channel.free_power(delta_eig, lam * (1.0 - alpha) / (2.0 * z)))
     x = herm(wing @ pow_from_eigh(w, v, alpha / z) @ wing)
     r = (1.0 - lam) * (1.0 - alpha) / z
     if lam == 1.0:
@@ -553,12 +533,7 @@ def m_lambda(
         betas = tuple(m / q for m in _factors(xz, channel))
         bits = float(np.log2(q) / (alpha - 1.0)) if q > 0 else float("inf")
         return OptimizerResult(bits, (bits, bits), "endpoint", betas, channel, 0.0, 0)
-    spec = TraceFunctionalSpec(x, r, z, channel)
-    if init is None:
-        init = herm(
-            (1.0 - INIT_MIX) * delta_rho + INIT_MIX * channel.fixed_state()
-        )
-    base = optimize_trace_functional(spec, init=init, max_iter=max_iter, method=method)
+    base = optimize_trace_functional(TraceFunctionalSpec(x, r, z, channel))
 
     def bits(f):
         return float(np.log2(f) / (alpha - 1.0)) if f > 0 else float("inf")

@@ -287,10 +287,6 @@ def _ct(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _sym(m):
-    return (m + _ct(m)) / 2
-
-
 def _nt_scaling(x: np.ndarray, s: np.ndarray):
     """NT scaling of Hermitian x, s > 0 without an eigendecomposition:
     (W, G, G^{-1}, sigma) with W = G G^H, W s W = x and
@@ -317,7 +313,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray):
     root = np.sqrt(sig)
     g = (lx @ _ct(vh)) / root[..., None, :]
     g_inv = (_ct(u) @ _ct(ls)) / root[..., :, None]
-    return _sym(g @ _ct(g)), g, g_inv, sig
+    return herm(g @ _ct(g)), g, g_inv, sig
 
 
 def _jordan(a, b):
@@ -794,11 +790,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
     w_eye = cons.identity(weighted=True)
 
     def sym(v):
-        return join(_sym(vk) for vk in split(v))
+        return join(herm(vk) for vk in split(v))
 
     def q_apply(factors, v):
         """Q_F(V) = F V F stack by stack, with one factor stack per stack."""
-        return join(_sym(f @ vk @ f) for f, vk in zip(factors, split(v)))
+        return join(herm(f @ vk @ f) for f, vk in zip(factors, split(v)))
 
     # x = I and s = weights * I lie on the central path.
     x = join(cons.identity())
@@ -889,7 +885,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 def direction(eta, comp_rhs, rhs_tk, refine=False):
                     # Q_{W^{1/2}}(L_lam^{-1}(comp_rhs)) taken as G d_c G^H.
                     qwh_dc = join(
-                        _sym(gk @ _lam_inverse(sk, r) @ _ct(gk))
+                        herm(gk @ _lam_inverse(sk, r) @ _ct(gk))
                         for gk, sk, r in zip(g, sig, comp_rhs)
                     )
                     rhs1 = eta * a_qw_rd - op_a(qwh_dc) - eta * rp
@@ -919,7 +915,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 def max_alpha(dx, ds, d_tau, d_kappa):
                     """The step to the boundary and the scaled (dx, ds) pairs."""
                     scaled = [
-                        _sym(f @ np.stack([dxk, dsk]) @ _ct(f))
+                        herm(f @ np.stack([dxk, dsk]) @ _ct(f))
                         for f, dxk, dsk in zip(scalers, split(dx), split(ds))
                     ]
                     steps = [_max_step(sk, pair) for sk, pair in zip(sig, scaled)]

@@ -77,15 +77,21 @@ class TestCertificate:
     @example(16780)  # alpha = 2 at z = 1: unscaled mixed steps drift off unit trace
     def test_interval_contains_closed_forms(self, seed):
         rng, c, rho, alpha, z, lam = certificate_case(seed)
-        res = op.m_lambda(rho, alpha, 1.0, lam, c, method="fixed_point")
         exact = op.m_lambda(rho, alpha, 1.0, lam, c)
         assert exact.method == "closed_form_z1" and exact.interval == (exact.value,) * 2
-        lo, hi = res.interval
-        assert lo - 1e-12 <= exact.value <= hi + 1e-12
         gamma = random_full_rank_density(3, rng, 0.2)
         rho3 = random_full_rank_density(3, rng)
-        res = op.m_lambda(rho3, alpha, z, 0.0, ch.replacer(gamma), method="fixed_point")
+        with pytest.MonkeyPatch.context() as m:
+            iterate = op.optimize_trace_functional
+            m.setattr(
+                op, "optimize_trace_functional", lambda spec: iterate(spec, method="fixed_point")
+            )
+            res = op.m_lambda(rho, alpha, 1.0, lam, c)
+            res3 = op.m_lambda(rho3, alpha, z, 0.0, ch.replacer(gamma))
+        assert res.method == res3.method == "fixed_point"
         lo, hi = res.interval
+        assert lo - 1e-12 <= exact.value <= hi + 1e-12
+        lo, hi = res3.interval
         assert lo - 1e-12 <= dv.d_alpha_z(rho3, gamma, alpha=alpha, z=z) <= hi + 1e-12
 
     @PROPERTY
@@ -110,6 +116,8 @@ class TestCertificate:
         weights = rng.uniform(0.2, 1.0, size=d)
         weights[rng.integers(d)] = 0.0
         init = np.diag(weights / weights.sum()).astype(complex)
-        res = op.m_lambda(rho, alpha, z, lam, ch.dephaser(d), init=init, method="fixed_point")
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(op, "_default_init", lambda spec: init)
+            res = op.m_lambda(rho, alpha, z, lam, ch.dephaser(d))
         assert res.method == "fixed_point"
         assert res.gap > 1e-3

@@ -445,8 +445,8 @@ class TestExitCodes:
 
     def test_regularize_needs_one_copy(self, workdir, capsys):
         io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
-        for nmax in ("0", "-3"):
-            assert main(["regularize", *io_args, "--nmax", nmax]) == 2, nmax
+        for nmax, code in (("0", 2), ("-3", 2), ("10001", 4)):
+            assert main(["regularize", *io_args, "--nmax", nmax]) == code, nmax
 
     def test_infinite_z_is_outside_the_dpi_region(self, workdir, capsys):
         io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -120,14 +121,6 @@ class TestFixedPoint:
         assert res.iterations >= 5
         assert counts == {"eigh": res.iterations + 1, "mat_pow": 0, "trace_norm": 0}
 
-    def test_rejects_an_init_that_is_not_free(self, rng):
-        spec = op.TraceFunctionalSpec(random_full_rank_density(2, rng), 0.5, 0.8, DEPH2)
-        with pytest.raises(ValidationError, match="not a free state"):
-            op.optimize_trace_functional(spec, init=PLUS)
-        # A free init within the tolerance starts the iteration.
-        res = op.optimize_trace_functional(spec, init=herm(np.diag([0.3, 0.7]) + 1e-11 * PLUS))
-        assert res.method == "fixed_point"
-
 
 def reference_fixed_point(spec, init):
     """The damped fixed point on dense d x d matrices, as it ran before the
@@ -192,15 +185,14 @@ class TestBlockFrameFixedPoint:
     def test_matches_dense_reference(self, rng):
         for name, c, rho, alpha, z in self.cases(rng):
             spec = op.TraceFunctionalSpec(mat_pow(rho, alpha / z), (1 - alpha) / z, z, c)
-            init = herm((1 - op.INIT_MIX) * c.apply(rho) + op.INIT_MIX * c.fixed_state())
-            sigma, value, residual, _ = reference_fixed_point(spec, init)
-            res = op.optimize_trace_functional(spec, init=init, method="fixed_point")
+            sigma, value, residual, _ = reference_fixed_point(spec, op._default_init(spec))
+            res = op.optimize_trace_functional(spec, method="fixed_point")
             assert res.method == "fixed_point" and residual <= 1e-9, name
             assert abs(res.value - value) <= 1e-10, name
             assert np.abs(res.sigma_star - sigma).max() <= 1e-8, name
             assert abs(res.residual - residual) <= 1e-9, name
 
-    def test_every_producer_returns_a_free_state(self, rng):
+    def test_every_producer_returns_a_free_state(self, rng, monkeypatch):
         c = ch.dephaser(3, basis=random_unitary(3, rng))
         rho = random_full_rank_density(3, rng)
         x = mat_pow(rho, 0.5)
@@ -235,11 +227,13 @@ class TestBlockFrameFixedPoint:
             ),
         }
         assert closed["endpoint"][0].method == "endpoint"
+        fixed_point = op.optimize_trace_functional(
+            op.TraceFunctionalSpec(x, 0.5, 0.8, c), method="fixed_point"
+        )
+        monkeypatch.setattr(op, "FIXED_POINT_MAX_ITER", 1)
         iterated = {
-            "fixed_point": op.optimize_trace_functional(
-                op.TraceFunctionalSpec(x, 0.5, 0.8, c), method="fixed_point"
-            ),
-            "grid_fallback": op.m_lambda(random_density(2, rng), 0.5, 0.8, 0.0, DEPH2, max_iter=1),
+            "fixed_point": fixed_point,
+            "grid_fallback": op.m_lambda(random_density(2, rng), 0.5, 0.8, 0.0, DEPH2),
         }
         assert iterated["grid_fallback"].method == "grid_fallback"
         results = {**{k: v for k, (v, _) in closed.items()}, **iterated}
@@ -276,8 +270,8 @@ def draw_channel(k, rng):
 def damped_m_lambda(monkeypatch, rho, alpha, z, lam, channel):
     """m_lambda with the damped reference loop in place of the optimizer."""
 
-    def damped(spec, *, init, max_iter, method):
-        sigma, value, residual, iterations = reference_fixed_point(spec, init)
+    def damped(spec, *, method="auto"):
+        sigma, value, residual, iterations = reference_fixed_point(spec, op._default_init(spec))
         return op.OptimizerResult(
             value, (value, value), "damped", op._factors(sigma, spec.channel), spec.channel,
             residual, iterations,
@@ -303,7 +297,7 @@ class TestAndersonFixedPoint:
                 rho = random_full_rank_density(c.dim, rng)
             what = f"draw {k}: {alpha}, {z}, {lam}"
             ref = damped_m_lambda(monkeypatch, rho, alpha, z, lam, c)
-            res = op.m_lambda(rho, alpha, z, lam, c, method="fixed_point")
+            res = op.m_lambda(rho, alpha, z, lam, c)
             assert res.method == "fixed_point" and ref.residual <= 1e-9, what
             assert abs(res.value - ref.value) <= 1e-12, what
             assert res.residual <= op.FIXED_POINT_STEP_TOL, what
@@ -464,6 +458,45 @@ class TestMLambda:
         with pytest.raises(ValidationError, match="data-processing region"):
             op.m_lambda(random_density(2, rng), 0.5, float("inf"), 0.0, DEPH2)
 
+    def test_method_is_the_only_option(self):
+        # The start and the cap are module constants, not parameters.
+        def params(fn):
+            return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+        plain, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        assert params(op.optimize_trace_functional) == [
+            ("spec", plain, empty), ("method", inspect.Parameter.KEYWORD_ONLY, "auto"),
+        ]
+        assert params(op.m_lambda) == [
+            (name, plain, empty) for name in ("rho", "alpha", "z", "lam", "channel")
+        ]
+
+    def test_no_dense_power_below_lambda_one(self, rng, monkeypatch):
+        # The wing comes from the free decomposition of Delta(rho).
+        calls = []
+        monkeypatch.setattr(op, "mat_pow", lambda *args: calls.append(args) or mat_pow(*args))
+        for c in (ch.dephaser(4, basis=random_unitary(4, rng)), ch.tpce([(2, 2), (1, 3)])):
+            rho = random_full_rank_density(c.dim, rng)
+            for lam in (0.0, 0.5):
+                assert op.m_lambda(rho, 1.5, 1.2, lam, c).method == "fixed_point"
+        assert calls == []
+
+    def test_free_wing_matches_dense_power_on_singular_delta_rho(self, rng):
+        # rho has no weight on the last block-frame coordinate, so Delta(rho)
+        # is singular: the free decomposition cuts its kernel as mat_pow does.
+        for c in (
+            ch.dephaser(4), ch.dephaser(4, basis=random_unitary(4, rng)), ch.tpce([(2, 2), (1, 3)])
+        ):
+            rho_b = np.zeros((c.dim, c.dim), dtype=complex)
+            rho_b[:-1, :-1] = random_full_rank_density(c.dim - 1, rng)
+            rho = herm(c.from_block_frame(rho_b))
+            delta_rho = herm(c.apply(rho))
+            assert np.linalg.eigvalsh(delta_rho)[0] <= 1e-15
+            eig = c.free_eig(op._factors(rho, c))
+            for p in (-0.3, 0.0, 0.4):
+                wing = c.from_block_frame(c.free_power(eig, p))
+                assert np.abs(wing - mat_pow(delta_rho, p)).max() <= 1e-12, p
+
 
 class TestOverflow:
     def test_large_alpha_z_overflow_is_a_named_solver_error(self):
@@ -498,11 +531,13 @@ class TestGridOracle:
         _, value = op.grid_oracle(spec, resolution=101)
         assert value <= cf.value + 1e-9
 
-    def test_negative_r_skips_singular_free_states(self):
+    def test_negative_r_skips_singular_free_states(self, monkeypatch):
         # F is +inf on a singular free state for r < 0; the pseudo-power
         # gave the grid -8.06 bits at the boundary, far below the optimum.
         rho = random_full_rank_density(2, np.random.default_rng(5))
-        res = op.m_lambda(rho, 1.2, 0.75, 0.0, DEPH2, max_iter=1)
+        with monkeypatch.context() as m:
+            m.setattr(op, "FIXED_POINT_MAX_ITER", 1)
+            res = op.m_lambda(rho, 1.2, 0.75, 0.0, DEPH2)
         exact = op.m_lambda(rho, 1.2, 0.75, 0.0, DEPH2)
         assert res.method == "grid_fallback" and exact.method == "fixed_point"
         assert res.interval[0] <= exact.value <= res.value <= exact.value + 1e-3
@@ -518,13 +553,15 @@ class TestGridOracle:
         with pytest.raises(BudgetError):
             op.grid_oracle(spec)
 
-    def test_non_convergence_beyond_budget_is_solver_error(self):
+    def test_non_convergence_beyond_budget_is_solver_error(self, monkeypatch):
         rho = random_density(4, np.random.default_rng(0), rank=2)
         big = ch.tpce([(1, 2), (1, 2)])
         assert ch.free_parameter_count(big) > op.GRID_PARAMETER_BUDGET
+        monkeypatch.setattr(op, "FIXED_POINT_MAX_ITER", 3)
         with pytest.raises(SolverError, match="after 3 iterations"):
-            op.m_lambda(rho, 0.3, 0.8, 0.0, big, max_iter=3)
+            op.m_lambda(rho, 0.3, 0.8, 0.0, big)
         # Within the budget the grid still answers.
+        monkeypatch.setattr(op, "FIXED_POINT_MAX_ITER", 1)
         small = random_density(2, np.random.default_rng(0))
-        res = op.m_lambda(small, 0.5, 0.8, 0.0, DEPH2, max_iter=1)
+        res = op.m_lambda(small, 0.5, 0.8, 0.0, DEPH2)
         assert res.method == "grid_fallback"
