@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .linalg import (
     check_density,
     check_psd,
@@ -158,8 +158,10 @@ class Result:
     """A returned value, the interval known to contain the exact quantity,
     and the method that produced it; every result record extends this one.
 
-    An exact path (a closed form, the Neyman-Pearson scan, an eps in {0, 1}
-    face) has ``interval == (value, value)``.  An interior-point value has
+    An exact path (a closed form, an eps in {0, 1} face) has
+    ``interval == (value, value)``.  The Neyman-Pearson scan has the
+    interval between its test and its Lagrange dual bound, (value, value)
+    when the two meet to rounding.  An interior-point value has
     ``interval is None``: not certified.  The free-state optimizers carry
     the interval of their Frank-Wolfe gap.
     """
@@ -296,10 +298,21 @@ def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> Hypo
     else:
         frac = min(1.0, max(0.0, (target - a_pos) / a_ker))
     gamma = herm(proj_pos + frac * proj_ker)
-    beta = float(np.trace(sigma @ gamma).real)
-    beta = max(beta, 0.0)
-    value = -float(np.log2(beta)) if beta > 0 else float("inf")
-    return HypothesisTest(value, (value, value), "neyman_pearson", beta, gamma, lam)
+    beta = max(float(np.trace(sigma @ gamma).real), 0.0)
+    # Weak duality: beta >= lam (1 - eps) - tr(lam rho - sigma)_+ for every
+    # lam >= 0, and w are the eigenvalues of lam rho - sigma at the final lam.
+    dual = lam * target - float(np.clip(w, 0.0, None).sum())
+    bits = [-float(np.log2(b)) if b > 0 else float("inf") for b in (beta, dual)]
+    passed = float(np.trace(rho @ gamma).real)
+    if passed < target - 1e-12:
+        raise SolverError(
+            f"Neyman-Pearson test passes {passed} < 1 - eps = {target}; the value lies in {bits}"
+        )
+    # The ends meet when they differ by the rounding of the eigenvalues of
+    # lam rho - sigma and of tr[sigma Gamma].
+    rounding = 16 * d * np.finfo(float).eps * (lam * np.trace(rho).real + np.trace(sigma).real)
+    interval = (bits[0], bits[0]) if beta - dual <= rounding else tuple(bits)
+    return HypothesisTest(bits[0], interval, "neyman_pearson", beta, gamma, lam)
 
 
 def d_hypothesis(rho, sigma, eps: float) -> float:

@@ -43,7 +43,7 @@ the programs on the explicit tensor power are their oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -64,8 +64,9 @@ class HypothesisTestingResult(Result):
     `method` is "sdp" (interior point), "neyman_pearson" (the exact scan for
     a one-dimensional fixed algebra) or "closed_form" (eps = 1, ht_free at
     eps = 0, and restricted_ht at eps = 0 on a full-rank state).  Only the
-    interior-point path has a `solution`; the exact paths have
-    `solution is None` and `interval == (value, value)`.
+    interior-point path has a `solution` and no interval; the closed forms
+    have `interval == (value, value)`, and the scan the interval that its
+    Lagrange dual bound certifies.
     """
 
     type_two_error: float         # the optimal c (2^{-value})
@@ -131,9 +132,14 @@ def _neyman_pearson_result(
     rho, channel: DestructionChannel, eps: float
 ) -> HypothesisTestingResult:
     """Both tests for a one-dimensional fixed algebra: the optimal test of
-    rho against the fixed state, clipped and polished like a solver's."""
+    rho against the fixed state, clipped and polished like a solver's, with
+    the scan's interval stretched to the polished value."""
     test = _neyman_pearson_scan(rho, channel.fixed_state(), eps)
-    return _ht_result(test.gamma, channel, None, "neyman_pearson")
+    res = _ht_result(test.gamma, channel, None, "neyman_pearson")
+    lo, hi = test.interval
+    if lo == hi:
+        return res
+    return replace(res, interval=(min(lo, res.value), max(hi, res.value)))
 
 
 def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:

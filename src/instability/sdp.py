@@ -13,7 +13,10 @@ The iterates are stacks: the blocks of one kind and size n form one
 (g, n, n) stack, complex for Hermitian blocks, and NT scaling, the inverse
 of L_lam, the scaled products, the Jordan corrector and the step length
 each run once per stack, with the 1x1 blocks (scalar slacks and 1x1
-Hermitian variables) as the n = 1 stack.  The NT scaling takes no
+Hermitian variables) as the n = 1 stack.  Every float vector the loop
+carries is a row of one buffer made per solve, with its stack views made
+once, and the kernels write through them, so that an iteration on a tiny
+program costs little more than its LAPACK and BLAS calls.  The NT scaling takes no
 eigendecomposition: a Cholesky of x and s and an SVD of L_s^H L_x give a
 factor G with W = G G^H and G^{-1} x G^{-H} = G^H s G = diag(sigma), so
 the scaled point lam is diagonal, L_lam^{-1} is an elementwise division
@@ -287,50 +290,91 @@ def _ct(m):
     return m.conj().swapaxes(-1, -2)
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
-    """NT scaling of Hermitian x, s > 0 without an eigendecomposition:
-    (W, G, G^{-1}, sigma) with W = G G^H, W s W = x and
+def _scalars(a: np.ndarray) -> bool:
+    """Whether `a` is a real stack of 1x1 blocks, where the stack kernels'
+    products and Hermitian parts reduce to products of scalars with the
+    same roundings."""
+    return a.shape[-1] == 1 and a.dtype.kind == "f"
+
+
+def _herm(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (a + a^H) / 2, in the operation order of linalg.herm; `out`
+    must not overlap `a`."""
+    if _scalars(a):
+        np.copyto(out, a)
+        return out
+    np.add(a, np.conjugate(a.swapaxes(-1, -2), out=out), out=out)
+    return np.divide(out, 2, out=out)
+
+
+def _congruence(a, v, b, out, p1, p2) -> np.ndarray:
+    """out = herm(a v b) member by member, with p1 and p2 of v's shape as
+    work; on a real 1x1 stack two multiplications."""
+    if _scalars(v):
+        return np.multiply(np.multiply(a, v, out=p1), b, out=out)
+    return _herm(np.matmul(np.matmul(a, v, out=p1), b, out=p2), out)
+
+
+def _nt_scaling(pair: np.ndarray, w: np.ndarray, g: np.ndarray, scalers: np.ndarray):
+    """NT scaling of Hermitian x, s > 0, given as the stacked `pair`, without
+    an eigendecomposition: writes W, G and the scalers (G^{-1}, G^H) into
+    the buffers and returns sigma, where W = G G^H, W s W = x and
     G^{-1} x G^{-H} = G^H s G = diag(sigma).
 
-    One Cholesky of the stacked pair gives x = L_x L_x^H and
-    s = L_s L_s^H, and one SVD L_s^H L_x = U diag(sigma) V^H gives
-    G = L_x V sigma^{-1/2} and G^{-1} = sigma^{-1/2} U^H L_s^H (Todd, Toh &
-    Tutuncu, SIAM J. Optim. 8, 1998).  A real stack of 1x1 blocks (the
-    scalar slacks) takes the same formulas in closed form, with no LAPACK
-    call: sigma = sqrt(x) sqrt(s), G = sqrt(x) / sqrt(sigma),
-    G^{-1} = sqrt(s) / sqrt(sigma) and W = G^2.  A factor that is not
-    positive definite raises LinAlgError.
+    One Cholesky of the pair gives x = L_x L_x^H and s = L_s L_s^H, and one
+    SVD L_s^H L_x = U diag(sigma) V^H gives G = L_x V sigma^{-1/2} and
+    G^{-1} = sigma^{-1/2} U^H L_s^H (Todd, Toh & Tutuncu, SIAM J. Optim. 8,
+    1998).  A real stack of 1x1 blocks (the scalar slacks) takes the same
+    formulas in closed form, with no LAPACK call: sigma = sqrt(x) sqrt(s),
+    G = sqrt(x) / sqrt(sigma), G^{-1} = sqrt(s) / sqrt(sigma) and W = G^2.
+    A factor that is not positive definite raises LinAlgError.
     """
-    if x.shape[-1] == 1 and not np.iscomplexobj(x):
-        if not (np.all(x > 0) and np.all(s > 0)):
+    if _scalars(pair):
+        if not (pair > 0).all():
             raise np.linalg.LinAlgError("scalar slack is not positive")
-        lx, ls = np.sqrt(x), np.sqrt(s)
-        root = np.sqrt(lx * ls)
-        g = lx / root
-        return g * g, g, ls / root, (lx * ls)[..., 0]
-    lx, ls = np.linalg.cholesky(np.stack([x, s]))
-    u, sig, vh = np.linalg.svd(_ct(ls) @ lx)
+        lx, ls = np.sqrt(pair, out=scalers)
+        sig = lx * ls
+        root = np.sqrt(sig)
+        np.divide(lx, root, out=g)
+        np.divide(ls, root, out=scalers[0])
+        np.copyto(scalers[1], g)
+        np.multiply(g, g, out=w)
+        return sig[..., 0]
+    lx, ls = np.linalg.cholesky(pair)
+    ls_h = _ct(ls)
+    u, sig, vh = np.linalg.svd(np.matmul(ls_h, lx, out=w))
     root = np.sqrt(sig)
-    g = (lx @ _ct(vh)) / root[..., None, :]
-    g_inv = (_ct(u) @ _ct(ls)) / root[..., :, None]
-    return herm(g @ _ct(g)), g, g_inv, sig
+    np.divide(np.matmul(lx, _ct(vh), out=w), root[..., None, :], out=g)
+    np.divide(np.matmul(_ct(u), ls_h, out=w), root[..., :, None], out=scalers[0])
+    g_h = _ct(g)
+    _herm(np.matmul(g, g_h, out=scalers[1]), w)
+    np.copyto(scalers[1], g_h)
+    return sig
 
 
-def _jordan(a, b):
-    return (a @ b + b @ a) / 2.0
+def _jordan(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """out = (a b + b a) / 2 member by member; on a real 1x1 stack a b."""
+    if _scalars(a):
+        return np.multiply(a, b, out=out)
+    np.add(np.matmul(a, b, out=out), np.matmul(b, a, out=work), out=out)
+    return np.divide(out, 2.0, out=out)
 
 
-def _lam_inverse(sig: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The X with (diag(sig) X + X diag(sig))/2 = R, member by member."""
-    return r / ((sig[..., :, None] + sig[..., None, :]) / 2.0)
+def _lam_inverse(sig: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the X with (diag(sig) X + X diag(sig))/2 = R, member by member;
+    on 1x1 blocks (sig + sig)/2 is sig itself."""
+    if sig.shape[-1] == 1:
+        return np.divide(r, sig[..., None], out=out)
+    return np.divide(r, (sig[..., :, None] + sig[..., None, :]) / 2.0, out=out)
 
 
-def _max_step(sig: np.ndarray, dm: np.ndarray) -> float:
-    """sup {alpha : diag(sig) + alpha dm >= 0} over every member, for sig > 0;
-    on a real 1x1 stack the scaled direction is its own eigenvalue."""
+def _max_step(sig: np.ndarray, dm: np.ndarray, work: np.ndarray) -> float:
+    """sup {alpha : diag(sig) + alpha dm >= 0} over every member, for sig > 0,
+    with the scaled direction written into `work` (dm's shape); on a real
+    1x1 stack the scaled direction is its own eigenvalue."""
     root = np.sqrt(sig)
-    scaled = dm / (root[..., :, None] * root[..., None, :])
-    if sig.shape[-1] == 1 and not np.iscomplexobj(dm):
+    scaled = np.divide(dm, root[..., :, None] * root[..., None, :], out=work)
+    if _scalars(dm):
         lam_min = scaled.min()
     else:
         lam_min = np.linalg.eigvalsh(scaled)[..., 0].min()
@@ -381,18 +425,21 @@ def _triples(a):
 
 
 def _matmul_into(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ x for a dense or CSR `a` and C-ordered x and out, with no
-    result allocated: a CSR `a` goes through the kernel behind scipy's own
-    product."""
+    """out = a @ x for a dense or CSR `a`, and x and out C-ordered vectors
+    or matrices, with no result allocated: a CSR `a` goes through the
+    kernel behind scipy's own product."""
     if isinstance(a, np.ndarray):
         return np.matmul(a, x, out=out)
     from scipy.sparse import _sparsetools
 
     out.fill(0)
-    _sparsetools.csr_matvecs(
-        a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data,
-        x.reshape(-1), out.reshape(-1),
-    )
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(
+            a.shape[0], a.shape[1], x.shape[1], a.indptr, a.indices, a.data,
+            x.reshape(-1), out.reshape(-1),
+        )
     return out
 
 
@@ -439,14 +486,16 @@ class _SchurGroup:
     handed back to the OS and faulted in again every iteration.
     """
 
-    def __init__(self, n: int, hermitian: bool, j, q, v):
+    def __init__(self, n: int, hermitian: bool, j, q, v, expanded):
+        """Rows' coordinate nonzeros (j, q, v) of the block and the same as
+        :func:`_entries` expands them."""
         co = _coords(n, hermitian)
         self.rows = np.unique(j)
         self.n, k = n, self.rows.size
         self.width = 2 if hermitian else 1
         # T's rows are read from the float view of the W A W stack.
         self.tri_r, self.tri_c = co.rows, self.width * co.cols + co.part
-        fj, r, c, part, fv = _entries(j, q, v, co)
+        fj, r, c, part, fv = expanded
         stack_v = np.where(part == 1, 1j * fv, fv) if hermitian else fv
         self.a_stack = _matrix(r * k + np.searchsorted(self.rows, fj), c, stack_v, (k * n, n))
         # Re tr(A T) = vec(A) . vec(T), and vec(T) is the coordinate parts of
@@ -457,6 +506,11 @@ class _SchurGroup:
         sparse = not isinstance(self.a_stack, np.ndarray)
         self.work = max(self.width * k * n * n, k * k) if sparse else 0
         self.index = _row_index(self.rows)
+        # The small path's gather as one take from the raveled float view of
+        # W A W, laid out (a, j, b): T[q, j] sits at tri_r[q] (k n w) + j n w
+        # + tri_c[q], with w the width.
+        span = self.width * n
+        self.take = (self.tri_r * k * span)[:, None] + span * np.arange(k) + self.tri_c[:, None]
 
     def add_to(self, schur: np.ndarray, w: np.ndarray, work) -> None:
         """schur[rows, rows] += Re tr(A_j W A_l W) for the block's scaling W."""
@@ -465,8 +519,8 @@ class _SchurGroup:
             aw = self.a_stack @ w  # rows (c, j): (A_j W)[c, :]
             # One product W [A_j W]_j, laid out (a, j, b), and a gather of its
             # coordinate parts as columns: no transpose of the result.
-            waw = (w @ aw.reshape(n, -1)).reshape(n, -1, n).view(float)
-            schur[self.index] += self.a_vec @ waw[self.tri_r, :, self.tri_c]
+            waw = (w @ aw.reshape(n, -1)).view(float)
+            schur[self.index] += self.a_vec @ waw.take(self.take)
             return
         one, two = work
         size = self.width * k * n * n
@@ -528,8 +582,8 @@ class _Constraints:
     block is real and joins the n = 1 stack.  Complex stacks come first,
     then real ones, each by ascending size, and within a stack the blocks
     keep the problem's order.  A point of the cone is the float views of
-    the raveled stacks in one vector (`split` gives the stack views), and
-    the coefficient matrices are stored in the coordinates of that vector,
+    the raveled stacks in one vector, and the coefficient matrices are
+    stored in the coordinates of that vector,
     where Re tr(K X) is the dot product of the float views of K and X, so
     A x is one product and A^T y comes back as Hermitian stacks.  Each
     matrix block has its own Schur term, and the real 1x1 stack has one
@@ -537,6 +591,11 @@ class _Constraints:
     matrix.  The Schur matrix is one buffer per solve, and the terms of
     large blocks write their products into two work buffers they share, so
     that a Schur build allocates no large temporary.
+
+    `vectors(k)` makes the solver's float vectors: k rows of one (k, size)
+    buffer, and per stack one (k, g, n, n) view of it (complex for a
+    Hermitian stack), made once per solve, so that row q and member q of
+    each view are the same memory and no point is ever split or joined.
     """
 
     def __init__(self, a_vec, dims: list[int], hermitian=None):
@@ -567,23 +626,24 @@ class _Constraints:
         row, col, val = _triples(a_vec)
         segs = _segments(dims, flags)
         bounds = np.searchsorted(col, [seg.start for seg in segs] + [a_vec.shape[1]])
-        entries, full_r, full_c, full_v = [], [], [], []
+        entries, expanded, full_c = [], [], []
         flat, mirror, signs, scales = [], [], [], []
         for k, ((cplx, n), seg) in enumerate(zip(kinds, segs)):
             co = _coords(n, cplx)
             span = slice(bounds[k], bounds[k + 1])
             entries.append((row[span], col[span] - seg.start, val[span]))
-            fj, r, c, part, fv = _entries(*entries[-1], co)
-            full_r.append(fj)
+            expanded.append(_entries(*entries[-1], co))
+            _, r, c, part, _ = expanded[-1]
             full_c.append(offset[k] + (2 if cplx else 1) * (r * n + c) + part)
-            full_v.append(fv)
             flat.append(offset[k] + co.flat)
             mirror.append(offset[k] + co.mirror)
             signs.append(1 - 2 * co.part)
             scales.append(co.scale)
         cat = np.concatenate
         self.size = base
-        self.a = _matrix(cat(full_r), cat(full_c), cat(full_v), (m, base))
+        self.a = _matrix(
+            cat([e[0] for e in expanded]), cat(full_c), cat([e[4] for e in expanded]), (m, base)
+        )
         self.at = self.a.T if isinstance(self.a, np.ndarray) else self.a.T.tocsr()
         # svec/hvec coordinates in the problem's order <-> the float vector.
         self.flat, self.mirror, self.sign, self.scale = (
@@ -594,7 +654,9 @@ class _Constraints:
         self.groups = []
         for i, ((cplx, n), ks) in enumerate(zip(keys, self.members)):
             if cplx or n > 1:
-                terms = [(p, _SchurGroup(n, cplx, *entries[k])) for p, k in enumerate(ks)]
+                terms = [
+                    (p, _SchurGroup(n, cplx, *entries[k], expanded[k])) for p, k in enumerate(ks)
+                ]
             else:
                 terms = [(slice(None), _ScalarSchur([entries[k] for k in ks]))]
             self.groups += [(i, part, term) for part, term in terms if term.rows.size]
@@ -604,16 +666,15 @@ class _Constraints:
         size = max([term.work for _, _, term in self.groups], default=0)
         self._work = (np.empty(size), np.empty(size))
 
-    def split(self, v: np.ndarray) -> list:
-        """The (g, n, n) stack views of a point's float vector."""
-        return [
-            (v[part].view(complex) if cplx else v[part]).reshape(g, n, n)
+    def vectors(self, k: int):
+        """k float vectors as the rows of one zeroed (k, size) buffer, and
+        the buffer's (k, g, n, n) view per stack: row q and member q of
+        every stack view are the same memory."""
+        buf = np.zeros((k, self.size))
+        return buf, [
+            (buf[:, part].view(complex) if cplx else buf[:, part]).reshape(k, g, n, n)
             for n, g, part, cplx in self.stacks
         ]
-
-    @staticmethod
-    def join(stacks) -> np.ndarray:
-        return np.concatenate([s.reshape(-1).view(float) for s in stacks])
 
     def identity(self, weighted: bool = False) -> list:
         """The identity of each stack, times the barrier weights if asked."""
@@ -636,15 +697,11 @@ class _Constraints:
     def dual_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt((v * v) @ self.inv_weight))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.a @ v
+    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _matmul_into(self.a, v, out)
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.at @ y
-
-    def schur(self, ws) -> np.ndarray:
-        """Schur matrix for per-block scalings W_k in the problem's block order."""
-        return self.stacked_schur([np.stack([ws[k] for k in ks]) for ks in self.members])
+    def adjoint(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return _matmul_into(self.at, y, out)
 
     def stacked_schur(self, w_stacks) -> np.ndarray:
         """Schur matrix for the scalings given as one stack per kind and size,
@@ -783,23 +840,44 @@ def solve(problem: SdpProblem) -> SdpSolution:
     m = a_vec.shape[0]
     cons = _Constraints(a_vec, problem.block_dims, problem.hermitian)
     nu = cons.nu
-    op_a, op_at, split, join = cons.apply, cons.adjoint, cons.split, cons.join
-    # Every point below is one float vector, so inner products are dots.
-    c = cons.from_svec(problem.c)
+    op_a, op_at = cons.apply, cons.adjoint
+    # Every float vector the loop carries is a row of one buffer, with its
+    # stack views made here once; a pair that a stack kernel takes whole,
+    # (x, s), (dx, ds), (c, rd) and (Q_W c, Q_W rd), is two adjacent rows.
+    # The de-homogenized point is written into `hat` and swapped with
+    # `best_hat` when it scores better, so the best iterate is never copied.
+    vec, views = cons.vectors(20)
+    pairs = [vec[k : k + 2] for k in range(0, 14, 2)]
+    point, d_point, tmp_pair, hat, best_hat = pairs[:5]
+    (x, s), (dx, ds), (tmp, _), (c, rd), (qw_c, qw_rd) = point, d_point, tmp_pair, *pairs[5:]
+    x2, at_y, at_u1, at_u2, qwh_dc, x1 = vec[14:]
+    POINT, D_POINT, TMP_PAIR, C_RD, QW_RD = (
+        [v[k : k + 2] for v in views] for k in (0, 2, 4, 10, 12)
+    )
+    X2, _, AT_U1, AT_U2, QWH_DC, X1 = zip(*(v[14:] for v in views))
+    y, dy, a_x, rp, rhs1, a_qw_rd, m_tmp, hat_y, best_y = np.zeros((9, m))
+
+    def buffers(pair=False):
+        """One uninitialized buffer per stack, of a member's or a pair's shape."""
+        return [np.empty((2,) * pair + v.shape[1:], v.dtype) for v in views]
+
+    # Per stack: W, G, the corrector's right-hand side, L_lam^{-1} of a
+    # right-hand side and two products of members; the scalers (G^{-1}, G^H),
+    # the scaled direction pair and two products of pairs.
+    W, G, COMP, DC, P1, P2 = (buffers() for _ in range(6))
+    SCALERS, SCALED, PAIR1, PAIR2 = (buffers(pair=True) for _ in range(4))
     # The centering target of each stack is its barrier weights times I.
     w_eye = cons.identity(weighted=True)
 
-    def sym(v):
-        return join(herm(vk) for vk in split(v))
+    def q_apply(src, dst, p1=P1, p2=P2):
+        """dst = Q_W(src) = W src W stack by stack, of members or of pairs."""
+        for f, v, out, w1, w2 in zip(W, src, dst, p1, p2):
+            _congruence(f, v, f, out, w1, w2)
 
-    def q_apply(factors, v):
-        """Q_F(V) = F V F stack by stack, with one factor stack per stack."""
-        return join(herm(f @ vk @ f) for f, vk in zip(factors, split(v)))
-
+    c[:] = cons.from_svec(problem.c)
     # x = I and s = weights * I lie on the central path.
-    x = join(cons.identity())
-    s = join(w_eye)
-    y = np.zeros(m)
+    for pt, eye, we in zip(POINT, cons.identity(), w_eye):
+        pt[0], pt[1] = eye, we
     tau, kappa = 1.0, 1.0
 
     b_norm = 1.0 + np.linalg.norm(b)
@@ -817,24 +895,30 @@ def solve(problem: SdpProblem) -> SdpSolution:
     for iterations in range(1, MAX_ITER + 1):
         mu = (x @ s + tau * kappa) / (nu + 1)
 
-        # Residuals of the homogeneous model.
-        a_x, at_y = op_a(x), op_at(y)
-        rp = a_x - b * tau
-        rd = c * tau - at_y - s
+        # Residuals of the homogeneous model: rp = A x - b tau,
+        # rd = c tau - A^T y - s.
+        op_a(x, a_x)
+        op_at(y, at_y)
+        np.subtract(a_x, np.multiply(b, tau, out=rp), out=rp)
+        np.subtract(np.subtract(np.multiply(c, tau, out=rd), at_y, out=rd), s, out=rd)
         rg = float(b @ y) - float(c @ x) - kappa
 
         # Normalized optimality metrics for the de-homogenized point.
-        xhat, shat, yhat = x / tau, s / tau, y / tau
-        pres = np.linalg.norm(a_x / tau - b) / b_norm
-        dres = cons.dual_norm(c - at_y / tau - shat) / c_norm
-        pobj = float(c @ xhat)
-        dobj = float(b @ yhat)
+        np.divide(point, tau, out=hat)
+        np.divide(y, tau, out=hat_y)
+        np.subtract(np.divide(a_x, tau, out=m_tmp), b, out=m_tmp)
+        pres = np.sqrt(m_tmp.dot(m_tmp)) / b_norm
+        np.subtract(np.subtract(c, np.divide(at_y, tau, out=tmp), out=tmp), hat[1], out=tmp)
+        dres = cons.dual_norm(tmp) / c_norm
+        pobj = float(c @ hat[0])
+        dobj = float(b @ hat_y)
         relgap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         score = max(pres, dres, relgap)
         if score < best_score:
             best_score = score
             best_iter = iterations
-            best = (xhat, yhat, shat, pobj, dobj, relgap, pres, dres)
+            hat, best_hat, hat_y, best_y = best_hat, hat, best_y, hat_y
+            best = (pobj, dobj, relgap, pres, dres)
         if pres <= TARGET_TOL and dres <= TARGET_TOL and relgap <= TARGET_TOL:
             stop_reason = "target"
             break
@@ -858,101 +942,111 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                w, g, g_inv, sig = zip(
-                    *(_nt_scaling(xk, sk) for xk, sk in zip(split(x), split(s)))
-                )
-                # (G^{-1}, G^H) on a new first axis: a direction pair (dx, ds)
-                # is scaled to (G^{-1} dx G^{-H}, G^H ds G) in one product.
-                scalers = [np.stack([gi, _ct(gk)]) for gk, gi in zip(g, g_inv)]
+                sig = [_nt_scaling(*args) for args in zip(POINT, W, G, SCALERS)]
+                # (G^{-1}, G^H) scale a direction pair (dx, ds) to
+                # (G^{-1} dx G^{-H}, G^H ds G) in one product.
+                sc_ct, g_ct = ([_ct(f) for f in fs] for fs in (SCALERS, G))
                 # lam = diag(sig) is the scaled point.
                 lam_sq = [np.eye(sk.shape[-1]) * (sk * sk)[..., None, :] for sk in sig]
 
                 # Schur complement M = A Q_W A^T, factored once for u2 and
                 # both direction solves.
                 solve_m, jitter = _factor_schur(
-                    cons.stacked_schur(w), lambda: cons.stacked_schur(w)
+                    cons.stacked_schur(W), lambda: cons.stacked_schur(W)
                 )
                 max_jitter = max(max_jitter, jitter)
 
-                qw_c = q_apply(w, c)
-                u2 = solve_m(op_a(qw_c) + b)
-                at_u2 = op_at(u2)
-                x2 = q_apply(w, at_u2) - qw_c
+                q_apply(C_RD, QW_RD, PAIR1, PAIR2)
+                u2 = solve_m(np.add(op_a(qw_c, m_tmp), b, out=m_tmp))
+                op_at(u2, at_u2)
+                q_apply(AT_U2, X2)
+                np.subtract(x2, qw_c, out=x2)
                 coef = float(b @ u2) - float(c @ x2) + kappa / tau
-                qw_rd = q_apply(w, rd)
-                a_qw_rd = op_a(qw_rd)
+                op_a(qw_rd, a_qw_rd)
 
                 def direction(eta, comp_rhs, rhs_tk, refine=False):
+                    """Writes (dx, dy, ds) and returns (d_tau, d_kappa)."""
                     # Q_{W^{1/2}}(L_lam^{-1}(comp_rhs)) taken as G d_c G^H.
-                    qwh_dc = join(
-                        herm(gk @ _lam_inverse(sk, r) @ _ct(gk))
-                        for gk, sk, r in zip(g, sig, comp_rhs)
-                    )
-                    rhs1 = eta * a_qw_rd - op_a(qwh_dc) - eta * rp
+                    for gk, gh, sk, r, dc, p1, p2, out in zip(
+                        G, g_ct, sig, comp_rhs, DC, P1, P2, QWH_DC
+                    ):
+                        _congruence(gk, _lam_inverse(sk, r, dc), gh, out, p1, p2)
+                    # rhs1 = eta A Q_W rd - A qwh_dc - eta rp
+                    np.multiply(a_qw_rd, eta, out=rhs1)
+                    np.subtract(rhs1, op_a(qwh_dc, m_tmp), out=rhs1)
+                    np.subtract(rhs1, np.multiply(rp, eta, out=m_tmp), out=rhs1)
                     u1 = solve_m(rhs1)
                     if refine:
                         # One step of iterative refinement against A Q_W A^T
                         # itself: late in a solve M is ill-conditioned, and
                         # the step would miss its primal rows by as much as
                         # they are off.
-                        u1 = u1 + solve_m(rhs1 - op_a(q_apply(w, op_at(u1))))
+                        op_at(u1, at_u1)
+                        q_apply(AT_U1, X1)
+                        np.subtract(rhs1, op_a(x1, m_tmp), out=m_tmp)
+                        u1 = u1 + solve_m(m_tmp)
                     # dx = Q_W(A^T u1 - eta Rd) + Q_{W^{1/2}} d_c + d_tau * x2
-                    at_u1 = op_at(u1)
-                    x1 = q_apply(w, at_u1) - eta * qw_rd + qwh_dc
+                    op_at(u1, at_u1)
+                    q_apply(AT_U1, X1)
+                    np.subtract(x1, np.multiply(qw_rd, eta, out=tmp), out=x1)
+                    np.add(x1, qwh_dc, out=x1)
                     rhs_tau = (
                         -eta * rg + float(c @ x1) - float(b @ u1) + rhs_tk / tau
                     )
                     d_tau = rhs_tau / coef if abs(coef) > 1e-300 else 0.0
-                    dy = u1 + d_tau * u2
-                    dx = x1 + d_tau * x2
+                    np.add(u1, np.multiply(u2, d_tau, out=dy), out=dy)
+                    np.add(x1, np.multiply(x2, d_tau, out=dx), out=dx)
                     d_kappa = (rhs_tk - kappa * d_tau) / tau
                     # Recover ds from the dual row rather than the complementarity
                     # row: the latter needs Q_{W^{-1}}, whose conditioning degrades
                     # as mu -> 0 and would poison the dual residual.
-                    ds = c * d_tau + eta * rd - (at_u1 + d_tau * at_u2)
-                    return dx, dy, ds, d_tau, d_kappa
+                    # ds = c d_tau + eta rd - (A^T u1 + d_tau A^T u2)
+                    np.add(np.multiply(c, d_tau, out=ds), np.multiply(rd, eta, out=tmp), out=ds)
+                    np.add(at_u1, np.multiply(at_u2, d_tau, out=tmp), out=tmp)
+                    np.subtract(ds, tmp, out=ds)
+                    return d_tau, d_kappa
 
-                def max_alpha(dx, ds, d_tau, d_kappa):
-                    """The step to the boundary and the scaled (dx, ds) pairs."""
-                    scaled = [
-                        herm(f @ np.stack([dxk, dsk]) @ _ct(f))
-                        for f, dxk, dsk in zip(scalers, split(dx), split(ds))
-                    ]
-                    steps = [_max_step(sk, pair) for sk, pair in zip(sig, scaled)]
+                def max_alpha(d_tau, d_kappa):
+                    """The step to the boundary; writes the scaled (dx, ds) pairs."""
+                    steps = []
+                    for f, f_ct, pair, p1, p2, scaled, sk in zip(
+                        SCALERS, sc_ct, D_POINT, PAIR1, PAIR2, SCALED, sig
+                    ):
+                        _congruence(f, pair, f_ct, scaled, p1, p2)
+                        steps.append(_max_step(sk, scaled, p1))
                     if d_tau < 0:
                         steps.append(-tau / d_tau)
                     if d_kappa < 0:
                         steps.append(-kappa / d_kappa)
-                    return min(steps), scaled
+                    return min(steps)
 
                 # Predictor (affine) direction.
-                dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(
-                    1.0, [-l2 for l2 in lam_sq], -tau * kappa
-                )
-                step_aff, scaled_aff = max_alpha(dx_a, ds_a, dtau_a, dkap_a)
-                alpha_aff = min(1.0, 0.99 * step_aff)
+                dtau_a, dkap_a = direction(1.0, [-l2 for l2 in lam_sq], -tau * kappa)
+                alpha_aff = min(1.0, 0.99 * max_alpha(dtau_a, dkap_a))
 
+                np.add(point, np.multiply(d_point, alpha_aff, out=tmp_pair), out=tmp_pair)
                 mu_aff = (
-                    float((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a))
+                    float(tmp_pair[0] @ tmp_pair[1])
                     + (tau + alpha_aff * dtau_a) * (kappa + alpha_aff * dkap_a)
                 ) / (nu + 1)
                 gamma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-6), 1.0 - 1e-6)
 
-                # Corrector: second-order term in the scaled space.
-                comp = [
-                    gamma * mu * we - l2 - _jordan(*pair)
-                    for we, l2, pair in zip(w_eye, lam_sq, scaled_aff)
-                ]
+                # Corrector: second-order term in the scaled space,
+                # gamma mu I - lam^2 - (dx ds + ds dx) / 2 of the scaled pair.
+                for we, l2, (a, bk), comp, p1, p2 in zip(w_eye, lam_sq, SCALED, COMP, P1, P2):
+                    np.subtract(np.multiply(we, gamma * mu, out=comp), l2, out=comp)
+                    np.subtract(comp, _jordan(a, bk, p1, p2), out=comp)
                 rhs_tk = gamma * mu - tau * kappa - dtau_a * dkap_a
-                dx, dy, ds, d_tau, d_kappa = direction(1.0 - gamma, comp, rhs_tk, True)
-                alpha = min(1.0, 0.99 * max_alpha(dx, ds, d_tau, d_kappa)[0])
+                d_tau, d_kappa = direction(1.0 - gamma, COMP, rhs_tk, True)
+                alpha = min(1.0, 0.99 * max_alpha(d_tau, d_kappa))
                 if not np.isfinite(alpha) or alpha <= 1e-14:
                     stop_reason = "step_collapse"
                     break
 
-                x = sym(x + alpha * dx)
-                s = sym(s + alpha * ds)
-                y = y + alpha * dy
+                np.add(point, np.multiply(d_point, alpha, out=tmp_pair), out=tmp_pair)
+                for new, pt in zip(TMP_PAIR, POINT):
+                    _herm(new, pt)
+                np.add(y, np.multiply(dy, alpha, out=dy), out=y)
                 tau += alpha * d_tau
                 kappa += alpha * d_kappa
         except (FloatingPointError, np.linalg.LinAlgError):
@@ -961,16 +1055,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     if best is None:
         raise SolverError("interior-point method produced no iterates")
-    xhat, yhat, shat, pobj, dobj, relgap, pres, dres = best
+    pobj, dobj, relgap, pres, dres = best
     if stop_reason != "certificate" and pres <= FEAS_TOL and dres <= FEAS_TOL and relgap <= GAP_TOL:
         status = "optimal"
     y_full = np.zeros(problem.A.shape[0])
-    y_full[keep_rows] = yhat
+    y_full[keep_rows] = best_y
     return SdpSolution(
         status=status,
-        x=cons.to_svec(xhat),
+        x=cons.to_svec(best_hat[0]),
         y=y_full,
-        s=cons.to_svec(shat),
+        s=cons.to_svec(best_hat[1]),
         primal_objective=pobj,
         dual_objective=dobj,
         gap=relgap,

@@ -70,11 +70,12 @@ class TaskReport(Result):
     """A task's value with its witness and re-verification residuals.
 
     ``method`` is that of the program behind the value: "sdp",
-    "neyman_pearson" or "closed_form".  An exact value has
-    ``interval == (value, value)`` and an interior-point one
-    ``interval is None``.  For "cost_interval" ``value`` is the pair
-    (lower, upper) and ``interval`` the same pair, with the method of the
-    lower bound.  ``residuals["sdp_gap"]`` is present only when a solve ran.
+    "neyman_pearson" or "closed_form".  A closed form has
+    ``interval == (value, value)``, a Neyman-Pearson value the interval
+    of its dual bound, and an interior-point one ``interval is None``.
+    For "cost_interval" ``value`` is the pair (lower, upper) and
+    ``interval`` the same pair, with the method of the lower bound.
+    ``residuals["sdp_gap"]`` is present only when a solve ran.
     """
 
     quantity: str            # yield | cost | cost_interval | battery_yield | catalytic_yield0
@@ -161,7 +162,8 @@ def one_shot_yield(rho, channel: DestructionChannel, eps: float) -> TaskReport:
         # channel, since the currency system needs a full-rank Gibbs weight
         # and hence a level bounded away from 0.
         m = max(m, 0.0)
-    interval = None if res.interval is None else (m, m)
+    # A value clipped up to 0 stretches its interval to include it.
+    interval = res.interval and (min(res.interval[0], m), max(res.interval[1], m))
     return TaskReport(m, interval, res.method, "yield", eps, witness, residuals)
 
 

@@ -265,6 +265,42 @@ class TestHypothesisTesting:
             assert np.trace(rho @ res.gamma).real >= 1 - eps - 1e-12, delta
             assert dual - 1e-12 <= res.type_two_error <= dual + 1e-5, delta
 
+    def test_a_state_against_itself_is_certified_exact(self, rng):
+        # D_H^eps(rho || rho) = -log2(1 - eps) for rho of every rank: the
+        # scan's test and its dual bound meet to rounding.
+        for rank in (1, 2, 3, 4):
+            rho = random_density(4, rng, rank=rank)
+            for eps in (1e-12, 0.1, 0.5, 1 - 1e-9):
+                res = dv.neyman_pearson(rho, rho, eps)
+                exact = -np.log2(1 - eps)
+                assert res.interval == (res.value, res.value), (rank, eps)
+                assert res.value == pytest.approx(exact, rel=1e-9, abs=1e-15), (rank, eps)
+
+    def test_near_proportional_bracket_holds_the_dual_optimum(self):
+        # rho = sigma + delta diag(1, -1): the record's interval contains
+        # -log2 of the Lagrange dual max_lam lam (1 - eps) - tr(lam rho -
+        # sigma)_+, found on a dense lam grid refined twice around its best
+        # point; the dual is concave, so the refined maximum is within
+        # rounding of the optimum.
+        sigma = np.array([[0.7, 0.1], [0.1, 0.3]])
+        eps = 0.5
+
+        def dual(lams, rho):
+            w = np.linalg.eigvalsh(lams[:, None, None] * rho - sigma)
+            return lams * (1 - eps) - np.clip(w, 0.0, None).sum(axis=1)
+
+        for delta in (1e-12, 1e-9, 1e-6, 1e-3):
+            rho = sigma + delta * np.diag([1.0, -1.0])
+            lams = np.linspace(0.0, 4.0, 40001)
+            for _ in range(3):
+                g = dual(lams, rho)
+                best, step = lams[np.argmax(g)], lams[1] - lams[0]
+                lams = np.linspace(max(best - step, 0.0), best + step, 40001)
+            optimum = -np.log2(g.max())
+            res = dv.neyman_pearson(rho, sigma, eps)
+            lo, hi = res.interval
+            assert lo == res.value and lo - 1e-12 <= optimum <= hi + 1e-12, delta
+
     def test_rejects_bad_eps(self, rng):
         with pytest.raises(ValidationError):
             dv.d_hypothesis(random_density(2, rng), UNIFORM2, 1.5)

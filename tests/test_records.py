@@ -156,3 +156,25 @@ class TestRecord:
                 reports.append(outcome(tk.one_shot_cost_eps, rho, c, eps, eps / 3.0))
         for rep in reports:
             assert_task_record(rep)
+
+
+# SDP values are compared at the tolerance tests/test_programs.py uses
+# against -log2(1 - eps).
+ORDER_TOL = 1e-7
+
+
+class TestOrdering:
+    """ROADMAP 10(b) at the interior eps of the draws: restricted_ht <=
+    ht_free <= D_H^eps(rho || Delta rho), and every D_H value is at least
+    -log2(1 - eps).  A reported solver failure is skipped."""
+
+    @PROPERTY
+    @given(SEEDS, KINDS)
+    def test_hypothesis_tests_are_ordered(self, seed, kind):
+        rng, c, rho = draw(seed, kind)
+        eps = eps_values(rng)[2]
+        restricted, free = (outcome(run, rho, c, eps) for run in (pr.restricted_ht, pr.ht_free))
+        full = dv.d_hypothesis(rho, herm(c.apply(rho)), eps)
+        values = [res.value for res in (restricted, free) if res is not None] + [full]
+        assert min(values) >= -np.log2(1 - eps) - ORDER_TOL, values
+        assert all(a <= b + ORDER_TOL for a, b in zip(values, values[1:])), values

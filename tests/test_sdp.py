@@ -81,6 +81,12 @@ def dense_schur(a, dims, ws, hermitian=None):
     return out
 
 
+def schur(cons, ws):
+    """The Schur matrix for per-block scalings W_k in the problem's block
+    order, stacked per kind and size as the solver passes them."""
+    return cons.stacked_schur([np.stack([ws[k] for k in ks]) for ks in cons.members])
+
+
 def random_spd(n, rng):
     g = rng.normal(size=(n, n))
     return g @ g.T / n + 0.1 * np.eye(n)
@@ -96,7 +102,7 @@ class TestSchur:
         flags = hermitian or [False] * len(dims)
         ws = [random_hpd(n, rng) if h and n > 1 else random_spd(n, rng) for n, h in zip(dims, flags)]
         ref = dense_schur(a, dims, ws, hermitian)
-        got = sdp._Constraints(a, dims, hermitian).schur(ws)
+        got = schur(sdp._Constraints(a, dims, hermitian), ws)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_planted_dense_rows(self, rng):
@@ -205,6 +211,18 @@ def pd_stack(g, n, rng, kind):
     return np.stack([make(n, rng) for _ in range(g)])
 
 
+def nt_scaling(x, s):
+    """sdp._nt_scaling of the pair (x, s) into fresh buffers: (W, G, G^{-1}, sigma)."""
+    pair = np.stack([x, s])
+    w, g, scalers = np.empty_like(x), np.empty_like(x), np.empty_like(pair)
+    sig = sdp._nt_scaling(pair, w, g, scalers)
+    return w, g, scalers[0], sig
+
+
+def max_step(sig, dm):
+    return sdp._max_step(sig, dm, np.empty_like(dm))
+
+
 def sym_stack(g, n, rng, kind):
     m = rng.normal(size=(g, n, n))
     if kind is complex:
@@ -226,7 +244,7 @@ class TestStackKernels:
     @STACK_CASES
     def test_nt_scaling(self, n, kind, rng):
         x, s = pd_stack(4, n, rng, kind), pd_stack(4, n, rng, kind)
-        w_mat, g, g_inv, sig = sdp._nt_scaling(x, s)
+        w_mat, g, g_inv, sig = nt_scaling(x, s)
         assert w_mat.dtype == g.dtype == g_inv.dtype == np.dtype(kind)
         assert sig.shape == (4, n) and sig.dtype == np.dtype(float)
         for i in range(4):
@@ -245,19 +263,19 @@ class TestStackKernels:
             assert np.abs(w_mat[i] - ref_w).max() <= 1e-8 * np.abs(ref_w).max()
             ref_sig = np.sqrt(np.linalg.eigvalsh(xh @ s[i] @ xh))
             assert np.abs(np.sort(sig[i]) - ref_sig).max() <= 1e-10 * ref_sig.max()
-            alone = sdp._nt_scaling(x[i], s[i])
+            alone = nt_scaling(x[i], s[i])
             for got, want in zip((w_mat[i], g[i], g_inv[i], sig[i]), alone):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_nt_scaling_rejects_an_indefinite_point(self, rng):
         x = random_spd(3, rng)
         with pytest.raises(np.linalg.LinAlgError):
-            sdp._nt_scaling(x, -x)
+            nt_scaling(x, -x)
 
     @STACK_CASES
     def test_lam_inverse_op(self, n, kind, rng):
         sig, r = rng.uniform(0.1, 2.0, size=(4, n)), sym_stack(4, n, rng, kind)
-        x = sdp._lam_inverse(sig, r)
+        x = sdp._lam_inverse(sig, r, np.empty_like(r))
         for i in range(4):
             lam = np.diag(sig[i])
             resid = (lam @ x[i] + x[i] @ lam) / 2 - r[i]
@@ -268,7 +286,7 @@ class TestStackKernels:
     def test_max_step(self, n, kind, rng):
         x, s = pd_stack(4, n, rng, kind), pd_stack(4, n, rng, kind)
         dx, ds = sym_stack(4, n, rng, kind), sym_stack(4, n, rng, kind)
-        _, g, g_inv, sig = sdp._nt_scaling(x, s)
+        _, g, g_inv, sig = nt_scaling(x, s)
         ct = lambda m: m.conj().swapaxes(-1, -2)  # noqa: E731
         scaled_x, scaled_s = g_inv @ dx @ ct(g_inv), ct(g) @ ds @ g
 
@@ -278,32 +296,32 @@ class TestStackKernels:
             return np.inf if low >= 0 else -1.0 / low
 
         for scaled, m, dm in ((scaled_x, x, dx), (scaled_s, s, ds)):
-            got = sdp._max_step(sig, scaled)
+            got = max_step(sig, scaled)
             assert got == pytest.approx(min(step(m[i], dm[i]) for i in range(4)), rel=1e-10)
             for i in range(4):
-                assert sdp._max_step(sig[i], scaled[i]) == pytest.approx(
+                assert max_step(sig[i], scaled[i]) == pytest.approx(
                     step(m[i], dm[i]), rel=1e-10
                 )
         # The solver's stacked pair gives the smaller of the two steps.
-        both = sdp._max_step(sig, np.stack([scaled_x, scaled_s]))
-        assert both == min(sdp._max_step(sig, scaled_x), sdp._max_step(sig, scaled_s))
+        both = max_step(sig, np.stack([scaled_x, scaled_s]))
+        assert both == min(max_step(sig, scaled_x), max_step(sig, scaled_s))
         psd = pd_stack(4, n, rng, kind)
-        assert sdp._max_step(sig, g_inv @ psd @ ct(g_inv)) == np.inf
+        assert max_step(sig, g_inv @ psd @ ct(g_inv)) == np.inf
 
 
     def test_scalar_stack_closed_forms_match_lapack(self, rng):
         # A real 1x1 stack takes the closed forms; the same stack as complex
         # goes through the Cholesky, SVD and eigvalsh path.
         x, s = rng.uniform(1e-3, 10.0, size=(2, 9, 1, 1))
-        fast = sdp._nt_scaling(x, s)
-        slow = sdp._nt_scaling(x.astype(complex), s.astype(complex))
+        fast = nt_scaling(x, s)
+        slow = nt_scaling(x.astype(complex), s.astype(complex))
         assert all(f.dtype == np.dtype(float) for f in fast)
         for got, want in zip(fast, slow):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         sig, g, g_inv = fast[3], fast[1], fast[2]
         for pair in (rng.normal(size=(2, 9, 1, 1)), rng.uniform(0.1, 1.0, size=(2, 9, 1, 1))):
             scaled = np.stack([g_inv * pair[0] * g_inv, g * pair[1] * g])
-            got, want = sdp._max_step(sig, scaled), sdp._max_step(sig, scaled.astype(complex))
+            got, want = max_step(sig, scaled), max_step(sig, scaled.astype(complex))
             if np.isinf(want):
                 assert got == np.inf
             else:
@@ -314,7 +332,7 @@ class TestStackKernels:
         for bad in (0.0, -1.0):
             for x, s in ((np.full_like(one, bad), one), (one, np.full_like(one, bad))):
                 with pytest.raises(np.linalg.LinAlgError):
-                    sdp._nt_scaling(x, s)
+                    nt_scaling(x, s)
 
 
 class TestFactorization:
@@ -363,7 +381,7 @@ class TestFactorization:
         prob, _ = planted_problem([4, 3, 1], 7, rng)
         cons = sdp._Constraints(prob.A, prob.block_dims)
         ws = [random_spd(n, rng) for n in prob.block_dims]
-        m = cons.schur(ws).copy()
+        m = schur(cons, ws).copy()
         potrf, potrs = sdp._cholesky_routines()
         calls = []
 
@@ -373,8 +391,8 @@ class TestFactorization:
             return factor, (1 if len(calls) == 1 else info)
 
         monkeypatch.setattr(sdp, "_CHOLESKY", (first_fails, potrs))
-        buffer = cons.schur(ws)
-        solve_m, jitter = sdp._factor_schur(buffer, lambda: cons.schur(ws))
+        buffer = schur(cons, ws)
+        solve_m, jitter = sdp._factor_schur(buffer, lambda: schur(cons, ws))
         assert (len(calls), jitter) == (2, 1e-14)
         calls.clear()
         copy = m.copy()
@@ -436,6 +454,49 @@ def assert_same_solution(got, want):
         assert getattr(got, name) == getattr(want, name), name
     for name in ("x", "y", "s"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestBuffers:
+    """The loop's float vectors are rows of one buffer per solve, with stack
+    views made once, and nothing outlives the solve."""
+
+    def test_no_buffer_outlives_its_solve(self, rng):
+        # A, then B with other block sizes and kinds, then A again.
+        first, _ = planted_problem([4, 3, 1], 7, rng, [True, False, False])
+        other, _ = planted_problem([2, 5, 1, 1], 9, rng, [False, True, False, True])
+        want = sdp.solve(first)
+        assert sdp.solve(other).status == "optimal"
+        assert_same_solution(sdp.solve(first), want)
+
+    def test_stack_views_and_rows_are_the_same_memory(self, rng):
+        dims, flags = [3, 2, 1, 3, 2], [True, True, False, False, True]
+        prob, _ = planted_problem(dims, 6, rng, flags)
+        cons = sdp._Constraints(prob.A, dims, flags)
+        vec, views = cons.vectors(3)
+        assert vec.shape == (3, cons.size) and not vec.any()
+        for (n, g, part, cplx), view in zip(cons.stacks, views):
+            assert view.shape == (3, g, n, n) and view.dtype == (complex if cplx else float)
+            # A write through the view lands in row 1 of the vector...
+            view[1] = rng.normal(size=(g, n, n)) + (1j * rng.normal(size=(g, n, n)) if cplx else 0)
+            floats = view[1].reshape(-1).view(float) if cplx else view[1].reshape(-1)
+            assert np.array_equal(vec[1, part], floats)
+            # ...and a write to row 2 shows through the view.
+            vec[2, part] = rng.normal(size=part.stop - part.start)
+            read = vec[2, part].view(complex) if cplx else vec[2, part]
+            assert np.array_equal(view[2], read.reshape(g, n, n))
+        assert not vec[0].any()
+
+    @pytest.mark.parametrize(
+        "dims, flags", [([1, 1, 1, 1], None), ([3, 2, 2], [True, True, True])], ids=["lp", "complex"]
+    )
+    def test_a_single_kind_of_stack_solves(self, dims, flags, rng):
+        # Only the real 1x1 stack (an LP), or only complex stacks.
+        prob, opt = planted_problem(dims, 3, rng, flags)
+        kinds = {cplx for _, _, _, cplx in sdp._Constraints(prob.A, dims, flags).stacks}
+        assert kinds == {flags is not None}
+        sol = sdp.solve(prob)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective - opt) <= 1e-6 * (1 + abs(opt))
 
 
 class TestSparseRows:
