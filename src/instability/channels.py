@@ -535,16 +535,14 @@ def _state_grid(dim: int, resolution: int, rng) -> list[np.ndarray]:
     return out
 
 
-def enumerate_free_grid(
-    channel: DestructionChannel, resolution: int = 21, seed=0
-) -> list[np.ndarray]:
+def enumerate_free_grid(channel: DestructionChannel, resolution: int = 21) -> list[np.ndarray]:
     """Grid covering the free-state family.
 
     Weights run over a simplex grid; each B factor runs over a Bloch-type
     grid for qubits (exact coverage up to resolution) and a grid/random
-    hybrid for larger factors.
+    hybrid for larger factors, whose random states are drawn from seed 0.
     """
-    r = rng_from(seed)
+    r = rng_from(0)
     per_block = [_state_grid(b.d_b, resolution, r) for b in channel.blocks]
     out = []
     for p in _simplex_grid(len(channel.blocks), resolution):

@@ -3,14 +3,16 @@
 Subcommands: monotone, yield, cost, battery, sweep, regularize, verify.
 States and channels are read from JSON files (see serialize module for the
 schemas); outputs are JSON or CSV written to --output or stdout.  Runs are
-deterministic for a fixed seed and inputs.  Exit codes: 1 parse errors,
-2 validation errors, 3 solver failures, 4 budget refusals.
+deterministic for a fixed seed and inputs.  Exit codes, set by the error
+classes: 1 parse errors, 2 validation errors, 3 solver failures, 4 budget
+refusals.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import logging
 import os
 import sys
@@ -21,6 +23,7 @@ from . import optimize as op
 from . import tasks as tk
 from .divergences import in_dpi_region
 from .errors import BudgetError, InstabilityError, ParseError, SolverError, ValidationError
+from .linalg import check_eps
 from .serialize import channel_from_json, dump_json, load_json_file, state_from_json
 
 log = logging.getLogger("instability")
@@ -97,8 +100,7 @@ def cmd_yield(args) -> int:
 def cmd_cost(args) -> int:
     rho = _load_state(args.state)
     channel = _load_channel(args.channel)
-    if not 0.0 <= args.eps <= 1.0:
-        raise ValidationError(f"epsilon {args.eps} outside [0, 1]")
+    check_eps(args.eps)
     if args.eps > 0:
         if args.delta is None:
             raise ValidationError("eps > 0 cost needs --delta in (0, eps)")
@@ -272,31 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
-    import json
-
-    print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
-
-
 def main(argv=None) -> int:
     try:
         _configure_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        _emit_error("parse", exc)
-        return 1
-    except ValidationError as exc:
-        _emit_error("validation", exc)
-        return 2
-    except SolverError as exc:
-        _emit_error("solver", exc)
-        return 3
-    except BudgetError as exc:
-        _emit_error("budget", exc)
-        return 4
-    except InstabilityError as exc:  # pragma: no cover - catch-all
-        _emit_error("internal", exc)
+    except InstabilityError as exc:
+        print(json.dumps({"error": {"kind": exc.kind, "message": str(exc)}}), file=sys.stderr)
         return exc.exit_code
 
 

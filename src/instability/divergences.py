@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .linalg import (
     check_density,
+    check_eps,
     check_psd,
     density_eigh,
     herm,
@@ -30,6 +31,7 @@ from .linalg import (
     rank_tol,
     support_projector,
 )
+from .sdp import SdpSolution
 
 LOG2 = np.log(2.0)
 
@@ -173,16 +175,20 @@ class Result:
 
 @dataclass(frozen=True)
 class HypothesisTest(Result):
-    """Optimal test for min tr[sigma Gamma] s.t. tr[rho Gamma] >= 1 - eps.
+    """Optimal test for min tr[sigma Gamma] s.t. tr[rho Gamma] >= 1 - eps,
+    or for the programs' tests against the free states.
 
-    ``value`` is -log2 of the optimal type-II error ``type_two_error``, in
-    bits; ``method`` is "neyman_pearson" (the scan) or "closed_form" (the
-    eps in {0, 1} faces).
+    ``value`` is -log2 of the optimal type-II error ``type_two_error`` (the
+    programs' optimal c), in bits; ``method`` is "neyman_pearson" (the
+    scan), "closed_form" (the eps in {0, 1} faces) or "sdp" (an interior
+    point).  ``threshold`` is set on the records of :func:`neyman_pearson`
+    only, ``solution`` on those of an interior-point solve only.
     """
 
     type_two_error: float
     gamma: np.ndarray
-    threshold: float  # Lagrange multiplier lambda at the optimum
+    threshold: float | None = None  # Lagrange multiplier lambda at the optimum
+    solution: SdpSolution | None = None
 
 
 def _scan_point(rho, sigma, lam: float, target: float):
@@ -218,9 +224,7 @@ def neyman_pearson(rho, sigma, eps: float) -> HypothesisTest:
     """
     rho = check_density(rho)
     sigma = check_psd(sigma, rho.shape[0], what="second argument")
-    if not (0.0 <= eps <= 1.0):
-        raise ValidationError(f"epsilon {eps} outside [0, 1]")
-    return _neyman_pearson_scan(rho, sigma, eps)
+    return _neyman_pearson_scan(rho, sigma, check_eps(eps))
 
 
 def _neyman_pearson_scan(rho: np.ndarray, sigma: np.ndarray, eps: float) -> HypothesisTest:

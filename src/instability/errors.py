@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+Each class carries the CLI's exit code and the `kind` of its JSON error
+line, so library code should raise the most specific class that applies.
 """
 
 
@@ -9,27 +9,32 @@ class InstabilityError(Exception):
     """Base class for all package errors."""
 
     exit_code = 1
+    kind = "internal"
 
 
 class ParseError(InstabilityError):
     """Malformed input files or JSON payloads."""
 
     exit_code = 1
+    kind = "parse"
 
 
 class ValidationError(InstabilityError):
     """Inputs violate a documented invariant (shape, positivity, range...)."""
 
     exit_code = 2
+    kind = "validation"
 
 
 class SolverError(InstabilityError):
     """A numerical routine failed to reach its accuracy contract."""
 
     exit_code = 3
+    kind = "solver"
 
 
 class BudgetError(InstabilityError):
     """A computation was refused because it exceeds a size/evaluation budget."""
 
     exit_code = 4
+    kind = "budget"

@@ -151,6 +151,13 @@ def check_effect(gamma, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def check_eps(eps: float) -> float:
+    """Validate an error or smoothing parameter in [0, 1]; return it as a float."""
+    if not (0.0 <= eps <= 1.0):
+        raise ValidationError(f"epsilon {eps} outside [0, 1]")
+    return float(eps)
+
+
 def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 

@@ -29,9 +29,13 @@ a replacer joined with a currency system), Delta^*(Gamma) = tr[gamma Gamma] I
 for every effect.  Both hypothesis tests then equal D_H^eps(rho || gamma),
 and they are answered by the exact Neyman-Pearson scan of
 :func:`~instability.divergences.neyman_pearson` instead of an interior-point
-solve.  `HypothesisTestingResult.method` says which path ran.  At eps = 0
-the smoothed max-relative entropy of such an algebra is D_max(rho || gamma),
-a closed form like that of a pure state on any channel.
+solve.  At eps = 0 the smoothed max-relative entropy of such an algebra
+is D_max(rho || gamma), a closed form like that of a pure state on any
+channel.
+
+Both tests return :class:`~instability.divergences.HypothesisTest`, whose
+`method` says which path ran; only an interior-point solve sets its
+`solution`, and its `threshold` stays None.
 
 On n copies of a qubit under the dephaser (in any basis),
 `_symmetric_restricted_ht` and `_symmetric_dmax_free` run the same two
@@ -49,35 +53,11 @@ from math import comb
 import numpy as np
 
 from .channels import DestructionChannel, _kron, hermitian_basis
-from .divergences import Result, _neyman_pearson_scan
-from .errors import SolverError, ValidationError
-from .linalg import check_density, density_eigh, herm, rank_tol
+from .divergences import HypothesisTest, Result, _neyman_pearson_scan
+from .errors import SolverError
+from .linalg import check_density, check_eps, density_eigh, herm, rank_tol
 from .optimize import _d_min
 from .sdp import HermitianProgram, SdpSolution
-
-
-@dataclass(frozen=True)
-class HypothesisTestingResult(Result):
-    """The value in bits, its optimal c and witnessing effect, and the path
-    taken.
-
-    `method` is "sdp" (interior point), "neyman_pearson" (the exact scan for
-    a one-dimensional fixed algebra) or "closed_form" (eps = 1, ht_free at
-    eps = 0, and restricted_ht at eps = 0 on a full-rank state).  Only the
-    interior-point path has a `solution` and no interval; the closed forms
-    have `interval == (value, value)`, and the scan the interval that its
-    Lagrange dual bound certifies.
-    """
-
-    type_two_error: float         # the optimal c (2^{-value})
-    gamma: np.ndarray             # witnessing effect
-    solution: SdpSolution | None
-
-
-def _check_eps(eps: float) -> float:
-    if not (0.0 <= eps <= 1.0):
-        raise ValidationError(f"epsilon {eps} outside [0, 1]")
-    return float(eps)
 
 
 def _require_solved(sol: SdpSolution, what: str) -> None:
@@ -89,69 +69,87 @@ def _clip_effect(gamma: np.ndarray) -> np.ndarray:
     """Clip eigenvalues into [0, 1]; the solver can overshoot by its
     feasibility residual, which downstream consumers validate strictly."""
     w, v = np.linalg.eigh(herm(gamma))
-    w = np.clip(w, 0.0, 1.0)
-    return herm((v * w) @ v.conj().T)
+    return herm((v * np.clip(w, 0.0, 1.0)) @ v.conj().T)
 
 
-def _polish_to_scaled_identity(
-    gamma: np.ndarray, channel: DestructionChannel
-) -> tuple[np.ndarray, float]:
-    """Shift Gamma inside the algebra so Delta^*(Gamma) = c I holds exactly.
-
-    Delta^* acts as the identity on its image, so adding the (tiny) algebra
-    element c I - Delta^*(Gamma) cancels the solver's equality residual
-    without moving Gamma more than that residual.
-    """
-    dual = herm(channel.apply_dual(gamma))
-    c = float(np.trace(dual).real) / channel.dim
-    polished = herm(gamma + (c * np.eye(channel.dim) - dual))
-    return polished, c
-
-
-def restricted_ht(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
+def restricted_ht(rho, channel: DestructionChannel, eps: float) -> HypothesisTest:
     """min c over effects with Delta^*(Gamma) = c I and tr[rho Gamma] >= 1 - eps.
 
     Returns the exponent -log2 c together with the witnessing effect, which
     is polished so its dual image is a scalar matrix to machine precision.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     rho = check_density(rho, channel.dim)
+    return _shared_test(rho, channel, eps) or _restricted_ht_sdp(rho, channel, eps)
+
+
+def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTest:
+    """Hypothesis testing against the free set:
+    min c s.t. 0 <= Gamma <= I, tr[rho Gamma] >= 1 - eps, Delta^*(Gamma) <= c I.
+
+    At eps = 0 the program is solved exactly: a perfect test must contain
+    the support projector of rho, and any surplus only raises the dual
+    image, so Gamma = rho^0 is optimal and the value is D_min to the free
+    set, -log2 ||Delta^*(rho^0)||_inf, from the kernel of
+    ``optimize.d_min_free`` (one d x d eigh, which validates rho).  (The
+    eps = 0 feasible set has no strict interior, which would otherwise
+    degrade interior-point accuracy.)
+    """
+    eps = check_eps(eps)
+    if eps <= 0.0:
+        c_star, _, proj = _d_min(rho, channel)
+        return _record(proj, c_star, None, "closed_form")
+    rho = check_density(rho, channel.dim)
+    return _shared_test(rho, channel, eps) or _ht_free_sdp(rho, channel, eps)
+
+
+def _shared_test(rho, channel: DestructionChannel, eps: float) -> HypothesisTest | None:
+    """Both tests where they agree, None elsewhere.  At eps = 1 the zero
+    effect passes, and the value is infinite.  On a one-dimensional fixed
+    algebra both are the optimal test of rho against the fixed state,
+    clipped and polished like a solver's, with the scan's interval
+    stretched to the polished value."""
     if eps >= 1.0:
-        return _eps_one_result(channel.dim)
-    if channel.algebra_dim() == 1:
-        return _neyman_pearson_result(rho, channel, eps)
-    return _restricted_ht_sdp(rho, channel, eps)
-
-
-def _eps_one_result(d: int) -> HypothesisTestingResult:
-    """eps = 1: the zero effect passes, and the value is infinite."""
-    return _scaled_result(np.zeros((d, d), dtype=complex), 0.0, None, "closed_form")
-
-
-def _neyman_pearson_result(
-    rho, channel: DestructionChannel, eps: float
-) -> HypothesisTestingResult:
-    """Both tests for a one-dimensional fixed algebra: the optimal test of
-    rho against the fixed state, clipped and polished like a solver's, with
-    the scan's interval stretched to the polished value."""
+        return _record(np.zeros((channel.dim, channel.dim), dtype=complex), 0.0, None, "closed_form")
+    if channel.algebra_dim() != 1:
+        return None
     test = _neyman_pearson_scan(rho, channel.fixed_state(), eps)
-    res = _ht_result(test.gamma, channel, None, "neyman_pearson")
+    res = _polished_record(test.gamma, channel, None, "neyman_pearson")
     lo, hi = test.interval
-    if lo == hi:
-        return res
-    return replace(res, interval=(min(lo, res.value), max(hi, res.value)))
+    return res if lo == hi else replace(res, interval=(min(lo, res.value), max(hi, res.value)))
 
 
-def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
+def _restricted_ht_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTest:
     """restricted_ht by interior point, for a validated state and eps < 1:
-    :func:`_restricted_test` on one block in the block frame, with the rows
-    of :func:`_algebra_rows`."""
-    rows, unit, _ = _algebra_rows(channel)
-    (gamma,), sol = _restricted_test([(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps)
-    gamma = channel.from_block_frame(gamma)
-    if sol is None:  # full rank at eps = 0: Gamma = I, and Delta^*(I) = I
-        return _ht_result(gamma, channel, None, "closed_form")
-    return _ht_result(gamma, channel, sol)
+    :func:`_block_frame_test` without slacks, its effect polished.  A
+    full-rank state at eps = 0 needs no solve: Gamma = I, and Delta^*(I) = I."""
+    gamma, sol = _block_frame_test(rho, channel, eps)
+    method = "closed_form" if sol is None else "sdp"
+    return _polished_record(channel.from_block_frame(gamma), channel, sol, method)
+
+
+def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTest:
+    """ht_free by interior point, for a validated state and 0 < eps < 1:
+    :func:`_block_frame_test` with c I - Delta^*(Gamma) = Z, Z >= 0
+    blockwise; c* is the largest eigenvalue of the clipped effect's
+    B-components."""
+    gamma, sol = _block_frame_test(rho, channel, eps, free=True)
+    gamma = _clip_effect(gamma)
+    c_star = max(
+        float(np.linalg.eigvalsh(herm(b))[:, -1].max()) for b in channel.dual_marginals(gamma)
+    )
+    return _record(channel.from_block_frame(gamma), c_star, sol, "sdp")
+
+
+def _block_frame_test(rho, channel: DestructionChannel, eps: float, free: bool = False):
+    """:func:`_restricted_test` on rho as one block in the block frame, with
+    the rows of :func:`_algebra_rows` and, for the free test, their slacks.
+    Returns the test in the block frame and the solution."""
+    rows, unit, slack = _algebra_rows(channel)
+    (gamma,), sol = _restricted_test(
+        [(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps, slack if free else ()
+    )
+    return gamma, sol
 
 
 def _algebra_rows(channel: DestructionChannel):
@@ -229,65 +227,29 @@ def _restricted_test(blocks, rows, unit, eps: float, slack=()):
     return tests, sol
 
 
-def _ht_result(
-    gamma, channel: DestructionChannel, sol: SdpSolution | None, method: str = "sdp"
-) -> HypothesisTestingResult:
-    """The clipped and polished effect, with -log2 c of its scalar dual image."""
-    gamma, c_star = _polish_to_scaled_identity(_clip_effect(gamma), channel)
-    return _scaled_result(gamma, c_star, sol, method)
+def _polished_record(
+    gamma, channel: DestructionChannel, sol: SdpSolution | None, method: str
+) -> HypothesisTest:
+    """The restricted test's record of an effect: Gamma clipped into [0, 1],
+    then shifted inside the algebra so Delta^*(Gamma) = c I holds exactly,
+    with the value -log2 c.
+
+    Delta^* acts as the identity on its image, so adding the (tiny) algebra
+    element c I - Delta^*(Gamma) cancels the solver's equality residual
+    without moving Gamma more than that residual.
+    """
+    gamma = _clip_effect(gamma)
+    dual = herm(channel.apply_dual(gamma))
+    c = float(np.trace(dual).real) / channel.dim
+    return _record(herm(gamma + (c * np.eye(channel.dim) - dual)), c, sol, method)
 
 
-def _scaled_result(
-    gamma, c_star: float, sol: SdpSolution | None, method: str
-) -> HypothesisTestingResult:
+def _record(gamma, c_star: float, sol: SdpSolution | None, method: str) -> HypothesisTest:
     """The test Gamma with its optimal c = c_star and the value -log2 c_star,
     exact unless an interior-point solution `sol` produced it."""
-    if c_star <= 0:
-        c_star, value = 0.0, float("inf")
-    else:
-        value = -float(np.log2(c_star))
+    c_star, value = (c_star, -float(np.log2(c_star))) if c_star > 0 else (0.0, float("inf"))
     interval = None if sol is not None else (value, value)
-    return HypothesisTestingResult(value, interval, method, c_star, gamma, sol)
-
-
-def ht_free(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
-    """Hypothesis testing against the free set:
-    min c s.t. 0 <= Gamma <= I, tr[rho Gamma] >= 1 - eps, Delta^*(Gamma) <= c I.
-
-    At eps = 0 the program is solved exactly: a perfect test must contain
-    the support projector of rho, and any surplus only raises the dual
-    image, so Gamma = rho^0 is optimal and the value is D_min to the free
-    set, -log2 ||Delta^*(rho^0)||_inf, from the kernel of
-    ``optimize.d_min_free`` (one d x d eigh, which validates rho).  (The
-    eps = 0 feasible set has no strict interior, which would otherwise
-    degrade interior-point accuracy.)
-    """
-    eps = _check_eps(eps)
-    if eps <= 0.0:
-        c_star, _, proj = _d_min(rho, channel)
-        return _scaled_result(proj, c_star, None, "closed_form")
-    rho = check_density(rho, channel.dim)
-    if eps >= 1.0:
-        return _eps_one_result(channel.dim)
-    if channel.algebra_dim() == 1:
-        return _neyman_pearson_result(rho, channel, eps)
-    return _ht_free_sdp(rho, channel, eps)
-
-
-def _ht_free_sdp(rho, channel: DestructionChannel, eps: float) -> HypothesisTestingResult:
-    """ht_free by interior point, for a validated state and 0 < eps < 1:
-    :func:`_restricted_test` in the block frame with c I - Delta^*(Gamma) = Z,
-    Z >= 0 blockwise, on the rows of :func:`_algebra_rows`; c* is the largest
-    eigenvalue of the clipped effect's B-components."""
-    rows, unit, slack = _algebra_rows(channel)
-    (gamma,), sol = _restricted_test(
-        [(1.0, herm(channel.to_block_frame(rho)))], [rows], unit, eps, slack
-    )
-    gamma = _clip_effect(gamma)
-    c_star = max(
-        float(np.linalg.eigvalsh(herm(b))[:, -1].max()) for b in channel.dual_marginals(gamma)
-    )
-    return _scaled_result(channel.from_block_frame(gamma), c_star, sol, "sdp")
+    return HypothesisTest(value, interval, method, c_star, gamma, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -315,7 +277,7 @@ def dmax_smoothed_free(rho, channel: DestructionChannel, eps: float) -> Smoothed
     one-dimensional fixed algebra are answered in closed form, from the one
     eigh that validates rho.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if eps > 0.0:
         return _dmax_smoothed_sdp(check_density(rho, channel.dim), channel, eps)
     rho, w, v = density_eigh(rho, channel.dim)
@@ -505,10 +467,10 @@ def _symmetric_restricted_ht(blocks, n: int, eps: float) -> float:
     """restricted_ht(rho^{(x)n}, Delta^{(x)n}, eps) in bits over the blocks
     of :func:`qubit_power_blocks`: :func:`_restricted_test` with one row per
     Hamming weight (the mean of Gamma's diagonal there is c).  The value is
-    -log2 of tr[clip(Gamma)] / 2^n, as in `_ht_result`; at eps = 1 it is
+    -log2 of tr[clip(Gamma)] / 2^n, as in `_polished_record`; at eps = 1 it is
     infinite.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     if eps >= 1.0:
         return float("inf")
     mean = [1.0 / comb(n, k) for k in range(n + 1)]
@@ -528,7 +490,7 @@ def _symmetric_dmax_free(blocks, n: int, eps: float) -> float:
     free omega = sum_k f_k Pi_k, f_k >= 0, which is diag(f_l..f_{n-l}) in
     block l and has tr[omega] = sum_k C(n, k) f_k.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     free = [(0, comb(n, k)) for k in range(n + 1)]
     omega = [
         {ell + a: hermitian_basis(len(r))[:, a, a].real for a in range(len(r))}

@@ -21,6 +21,7 @@ from .divergences import Result, d_max
 from .errors import SolverError, ValidationError
 from .linalg import (
     check_effect,
+    check_eps,
     herm,
     spectral_norm,
     trace_distance,
@@ -28,7 +29,6 @@ from .linalg import (
 )
 from .optimize import d_min_free, umegaki_free
 from .programs import (
-    _check_eps,
     _is_qubit_dephaser,
     _symmetric_dmax_free,
     _symmetric_restricted_ht,
@@ -384,7 +384,7 @@ def regularize_sweep(rho, channel: DestructionChannel, eps: float, n_max: int) -
     """
     if n_max < 1:
         raise ValidationError(f"n_max {n_max} must be at least 1")
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     rho = np.asarray(rho, dtype=complex)
     target = umegaki_free(rho, channel).value  # validates rho
     cost_hi = d_max(rho, herm(channel.apply(rho)))

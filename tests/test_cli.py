@@ -157,7 +157,8 @@ class TestCliCommands:
             ]
         )
         assert code == 3
-        assert "cost bounds cross" in capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "solver" and "cost bounds cross" in error["message"]
 
     def test_battery(self, workdir, capsys):
         code = main(
@@ -430,6 +431,7 @@ class TestExitCodes:
         assert main(
             ["yield", "--state", str(bad), "--channel", str(workdir / "dephaser2.json")]
         ) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "validation"
 
     def test_alpha_one_is_validated(self, workdir, capsys):
         # alpha = 1 collapses onto the Umegaki monotone only after the inputs
@@ -442,6 +444,8 @@ class TestExitCodes:
         io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
         for command in ("cost", "yield", "battery"):
             assert main([command, *io_args, "--eps", "-0.5"]) == 2, command
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == {"kind": "validation", "message": "epsilon -0.5 outside [0, 1]"}
 
     def test_regularize_needs_one_copy(self, workdir, capsys):
         io_args = ["--state", str(workdir / "mixed.json"), "--channel", str(workdir / "dephaser2.json")]
@@ -503,3 +507,4 @@ class TestExitCodes:
                 "--workers", "1",
             ]
         ) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "budget"

@@ -88,6 +88,16 @@ def assert_program_record(res, methods=PROGRAM_METHODS):
         assert_exact(res)
 
 
+def assert_test_record(res, scan):
+    """Every hypothesis test returns the one record: the solution of an
+    interior-point solve, and the threshold on the scan's own records only."""
+    if res is None:
+        return
+    assert isinstance(res, dv.HypothesisTest)
+    assert (res.solution is not None) == (res.method == "sdp")
+    assert (res.threshold is not None) == scan
+
+
 def assert_task_record(rep):
     if rep is None:
         return
@@ -123,8 +133,11 @@ class TestRecord:
             assert test.method in {"neyman_pearson", "closed_form"}
             assert (test.method == "closed_form") == (eps in (0.0, 1.0))
             assert_exact(test)
+            assert_test_record(test, scan=True)
             for run in (pr.restricted_ht, pr.ht_free):
-                assert_program_record(outcome(run, rho, c, eps))
+                res = outcome(run, rho, c, eps)
+                assert_program_record(res)
+                assert_test_record(res, scan=False)
 
     @PROPERTY
     @given(SEEDS, KINDS)
