@@ -49,7 +49,7 @@ print("  one-shot irreversibility.  Error tolerance and batteries help:")
 
 bat = battery_yield(rho, qubit, 0.1)
 print(f"  battery-assisted yield (eps=0.1) = {bat.value:.6f}")
-print(f"  battery identity residual: {bat.residuals['battery_identity']:.2e}")
+print(f"  composite-effect membership residual: {bat.residuals['composite_membership']:.2e}")
 
 lo, hi = one_shot_cost_eps(rho, qubit, 0.1, 0.05).value
 print(f"  eps=0.1 cost interval: [{lo:.6f}, {hi:.6f}]")

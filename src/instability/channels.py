@@ -551,16 +551,6 @@ def enumerate_free_grid(channel: DestructionChannel, resolution: int = 21) -> li
     return out
 
 
-def random_free_state(channel: DestructionChannel, rng) -> np.ndarray:
-    from .sampling import random_density
-
-    r = rng_from(rng)
-    k = len(channel.blocks)
-    p = r.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
-    betas = [random_density(b.d_b, r) for b in channel.blocks]
-    return free_state(channel, p, betas)
-
-
 def random_free_unitary(channel: DestructionChannel, seed) -> np.ndarray:
     """Unitary commuting with the channel: U = (+) u_i (x) v_i, [u_i, tau_i] = 0."""
     r = rng_from(seed)

@@ -508,9 +508,11 @@ class _SchurGroup:
         self.index = _row_index(self.rows)
         # The small path's gather as one take from the raveled float view of
         # W A W, laid out (a, j, b): T[q, j] sits at tri_r[q] (k n w) + j n w
-        # + tri_c[q], with w the width.
+        # + tri_c[q], with w the width.  The large path gathers row by row.
         span = self.width * n
-        self.take = (self.tri_r * k * span)[:, None] + span * np.arange(k) + self.tri_c[:, None]
+        self.take = None if sparse else (
+            (self.tri_r * k * span)[:, None] + span * np.arange(k) + self.tri_c[:, None]
+        )
 
     def add_to(self, schur: np.ndarray, w: np.ndarray, work) -> None:
         """schur[rows, rows] += Re tr(A_j W A_l W) for the block's scaling W."""

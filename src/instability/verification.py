@@ -56,6 +56,14 @@ def random_channel(d: int, rng) -> ch.DestructionChannel:
     return ch.cond_depolarizer(1, d)
 
 
+def battery_identity_residual(rho, channel: ch.DestructionChannel, eps: float, value: float) -> float:
+    """|value - (yield(rho (x) phi_1) - 1)|, 0 where both are +inf (eps = 1)."""
+    phi1 = tk.currency(1.0)
+    joint = ch.tensor_channels(channel, phi1.channel)
+    expected = pr.restricted_ht(np.kron(rho, phi1.state), joint, eps).value - 1.0
+    return 0.0 if value == expected else abs(value - expected)
+
+
 def check_eigh_reconstruction(seed) -> CheckResult:
     rng = rng_from(seed)
     worst = 0.0
@@ -298,7 +306,7 @@ def check_task_consistency(seed) -> CheckResult:
             y0 - dmin,
             100 * (dmin - umeg),
             100 * (umeg - cost0),
-            bat.residuals["battery_identity"],
+            battery_identity_residual(rho, c, eps, bat.value),
             y0 - bat.value,
         )
     return CheckResult("operational ordering and battery identity", worst <= 1e-6, worst, 1e-6)

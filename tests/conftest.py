@@ -10,9 +10,14 @@ import dataclasses  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from instability import channels as ch  # noqa: E402
 from instability import linalg as la  # noqa: E402
 from instability import tasks as tk  # noqa: E402
-from instability.verification import random_channel  # noqa: E402, F401  (shared sampler)
+from instability.sampling import random_density, rng_from  # noqa: E402
+from instability.verification import (  # noqa: E402, F401  (shared sampler and check)
+    battery_identity_residual,
+    random_channel,
+)
 
 
 @pytest.fixture
@@ -40,6 +45,16 @@ def linalg_calls(monkeypatch):
         spy(np.linalg, name)
     spy(la, "spectral_norm")
     return calls
+
+
+def random_free_state(channel, rng):
+    """A free state (+) p_i tau_i (x) beta_i with Dirichlet weights p and
+    random densities beta_i."""
+    r = rng_from(rng)
+    k = len(channel.blocks)
+    p = r.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
+    betas = [random_density(b.d_b, r) for b in channel.blocks]
+    return ch.free_state(channel, p, betas)
 
 
 def raised_lower_bound(eps, shift=1e-3):

@@ -8,6 +8,7 @@ from instability import divergences as dv
 from instability import optimize as op
 from instability.linalg import herm, mat_pow
 from instability.sampling import random_density, random_full_rank_density
+from tests.conftest import random_free_state
 from tests.test_optimize import dpi_draw, draw_channel
 
 pytest.importorskip("hypothesis")
@@ -37,7 +38,7 @@ class TestCertificate:
         sigma and its core) at a full-rank random free state."""
         rng, c, rho, alpha, z, lam = certificate_case(seed)
         spec = op.TraceFunctionalSpec(mat_pow(rho, alpha / z), (1 - lam) * (1 - alpha) / z, z, c)
-        sigma = herm(0.8 * ch.random_free_state(c, rng) + 0.2 * c.fixed_state())
+        sigma = herm(0.8 * random_free_state(c, rng) + 0.2 * c.fixed_state())
         eig = c.free_eig(op._factors(sigma, c))
         half = c.free_power(eig, spec.r / 2)
         xb = c.to_block_frame(spec.x)
@@ -54,7 +55,7 @@ class TestCertificate:
         # Off the diagonal of sigma's eigenbasis too: a central difference
         # along a free direction.
         rng = np.random.default_rng(seed)
-        h = herm(ch.random_free_state(spec.channel, rng) - sigma)
+        h = herm(random_free_state(spec.channel, rng) - sigma)
         t = 1e-5
         fd = (
             op._functional_value(sigma + t * h, spec.x, spec.r, spec.z)

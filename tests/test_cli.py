@@ -9,7 +9,7 @@ from instability import tasks as tk
 from instability.cli import main
 from instability.errors import ParseError
 from instability.sampling import random_density
-from tests.conftest import raised_lower_bound
+from tests.conftest import battery_identity_residual, raised_lower_bound
 
 
 @pytest.fixture
@@ -483,7 +483,8 @@ class TestExitCodes:
             if command == "battery":
                 # `data` is the eps = 1 output, where both sides of the
                 # identity are +inf.
-                assert data["residuals"]["battery_identity"] == 0.0
+                rho = sz.state_from_json(sz.load_json_file(str(workdir / "mixed.json")))
+                assert battery_identity_residual(rho, ch.dephaser(2), 1.0, float(data["value"])) == 0.0
 
     def test_unparsable_grid_is_a_parse_error(self, workdir, capsys):
         io_args = ["--state", str(workdir / "plus.json"), "--channel", str(workdir / "dephaser2.json")]

@@ -10,7 +10,7 @@ from instability import optimize as op
 from instability.errors import BudgetError, SolverError, ValidationError
 from instability.linalg import herm, mat_pow, schatten_norm, support_projector, trace_norm
 from instability.sampling import random_density, random_full_rank_density, random_unitary
-from tests.conftest import random_channel
+from tests.conftest import random_channel, random_free_state
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
@@ -41,7 +41,7 @@ class TestZ1ClosedForm:
             x = herm(random_full_rank_density(d, rng) * rng.uniform(0.5, 3.0))
             r = float(rng.uniform(-0.9, 0.9))
             res = op.z1_closed_form(x, r, c)
-            sigma = ch.random_free_state(c, rng)
+            sigma = random_free_state(c, rng)
             sigma = herm(0.9 * sigma + 0.1 * c.fixed_state())
             f_sigma = op._functional_value(sigma, x, r, 1.0)
             split = res.value * op.pythagorean_factor(sigma, res.sigma_star, r)
@@ -322,7 +322,7 @@ class TestPetzFree:
         assert np.abs(res.sigma_star - np.eye(2) / 2).max() <= 1e-10
 
     def test_free_state_gives_zero(self, rng):
-        sigma = ch.random_free_state(DEPH2, rng)
+        sigma = random_free_state(DEPH2, rng)
         res = op.petz_free(sigma, 0.5, DEPH2)
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert np.abs(res.sigma_star - sigma).max() <= 1e-8
@@ -356,7 +356,7 @@ class TestPetzFree:
             rho = random_full_rank_density(d, rng)
             alpha = float(rng.choice([0.3, 0.5, 0.9, 1.3, 1.8, 2.0]))
             res = op.petz_free(rho, alpha, c)
-            sigma = herm(0.95 * ch.random_free_state(c, rng) + 0.05 * c.fixed_state())
+            sigma = herm(0.95 * random_free_state(c, rng) + 0.05 * c.fixed_state())
             lhs = dv.d_alpha_z(rho, sigma, alpha=alpha, z=1.0)
             rhs = res.value + dv.d_alpha_z(res.sigma_star, sigma, alpha=alpha, z=1.0)
             assert abs(lhs - rhs) <= 1e-8
@@ -386,7 +386,7 @@ class TestDminUmegakiFree:
 
     def test_umegaki_free(self, rng):
         assert op.umegaki_free(PLUS, DEPH2).value == pytest.approx(1.0)
-        sigma = ch.random_free_state(DEPH2, rng)
+        sigma = random_free_state(DEPH2, rng)
         assert op.umegaki_free(sigma, DEPH2).value == pytest.approx(0.0, abs=1e-9)
 
     def test_umegaki_chain_rule(self, rng):
@@ -394,7 +394,7 @@ class TestDminUmegakiFree:
             d = int(rng.integers(2, 5))
             c = random_channel(d, rng)
             rho = random_full_rank_density(d, rng)
-            sigma = herm(0.9 * ch.random_free_state(c, rng) + 0.1 * c.fixed_state())
+            sigma = herm(0.9 * random_free_state(c, rng) + 0.1 * c.fixed_state())
             delta_rho = herm(c.apply(rho))
             lhs = dv.umegaki(rho, sigma)
             rhs = dv.umegaki(rho, delta_rho) + dv.umegaki(delta_rho, sigma)

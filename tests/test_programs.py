@@ -8,7 +8,7 @@ from instability import sdp
 from instability import tasks as tk
 from instability.linalg import check_density, herm, rank_tol, spectral_norm
 from instability.sampling import random_density, random_full_rank_density, random_unitary
-from tests.conftest import block_dual_reduction, place_blocks, random_channel
+from tests.conftest import block_dual_reduction, place_blocks, random_channel, random_free_state
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
@@ -67,7 +67,7 @@ class TestRestrictedHt:
         # fixed state, which the exact scan must find in the kernel of
         # lam sigma - sigma.
         for channel in (DEPH2, ch.replacer(GAMMA), ch.depolarizer(3)):
-            sigma = ch.random_free_state(channel, rng)
+            sigma = random_free_state(channel, rng)
             for eps in (0.0, 0.2, 0.5):
                 for program in (pr.restricted_ht, pr.ht_free):
                     res = program(sigma, channel, eps)

@@ -186,6 +186,19 @@ class TestSchur:
         assert work[20] and work[16] and not work[3]
         self.check(a, dims, rng, flags)
 
+    def test_sparse_group_holds_no_gather_index(self, rng):
+        # The large path gathers T row by row, so only a dense group keeps
+        # the small path's index, whose size grows as k n^2.
+        dims, flags = [20, 3], [False, False]
+        total = sum(coord_dim(n, h) for n, h in zip(dims, flags))
+        a = np.zeros((150, total))
+        for j in range(150):
+            a[j, rng.choice(total, size=3, replace=False)] = rng.normal(size=3)
+        groups = {getattr(t, "n", 1): t for _, _, t in sdp._Constraints(a, dims, flags).groups}
+        assert groups[20].work and groups[20].take is None
+        assert not groups[3].work and groups[3].take.shape == (6, groups[3].rows.size)
+        self.check(a, dims, rng, flags)
+
     def test_contiguous_and_scattered_row_subsets(self, rng):
         # Block 0 is touched by rows 2-5 only, a contiguous strict subset
         # that adds through a slice; block 1 by rows 0, 3 and 6, which add

@@ -10,14 +10,19 @@ from instability import optimize as op
 from instability import sdp
 from instability import tasks as tk
 from instability.errors import SolverError, ValidationError
-from instability.linalg import herm
+from instability.linalg import herm, trace_distance
 from instability.sampling import (
     random_density,
     random_effect,
     random_full_rank_density,
     random_unitary,
 )
-from tests.conftest import raised_lower_bound, random_channel
+from tests.conftest import (
+    battery_identity_residual,
+    raised_lower_bound,
+    random_channel,
+    random_free_state,
+)
 
 PLUS = ch.plus_state(2)
 DEPH2 = ch.dephaser(2)
@@ -91,7 +96,7 @@ class TestOneShotYield:
             assert rep.residuals["output_accuracy"] <= eps + 1e-8
 
     def test_free_state_yields_nothing(self, rng):
-        sigma = ch.random_free_state(DEPH2, rng)
+        sigma = random_free_state(DEPH2, rng)
         rep = tk.one_shot_yield(sigma, DEPH2, 0.0)
         assert rep.value == pytest.approx(0.0, abs=1e-8)
 
@@ -101,14 +106,14 @@ class TestOneShotYield:
         for c, method in ((DEPH2, "sdp"), (rep, "neyman_pearson")):
             assert tk.one_shot_yield(rho, c, 0.1).method == method
             assert tk.battery_yield(rho, c, 0.1).method == method
-        free = ch.random_free_state(DEPH2, rng)
+        free = random_free_state(DEPH2, rng)
         assert tk.one_shot_yield(free, DEPH2, 0.2).method == "sdp"
         assert tk.battery_yield(rho, DEPH2, 0.0).method == "closed_form"
 
 
 class TestOneShotCost:
     def test_free_state_costs_nothing(self, rng):
-        sigma = ch.random_free_state(DEPH2, rng)
+        sigma = random_free_state(DEPH2, rng)
         rep = tk.one_shot_cost_exact(sigma, DEPH2)
         assert rep.value == pytest.approx(0.0, abs=1e-9)
         assert rep.residuals["covariance"] <= 1e-9
@@ -173,6 +178,56 @@ class TestOneShotCost:
         with pytest.raises(SolverError, match="cost bounds cross"):
             tk.one_shot_cost_eps(np.diag([0.3, 0.7]).astype(complex), DEPH2, 0.1, 0.05)
 
+    def test_interval_closes_on_one_dimensional_algebras(self):
+        # Delta(tau) is the fixed state for every tau, so the eps-program's
+        # own tau has D_max(tau || Delta tau) at the lower bound.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            gamma = random_full_rank_density(2, rng, 0.3)
+            for c in (ch.depolarizer(2), ch.depolarizer(3), ch.replacer(gamma)):
+                rho = random_density(c.dim, rng)
+                lo, hi = tk.one_shot_cost_eps(rho, c, 0.1, 0.05).value
+                assert 0.0 <= hi - lo <= 1e-9
+
+    def test_upper_end_no_looser_than_the_eps_minus_delta_candidates(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            d = int(rng.integers(2, 4))
+            c = random_channel(d, rng)
+            rho = random_density(d, rng)
+            eps = float(rng.uniform(0.05, 0.4))
+            rep = tk.one_shot_cost_eps(rho, c, eps, eps / 3)
+            lo, hi = rep.value
+            want_lo, want_hi = eps_minus_delta_interval(rho, c, eps, eps / 3)
+            assert lo == want_lo
+            assert hi <= want_hi + 1e-9
+            for key in ("tau", "smoothed_tau"):
+                assert trace_distance(rep.witness[key], rho) <= eps + 1e-12
+
+
+def eps_minus_delta_interval(rho, channel, eps, delta):
+    """The eps-cost interval from the earlier candidates: the eps-program's
+    value as the lower end, and as the upper end the least
+    D_max(tau || Delta tau) over rho and mixtures built from a second
+    smoothed solve at eps - delta."""
+    rho = np.asarray(rho, dtype=complex)
+    lower = tk.dmax_smoothed_free(rho, channel, eps).value
+    inner = tk.dmax_smoothed_free(rho, channel, eps - delta)
+    tau_m = tk._project_to_state(inner.tau)
+    candidates = [rho]
+    tr_om = float(np.trace(inner.omega).real)
+    if tr_om > 0:
+        sigma_m = tk._project_to_state(inner.omega / tr_om)
+        candidates.append(herm((1.0 - delta) * tau_m + delta * sigma_m))
+        candidates.append(herm((1.0 - delta) * rho + delta * sigma_m))
+    candidates.append(herm((1.0 - delta) * rho + delta * channel.fixed_state()))
+    upper = min(
+        dv.d_max(tau, herm(channel.apply(tau)))
+        for tau in candidates
+        if trace_distance(tau, rho) <= eps + 1e-12
+    )
+    return lower, max(upper, lower)
+
 
 class TestAssistedYields:
     def test_battery_identity(self, rng):
@@ -182,7 +237,7 @@ class TestAssistedYields:
             rho = random_density(d, rng)
             eps = float(rng.uniform(0.0, 0.4))
             rep = tk.battery_yield(rho, c, eps)
-            assert rep.residuals["battery_identity"] <= 1e-6
+            assert battery_identity_residual(rho, c, eps, rep.value) <= 1e-6
 
     def test_eps_zero_is_catalytic(self, rng):
         for _ in range(5):
